@@ -18,12 +18,11 @@ import numpy as np
 
 from .raster import (
     Point2,
-    euclidean_distance_transform,
     frame_diff_energy,
     image_diagonal,
     laplacian_variance,
     mask_centroid,
-    min_distance_in_mask,
+    mask_distance,
 )
 
 log = logging.getLogger(__name__)
@@ -180,7 +179,6 @@ def _keyframe_signals(
     """
     hand = episode.hand_masks[index]
     obj = episode.object_masks[index]
-    diag = image_diagonal(episode.shape)
 
     if hand.any():
         centroid = mask_centroid(hand)
@@ -191,10 +189,9 @@ def _keyframe_signals(
         centroid = Point2(w / 2.0, h / 2.0)
 
     if hand.any() and obj.any():
-        distance = min_distance_in_mask(euclidean_distance_transform(obj), hand)
-        distance = min(distance, diag)
+        distance = mask_distance(hand, obj)
     else:
-        distance = diag
+        distance = image_diagonal(episode.shape)
     return KeyframeEntry(
         index=index,
         centroid=centroid,

@@ -10,17 +10,20 @@ All functions here are pure and safe to call from any number of workers.
 
 from __future__ import annotations
 
-import os
-from typing import NamedTuple, Optional
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _edt_py
+# Finite "no foreground" sentinel of the distance transform's first pass.
+INF_DIST = 1e15
 
-try:
-    from . import _edtcore
-except ImportError:
-    _edtcore = None
+# Squared values at or above this are "unreachable" and map to +inf.
+SQ_UNREACHABLE = 1e29
+
+# Largest number of (a, b) pixel pairs mask_distance holds at once; bounds
+# its scratch memory to a few MB however large and ragged the masks are.
+PAIR_BLOCK = 1 << 20
 
 
 class Point2(NamedTuple):
@@ -28,21 +31,6 @@ class Point2(NamedTuple):
 
     x: float
     y: float
-
-
-# Rec. 601 luma weights for collapsing colour sources to intensity.
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
-
-def rgb_to_gray(img: np.ndarray) -> np.ndarray:
-    """Collapse an (h, w, 3) colour array to single-channel intensity."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 2:
-        return img
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (h, w) or (h, w, 3) array, got {img.shape}")
-    r, g, b = LUMA_WEIGHTS
-    return r * img[:, :, 0] + g * img[:, :, 1] + b * img[:, :, 2]
 
 
 def laplacian_variance(img: np.ndarray) -> float:
@@ -83,38 +71,71 @@ def _as_mask(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
-def edt_backend() -> str:
-    """Name of the distance-transform backend selected at import time."""
-    if _edtcore is None or os.environ.get("HANDSTATES_PURE", "0") not in ("", "0"):
-        return "pure"
-    return "compiled"
+def squared_edt(mask: np.ndarray) -> np.ndarray:
+    """Exact squared distance to the nearest foreground pixel of ``mask``.
 
-
-def squared_edt(mask: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
-    """Exact squared EDT of a boolean mask; ``backend`` overrides selection."""
+    Two-pass lower envelope of parabolas (Felzenszwalb & Huttenlocher,
+    Theory of Computing 8, 2012). The vertical pass is vectorised across
+    columns; the per-row envelope scan is a plain Python loop.
+    """
     fg = _as_mask(mask)
-    if backend is None:
-        backend = edt_backend()
-    if backend == "compiled":
-        if _edtcore is None:
-            raise RuntimeError("compiled distance-transform kernel unavailable")
-        return _edtcore.squared_edt(np.ascontiguousarray(fg, dtype=np.uint8))
-    if backend == "pure":
-        return _edt_py.squared_edt(fg)
-    raise ValueError(f"unknown backend {backend!r}")
+    h, w = fg.shape
+    f = np.empty((h, w), dtype=np.float64)
+
+    # Pass 1: per-column distance (in rows) to the nearest foreground pixel.
+    run = np.full(w, INF_DIST)
+    for y in range(h):
+        run = np.where(fg[y], 0.0, run + 1.0)
+        f[y] = run
+    run = np.full(w, INF_DIST)
+    for y in range(h - 1, -1, -1):
+        run = np.where(fg[y], 0.0, run + 1.0)
+        np.minimum(f[y], run, out=f[y])
+    np.multiply(f, f, out=f)
+
+    # Pass 2: exact 1-D squared distance transform of every row via the
+    # lower envelope of parabolas rooted at (x, f[x]).
+    out = np.empty((h, w), dtype=np.float64)
+    v = [0] * w
+    z = [0.0] * (w + 1)
+    for y in range(h):
+        frow = f[y].tolist()
+        k = 0
+        v[0] = 0
+        z[0] = -math.inf
+        z[1] = math.inf
+        for q in range(1, w):
+            fq = frow[q] + q * q
+            vk = v[k]
+            s = (fq - (frow[vk] + vk * vk)) / (2.0 * (q - vk))
+            while s <= z[k]:
+                k -= 1
+                vk = v[k]
+                s = (fq - (frow[vk] + vk * vk)) / (2.0 * (q - vk))
+            k += 1
+            v[k] = q
+            z[k] = s
+            z[k + 1] = math.inf
+        k = 0
+        res = [0.0] * w
+        for q in range(w):
+            while z[k + 1] < q:
+                k += 1
+            vk = v[k]
+            res[q] = (q - vk) * (q - vk) + frow[vk]
+        out[y] = res
+    return out
 
 
-def euclidean_distance_transform(
-    mask: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def euclidean_distance_transform(mask: np.ndarray) -> np.ndarray:
     """Exact per-pixel distance to the nearest foreground pixel of ``mask``.
 
     Distances are pixel-center to pixel-center; an all-background mask
     yields +inf everywhere so callers can treat "object absent" uniformly.
     """
-    sq = squared_edt(mask, backend=backend)
+    sq = squared_edt(mask)
     out = np.sqrt(sq)
-    out[sq >= _edt_py.SQ_UNREACHABLE] = np.inf
+    out[sq >= SQ_UNREACHABLE] = np.inf
     return out
 
 
@@ -127,17 +148,50 @@ def mask_centroid(mask: np.ndarray) -> Point2:
     return Point2(float(xs.mean()), float(ys.mean()))
 
 
-def min_distance_in_mask(field: np.ndarray, sample_mask: np.ndarray) -> float:
-    """Minimum of a distance field over the foreground of ``sample_mask``."""
-    field = np.asarray(field, dtype=np.float64)
-    fg = _as_mask(sample_mask)
-    if field.shape != fg.shape:
-        raise ValueError(
-            f"field/mask dimension mismatch: {field.shape} vs {fg.shape}"
-        )
-    if not fg.any():
-        raise ValueError("empty mask: nothing to sample")
-    return float(field[fg].min())
+def _boundary_pixels(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, xs) of the foreground pixels with a 4-neighbour in the background.
+
+    Off-canvas neighbours count as foreground: stepping towards any other
+    pixel of the canvas never leaves it.
+    """
+    inner = fg.copy()
+    inner[1:] &= fg[:-1]
+    inner[:-1] &= fg[1:]
+    inner[:, 1:] &= fg[:, :-1]
+    inner[:, :-1] &= fg[:, 1:]
+    return np.nonzero(fg & ~inner)
+
+
+def mask_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact minimum pixel-center distance between two non-empty masks.
+
+    0.0 when the masks overlap. Otherwise every closest pair lies on the two
+    4-connected boundaries: a pixel whose 4-neighbours are all in its own
+    mask has one strictly closer to the other mask. The minimum squared
+    distance over boundary pairs is exact in integers, so the one square
+    root at the end is the correctly rounded distance.
+    """
+    fa = _as_mask(a)
+    fb = _as_mask(b)
+    if fa.shape != fb.shape:
+        raise ValueError(f"mask dimension mismatch: {fa.shape} vs {fb.shape}")
+    if not fa.any() or not fb.any():
+        raise ValueError("empty mask has no distance")
+    if (fa & fb).any():
+        return 0.0
+    ay, ax = _boundary_pixels(fa)
+    by, bx = _boundary_pixels(fb)
+    step_b = min(by.size, PAIR_BLOCK)
+    step_a = max(1, PAIR_BLOCK // step_b)
+    best = math.inf
+    for i in range(0, ay.size, step_a):
+        ya = ay[i:i + step_a, None]
+        xa = ax[i:i + step_a, None]
+        for j in range(0, by.size, step_b):
+            dy = ya - by[j:j + step_b]
+            dx = xa - bx[j:j + step_b]
+            best = min(best, int((dy * dy + dx * dx).min()))
+    return math.sqrt(best)
 
 
 def image_diagonal(shape: tuple[int, int]) -> float:

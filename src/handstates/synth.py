@@ -302,11 +302,3 @@ def generate_corpus(
         episodes.append(generate_episode(ep_cfg, episode_id=f"ep_{i:03d}"))
     return episodes
 
-
-def infeasible_reason(cfg: ScenarioConfig) -> Optional[str]:
-    """None if the scenario is constructible, else the failure message."""
-    try:
-        _distance_schedule(cfg)
-    except (InfeasibleScenarioError, ValueError) as exc:
-        return str(exc)
-    return None

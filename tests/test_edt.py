@@ -1,5 +1,5 @@
-"""Exact Euclidean distance transform: brute-force oracle equivalence,
-monotonicity, and compiled/pure backend parity."""
+"""Exact Euclidean distance transform: brute-force oracle equivalence and
+monotonicity."""
 
 import numpy as np
 import pytest
@@ -18,42 +18,38 @@ def brute_force_edt(mask):
     return np.sqrt(d2.min(axis=1)).reshape(h, w).astype(float)
 
 
-BACKENDS = ["pure"] + (["compiled"] if raster.edt_backend() == "compiled" else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestAgainstOracle:
-    def test_single_center_pixel(self, backend):
+    def test_single_center_pixel(self):
         mask = np.zeros((3, 3), bool)
         mask[1, 1] = True
-        d = raster.euclidean_distance_transform(mask, backend=backend)
+        d = raster.euclidean_distance_transform(mask)
         assert d[1, 1] == 0.0
         assert d[0, 1] == d[1, 0] == d[1, 2] == d[2, 1] == 1.0
         for y, x in ((0, 0), (0, 2), (2, 0), (2, 2)):
             assert d[y, x] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
-    def test_zero_exactly_at_foreground(self, backend, rng):
+    def test_zero_exactly_at_foreground(self, rng):
         mask = rng.random((20, 30)) < 0.2
-        d = raster.euclidean_distance_transform(mask, backend=backend)
+        d = raster.euclidean_distance_transform(mask)
         assert np.array_equal(d == 0.0, mask)
 
-    def test_random_masks_match_brute_force(self, backend, rng):
+    def test_random_masks_match_brute_force(self, rng):
         for _ in range(40):
             h, w = rng.integers(1, 65, 2)
             density = rng.uniform(0.01, 0.9)
             mask = rng.random((h, w)) < density
-            d = raster.euclidean_distance_transform(mask, backend=backend)
+            d = raster.euclidean_distance_transform(mask)
             bf = brute_force_edt(mask)
             assert np.abs(d - bf).max() < 1e-9
 
-    def test_all_background_is_infinite(self, backend):
-        d = raster.euclidean_distance_transform(np.zeros((7, 5), bool), backend=backend)
+    def test_all_background_is_infinite(self):
+        d = raster.euclidean_distance_transform(np.zeros((7, 5), bool))
         assert np.isinf(d).all()
 
-    def test_finite_values_bounded_by_diagonal(self, backend, rng):
+    def test_finite_values_bounded_by_diagonal(self, rng):
         mask = rng.random((31, 17)) < 0.02
         mask[0, 0] = True
-        d = raster.euclidean_distance_transform(mask, backend=backend)
+        d = raster.euclidean_distance_transform(mask)
         assert d.max() <= np.hypot(17, 31)
 
 
@@ -66,18 +62,3 @@ def test_monotonicity_adding_foreground_never_increases(rng):
     grown[ys[pick], xs[pick]] = True
     after = raster.euclidean_distance_transform(grown)
     assert (after <= base + 1e-12).all()
-
-
-@pytest.mark.skipif(raster.edt_backend() != "compiled", reason="no compiled kernel")
-def test_backends_bit_identical(rng):
-    for _ in range(60):
-        h, w = rng.integers(1, 70, 2)
-        mask = rng.random((h, w)) < rng.uniform(0.0, 0.95)
-        compiled = raster.squared_edt(mask, backend="compiled")
-        pure = raster.squared_edt(mask, backend="pure")
-        assert np.array_equal(compiled, pure)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        raster.squared_edt(np.zeros((2, 2), bool), backend="gpu")

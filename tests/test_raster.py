@@ -1,10 +1,13 @@
 """Image primitive tests: Laplacian variance, frame difference, centroids,
-masked distance sampling."""
+hand-object mask distance."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from handstates import raster
 
@@ -97,60 +100,106 @@ class TestMaskCentroid:
             raster.mask_centroid(np.zeros((4, 4), bool))
 
 
-class TestMinDistanceInMask:
+def all_pairs_distance(a, b):
+    """Minimum over every (a, b) pixel pair; the independent oracle."""
+    ay, ax = np.nonzero(a)
+    by, bx = np.nonzero(b)
+    return math.sqrt(((ay[:, None] - by) ** 2 + (ax[:, None] - bx) ** 2).min())
+
+
+def edt_distance(a, b):
+    """The distance field of ``b`` sampled over ``a``: the path mask_distance
+    replaced in the feature pipeline."""
+    return float(raster.euclidean_distance_transform(b)[a].min())
+
+
+def ragged_pair(rng):
+    """Two disjoint non-empty noise masks on a random canvas."""
+    h, w = rng.integers(2, 48, 2)
+    a = rng.random((h, w)) < rng.uniform(0.005, 0.3)
+    b = (rng.random((h, w)) < rng.uniform(0.005, 0.3)) & ~a
+    a[0, 0] = b[-1, -1] = True
+    a[-1, -1] = b[0, 0] = False
+    return a, b
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two non-empty masks on one canvas of up to 12x12 pixels."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    a = draw(arrays(np.bool_, shape))
+    b = draw(arrays(np.bool_, shape))
+    assume(a.any() and b.any())
+    return a, b
+
+
+class TestMaskDistance:
+    @given(mask_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_and_edt_bit_for_bit(self, pair):
+        a, b = pair
+        got = raster.mask_distance(a, b)
+        assert got == all_pairs_distance(a, b)
+        assert got == edt_distance(a, b)
+
     def test_overlap_gives_zero(self):
         obj = np.zeros((6, 6), bool)
         obj[2:4, 2:4] = True
         hand = np.zeros((6, 6), bool)
         hand[3:5, 3:5] = True
-        field = raster.euclidean_distance_transform(obj)
-        assert raster.min_distance_in_mask(field, hand) == 0.0
+        assert raster.mask_distance(hand, obj) == 0.0
+
+    def test_touching_masks(self):
+        hand = np.zeros((5, 8), bool)
+        hand[1:4, 0:3] = True
+        obj = np.zeros((5, 8), bool)
+        obj[0:5, 3:8] = True
+        assert raster.mask_distance(hand, obj) == 1.0
 
     def test_three_four_five(self):
         obj = np.zeros((6, 6), bool)
         obj[0, 0] = True
         hand = np.zeros((6, 6), bool)
         hand[4, 3] = True  # (x=3, y=4): hypotenuse 5
-        field = raster.euclidean_distance_transform(obj)
-        assert raster.min_distance_in_mask(field, hand) == pytest.approx(5.0, abs=1e-9)
+        assert raster.mask_distance(hand, obj) == 5.0
 
-    def test_matches_all_pairs_brute_force(self, rng):
-        obj = rng.random((15, 20)) < 0.1
-        hand = rng.random((15, 20)) < 0.1
-        obj[4, 4] = hand[10, 12] = True
-        field = raster.euclidean_distance_transform(obj)
-        got = raster.min_distance_in_mask(field, hand)
-        oy, ox = np.nonzero(obj)
-        hy, hx = np.nonzero(hand)
-        want = np.sqrt(
-            ((oy[:, None] - hy) ** 2 + (ox[:, None] - hx) ** 2).min()
-        )
-        assert got == pytest.approx(want, abs=1e-9)
+    def test_opposite_canvas_corners(self):
+        a = np.zeros((7, 11), bool)
+        b = np.zeros((7, 11), bool)
+        a[0, 0] = b[6, 10] = True
+        assert raster.mask_distance(a, b) == math.sqrt(6 * 6 + 10 * 10)
+        a[:, :3] = True  # a full-height band: every pixel touches an edge
+        b[:, 8:] = True
+        assert raster.mask_distance(a, b) == 6.0
+
+    def test_ragged_noise_matches_oracles(self, rng):
+        for _ in range(30):
+            a, b = ragged_pair(rng)
+            got = raster.mask_distance(a, b)
+            assert got == all_pairs_distance(a, b)
+            assert got == edt_distance(a, b)
 
     def test_pairwise_symmetry(self, rng):
         obj = rng.random((10, 10)) < 0.15
         hand = rng.random((10, 10)) < 0.15
         obj[1, 1] = hand[8, 8] = True
-        via_obj = raster.min_distance_in_mask(
-            raster.euclidean_distance_transform(obj), hand
-        )
-        via_hand = raster.min_distance_in_mask(
-            raster.euclidean_distance_transform(hand), obj
-        )
-        assert via_obj == pytest.approx(via_hand, abs=1e-9)
+        assert raster.mask_distance(obj, hand) == raster.mask_distance(hand, obj)
+
+    def test_pair_matrix_is_built_in_blocks(self, monkeypatch, rng):
+        near = np.eye(16, dtype=bool)
+        near[8:] = False  # (0, 0) .. (7, 7)
+        far = np.eye(16, dtype=bool)
+        far[:9] = False  # (9, 9) .. (15, 15): the closest pair is near's last pixel
+        pairs = [(near, far), (far, near)] + [ragged_pair(rng) for _ in range(30)]
+        want = [all_pairs_distance(a, b) for a, b in pairs]
+        monkeypatch.setattr(raster, "PAIR_BLOCK", 3)  # many blocks per call
+        assert [raster.mask_distance(a, b) for a, b in pairs] == want
 
     def test_errors(self):
-        field = np.zeros((3, 3))
+        full = np.ones((3, 3), bool)
         with pytest.raises(ValueError, match="empty mask"):
-            raster.min_distance_in_mask(field, np.zeros((3, 3), bool))
+            raster.mask_distance(full, np.zeros((3, 3), bool))
+        with pytest.raises(ValueError, match="empty mask"):
+            raster.mask_distance(np.zeros((3, 3), bool), full)
         with pytest.raises(ValueError, match="mismatch"):
-            raster.min_distance_in_mask(field, np.ones((2, 3), bool))
-
-
-def test_rgb_to_gray_rec601():
-    img = np.zeros((1, 1, 3))
-    img[0, 0] = (100.0, 200.0, 50.0)
-    expected = 0.299 * 100 + 0.587 * 200 + 0.114 * 50
-    assert raster.rgb_to_gray(img)[0, 0] == pytest.approx(expected)
-    flat = np.ones((2, 2)) * 9
-    assert np.array_equal(raster.rgb_to_gray(flat), flat)
+            raster.mask_distance(full, np.ones((2, 3), bool))

@@ -4,9 +4,8 @@ feasibility checks and corpus statistics."""
 import numpy as np
 import pytest
 
-from handstates import synth
+from handstates import raster, synth
 from handstates.features import ClassLabel, PipelineConfig, build_dataset
-from handstates.raster import euclidean_distance_transform, min_distance_in_mask
 from handstates.synth import (
     InfeasibleScenarioError,
     PhaseDurations,
@@ -19,9 +18,7 @@ CLEAN = ScenarioConfig(jitter_sigma=0.0, noise_flip_prob=0.0, seed=11)
 
 
 def mask_distance(episode, i):
-    return min_distance_in_mask(
-        euclidean_distance_transform(episode.object_masks[i]), episode.hand_masks[i]
-    )
+    return raster.mask_distance(episode.hand_masks[i], episode.object_masks[i])
 
 
 @pytest.fixture(scope="module")
