@@ -156,14 +156,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.features.shape[0])
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            provenance=[self.provenance[i] for i in idx],
-        )
-
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=NUM_CLASSES)
 
@@ -358,14 +350,6 @@ def stratified_split_indices(
     train = np.sort(np.concatenate(train_idx)) if train_idx else np.empty(0, np.int64)
     test = np.sort(np.concatenate(test_idx)) if test_idx else np.empty(0, np.int64)
     return train, test
-
-
-def stratified_split(
-    ds: LabeledDataset, test_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Per-class shuffled split of a dataset into (train, test)."""
-    train, test = stratified_split_indices(ds.labels, test_fraction, seed)
-    return ds.subset(train), ds.subset(test)
 
 
 CSV_HEADER = FEATURE_NAMES + ("label", "episode_id", "target_index")

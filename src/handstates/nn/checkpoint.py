@@ -4,7 +4,9 @@ standardization vectors and the label order.
 
 Floats are serialized with their shortest round-tripping decimal
 representation, so save -> load -> predict is bit-identical to predicting
-with the in-memory model.
+with the in-memory model. Schema 2 stores only the parameters the model
+holds: a length-1 recurrent model has no recurrent matrix ``wh``. Files of
+any other schema are refused, not migrated.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..features import CLASS_NAMES
 from .model import Classifier, ModelSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -88,32 +91,46 @@ def save(ckpt: Checkpoint, path) -> None:
 
 
 def load(path) -> Checkpoint:
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema_version {version}")
-    params = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
-    bn_stats = {
-        name: {
-            "mean": np.asarray(stats["mean"], dtype=np.float64),
-            "var": np.asarray(stats["var"], dtype=np.float64),
+    """Read a checkpoint; a malformed one raises a ValueError naming ``path``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"checkpoint schema_version {version} is not {SCHEMA_VERSION}; "
+                "retrain the model to write a current checkpoint"
+            )
+        params = {
+            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in doc["params"].items()
         }
-        for name, stats in doc.get("batchnorm", {}).items()
-    }
-    std = doc.get("standardization")
-    return Checkpoint(
-        spec=ModelSpec.from_dict(doc["spec"]),
-        params=params,
-        bn_stats=bn_stats,
-        feature_mean=None if std is None else np.asarray(std["mean"], float),
-        feature_std=None if std is None else np.asarray(std["std"], float),
-        label_order=list(doc["label_order"]),
-        meta=dict(doc.get("meta", {})),
-    )
+        bn_stats = {
+            name: {
+                "mean": np.asarray(stats["mean"], dtype=np.float64),
+                "var": np.asarray(stats["var"], dtype=np.float64),
+            }
+            for name, stats in doc.get("batchnorm", {}).items()
+        }
+        std = doc.get("standardization")
+        label_order = list(doc["label_order"])
+        if label_order != list(CLASS_NAMES):
+            raise ValueError(f"label_order {label_order} is not {list(CLASS_NAMES)}")
+        return Checkpoint(
+            spec=ModelSpec.from_dict(doc["spec"]),
+            params=params,
+            bn_stats=bn_stats,
+            feature_mean=None if std is None else np.asarray(std["mean"], float),
+            feature_std=None if std is None else np.asarray(std["std"], float),
+            label_order=label_order,
+            meta=dict(doc.get("meta", {})),
+        )
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def standardize(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@
 A ``ModelSpec`` declares the architecture; ``Classifier`` wires the layers
 and exposes named parameters, exact gradients and inference. Recurrent
 models encode each sample with stacked (bi)directional LSTM layers and feed
-the final hidden state(s) through dropout into a linear softmax head; at
-``seq_length=1`` the recurrent cell degenerates into a static encoder.
+the final hidden state(s) through dropout into a linear softmax head. At
+``seq_length=1`` every layer runs only its zero-state first step and holds
+no recurrent matrix, so the cell is a static encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -66,9 +67,6 @@ class ModelSpec:
         d["hidden"] = tuple(d.get("hidden", ()))
         return cls(**d)
 
-    def with_seq_length(self, seq_length: int) -> "ModelSpec":
-        return replace(self, seq_length=seq_length)
-
 
 @dataclass
 class _MlpBlock:
@@ -99,17 +97,13 @@ class Classifier:
             head_in = n_in
         else:
             n_in = spec.input_dim
+            cell = BidirectionalLSTM if spec.kind == "birnn" else LSTMLayer
             for i in range(spec.rnn_layers):
-                if spec.kind == "birnn":
-                    layer = BidirectionalLSTM.create(
-                        rng, n_in, spec.rnn_units, l2=spec.l2_lambda, name=f"rnn{i}"
-                    )
-                    n_in = 2 * spec.rnn_units
-                else:
-                    layer = LSTMLayer.create(
-                        rng, n_in, spec.rnn_units, l2=spec.l2_lambda, name=f"rnn{i}"
-                    )
-                    n_in = spec.rnn_units
+                layer = cell.create(
+                    rng, n_in, spec.rnn_units, l2=spec.l2_lambda, name=f"rnn{i}",
+                    recurrent=spec.seq_length > 1,
+                )
+                n_in = 2 * spec.rnn_units if spec.kind == "birnn" else spec.rnn_units
                 self._rnns.append(layer)
             head_in = n_in
             if spec.use_batchnorm:

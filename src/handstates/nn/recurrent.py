@@ -2,10 +2,11 @@
 plus the bidirectional encoder used by the classifier.
 
 Gate layout in the fused weight matrices is [input, forget, candidate,
-output] along the last axis. At sequence length 1 the bidirectional encoder
-performs no temporal unrolling at all: each direction's cell runs once from
-a zero state and the two hidden states are concatenated, which turns the
-gated cell into a static nonlinear feature encoder.
+output] along the last axis. Every sequence starts from the zero state, so
+its first step is its own exact path: gates from ``x @ wx + b`` alone and
+``c = i * g``. Only later steps use the recurrent matrix ``wh``, and a layer
+built for length 1 holds none. At length 1 the bidirectional encoder is two
+such steps concatenated: a static nonlinear feature encoder.
 """
 
 from __future__ import annotations
@@ -24,89 +25,112 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def lstm_step(x, h_prev, c_prev, wx, wh, b):
-    """Single gated-cell step; returns (h, c, cache for backward).
+def _cell(a, c_prev):
+    """Gates and the new (h, c) from pre-activations ``a``.
 
     i = sig(.), f = sig(.), g = tanh(.), o = sig(.);
-    c = f * c_prev + i * g; h = o * tanh(c).
+    c = f * c_prev + i * g; h = o * tanh(c). ``c_prev`` None is the zero
+    state: c = i * g, and the forget gate is not needed.
     """
+    units = a.shape[1] // 4
+    i = _sigmoid(a[:, :units])
+    g = np.tanh(a[:, 2 * units : 3 * units])
+    o = _sigmoid(a[:, 3 * units :])
+    f = None if c_prev is None else _sigmoid(a[:, units : 2 * units])
+    c = i * g if c_prev is None else f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, tc)
+
+
+def _cell_backward(dh, dc_in, c_prev, gates):
+    """dL/da and dL/dc of one cell given dL/dh and the incoming dL/dc."""
+    i, f, g, o, tc = gates
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    da_forget = np.zeros_like(dc) if c_prev is None else dc * c_prev * f * (1.0 - f)
+    da = np.concatenate(
+        [dc * g * i * (1.0 - i), da_forget, dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
+        axis=1,
+    )
+    return da, dc
+
+
+def lstm_first_step(x, wx, b):
+    """The step from the zero state (h_prev = c_prev = 0); returns (h, c, cache).
+
+    It needs no recurrent matrix: a = x @ wx + b and c = i * g.
+    """
+    if x.shape[1] != wx.shape[0]:
+        raise ValueError(f"lstm_first_step shape mismatch: x {x.shape}, wx {wx.shape}")
+    h, c, gates = _cell(x @ wx + b, None)
+    return h, c, (x, gates)
+
+
+def lstm_first_step_backward(dh, dc_in, cache, wx):
+    """Gradients (dx, dwx, db) of the zero-state step."""
+    x, gates = cache
+    da, _ = _cell_backward(dh, dc_in, None, gates)
+    return da @ wx.T, x.T @ da, da.sum(axis=0)
+
+
+def lstm_step(x, h_prev, c_prev, wx, wh, b):
+    """Single gated-cell step from a previous state; returns (h, c, cache)."""
     if x.shape[1] != wx.shape[0] or h_prev.shape[1] != wh.shape[0]:
         raise ValueError(
             f"lstm_step shape mismatch: x {x.shape}, h {h_prev.shape}, "
             f"wx {wx.shape}, wh {wh.shape}"
         )
-    units = wh.shape[0]
-    a = x @ wx + h_prev @ wh + b
-    i = _sigmoid(a[:, :units])
-    f = _sigmoid(a[:, units : 2 * units])
-    g = np.tanh(a[:, 2 * units : 3 * units])
-    o = _sigmoid(a[:, 3 * units :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (x, h_prev, c_prev, i, f, g, o, tc)
-    return h, c, cache
+    h, c, gates = _cell(x @ wx + h_prev @ wh + b, c_prev)
+    return h, c, (x, h_prev, c_prev, gates)
 
 
 def lstm_step_backward(dh, dc_in, cache, wx, wh):
     """Gradients of one step given dL/dh and incoming dL/dc."""
-    x, h_prev, c_prev, i, f, g, o, tc = cache
-    do = dh * tc
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-    da = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
-    dwx = x.T @ da
-    dwh = h_prev.T @ da
-    db = da.sum(axis=0)
-    dx = da @ wx.T
-    dh_prev = da @ wh.T
-    return dx, dh_prev, dc_prev, dwx, dwh, db
+    x, h_prev, c_prev, gates = cache
+    da, dc = _cell_backward(dh, dc_in, c_prev, gates)
+    dc_prev = dc * gates[1]  # through the forget gate
+    return da @ wx.T, da @ wh.T, dc_prev, x.T @ da, h_prev.T @ da, da.sum(axis=0)
 
 
 class LSTMLayer:
-    """LSTM unrolled over a (batch, length, features) sequence."""
+    """LSTM unrolled over a (batch, length, features) sequence from the zero
+    state. Built with ``wh=None`` it holds no recurrent matrix and runs
+    length-1 sequences only.
+    """
 
     def __init__(self, wx, wh, b, l2: float = 0.0, name: str = "lstm"):
-        self.wx = wx
-        self.wh = wh
-        self.b = b
+        self.weights = {"wx": wx, "b": b} if wh is None else {"wx": wx, "wh": wh, "b": b}
+        self.gradients = {k: np.zeros_like(w) for k, w in self.weights.items()}
+        self.wx, self.wh, self.b = wx, wh, b
+        self.dwx, self.dwh, self.db = (self.gradients.get(k) for k in ("wx", "wh", "b"))
         self.l2 = float(l2)
         self.name = name
-        self.units = wh.shape[0]
-        self.dwx = np.zeros_like(wx)
-        self.dwh = np.zeros_like(wh)
-        self.db = np.zeros_like(b)
+        self.units = b.shape[0] // 4
         self._caches: list | None = None
 
     @classmethod
-    def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm"):
+    def create(
+        cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
+        recurrent: bool = True,
+    ):
+        """``recurrent=False`` builds a length-1 layer: ``wh`` is neither drawn nor held."""
         wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units))
-        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units))
+        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units)) if recurrent else None
         b = np.zeros(4 * units)
         b[units : 2 * units] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b, l2=l2, name=name)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the cell over all steps; returns hidden states (B, L, units)."""
-        if x.ndim != 3:
-            raise ValueError(f"{self.name}: expected (batch, length, features) input")
+        if x.ndim != 3 or x.shape[1] < 1:
+            raise ValueError(f"{self.name}: expected non-empty (batch, length, features) input")
         batch, length, _ = x.shape
-        h = np.zeros((batch, self.units))
-        c = np.zeros((batch, self.units))
+        if length > 1 and self.wh is None:
+            raise ValueError(f"{self.name}: built for length 1, got a length-{length} sequence")
         outputs = np.empty((batch, length, self.units))
-        self._caches = []
-        for t in range(length):
+        h, c, cache = lstm_first_step(x[:, 0, :], self.wx, self.b)
+        outputs[:, 0, :] = h
+        self._caches = [cache]
+        for t in range(1, length):
             h, c, cache = lstm_step(x[:, t, :], h, c, self.wx, self.wh, self.b)
             outputs[:, t, :] = h
             self._caches.append(cache)
@@ -119,45 +143,43 @@ class LSTMLayer:
         dx = np.empty((batch, length, self.wx.shape[0]))
         dh_next = np.zeros((batch, self.units))
         dc_next = np.zeros((batch, self.units))
-        for t in range(length - 1, -1, -1):
-            dh = d_outputs[:, t, :] + dh_next
-            dxt, dh_next, dc_next, dwx, dwh, db = lstm_step_backward(
-                dh, dc_next, caches[t], self.wx, self.wh
+        for t in range(length - 1, 0, -1):
+            dx[:, t, :], dh_next, dc_next, dwx, dwh, db = lstm_step_backward(
+                d_outputs[:, t, :] + dh_next, dc_next, caches[t], self.wx, self.wh
             )
             self.dwx += dwx
             self.dwh += dwh
             self.db += db
-            dx[:, t, :] = dxt
+        dx[:, 0, :], dwx, db = lstm_first_step_backward(
+            d_outputs[:, 0, :] + dh_next, dc_next, caches[0], self.wx
+        )
+        self.dwx += dwx
+        self.db += db
         return dx
+
+    def _penalised(self):
+        """(weight, gradient) of every held matrix; the bias is not penalised."""
+        return [(w, self.gradients[k]) for k, w in self.weights.items() if k != "b"]
 
     def penalty(self) -> float:
         if self.l2 <= 0.0:
             return 0.0
-        return self.l2 * float((self.wx * self.wx).sum() + (self.wh * self.wh).sum())
+        return self.l2 * float(sum((w * w).sum() for w, _ in self._penalised()))
 
     def add_penalty_grads(self):
         if self.l2 > 0.0:
-            self.dwx += 2.0 * self.l2 * self.wx
-            self.dwh += 2.0 * self.l2 * self.wh
+            for w, grad in self._penalised():
+                grad += 2.0 * self.l2 * w
 
     def params(self):
-        return {
-            f"{self.name}.wx": self.wx,
-            f"{self.name}.wh": self.wh,
-            f"{self.name}.b": self.b,
-        }
+        return {f"{self.name}.{k}": w for k, w in self.weights.items()}
 
     def grads(self):
-        return {
-            f"{self.name}.wx": self.dwx,
-            f"{self.name}.wh": self.dwh,
-            f"{self.name}.b": self.db,
-        }
+        return {f"{self.name}.{k}": g for k, g in self.gradients.items()}
 
     def zero_grads(self):
-        self.dwx[:] = 0.0
-        self.dwh[:] = 0.0
-        self.db[:] = 0.0
+        for grad in self.gradients.values():
+            grad[:] = 0.0
 
 
 class BidirectionalLSTM:
@@ -173,14 +195,15 @@ class BidirectionalLSTM:
         self.units = fwd.units
 
     @classmethod
-    def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm"):
-        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd")
-        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd")
+    def create(
+        cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm",
+        recurrent: bool = True,
+    ):
+        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd", recurrent=recurrent)
+        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd", recurrent=recurrent)
         return cls(fwd, bwd)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if x.shape[1] < 1:
-            raise ValueError("bidirectional encoder needs a non-empty sequence")
         hf = self.fwd.forward(x)
         hb = self.bwd.forward(x[:, ::-1, :])
         steps = np.concatenate([hf, hb[:, ::-1, :]], axis=2)
@@ -220,8 +243,3 @@ class BidirectionalLSTM:
         self.fwd.zero_grads()
         self.bwd.zero_grads()
 
-
-def bidirectional_encode(x: np.ndarray, layer: BidirectionalLSTM) -> np.ndarray:
-    """Encoding of a batch of sequences (width 2 * units)."""
-    _, encoding = layer.forward(x)
-    return encoding

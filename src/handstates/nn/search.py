@@ -146,8 +146,7 @@ def kfold_validate(
         ckpt, _ = train(
             spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), fold_cfg
         )
-        clf = ckpt_mod.to_classifier(ckpt)
-        preds = clf.predict_proba(ckpt_mod.standardize(ckpt, x[val_idx])).argmax(axis=1)
+        _, preds = ckpt_mod.predict(ckpt, x[val_idx])
         cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
         report = classification_report(cm)
         rows.append(

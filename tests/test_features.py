@@ -323,41 +323,44 @@ class TestBuildDataset:
         assert np.isfinite(ds.features).all()
 
 
+def labels_with_counts(counts):
+    return np.repeat(np.arange(len(counts)), counts).astype(np.int64)
+
+
 def dataset_with_counts(counts, rng):
-    labels = np.repeat(np.arange(len(counts)), counts)
+    labels = labels_with_counts(counts)
     feats = rng.random((labels.size, F.FEATURE_DIM))
     prov = [(f"e{i}", i) for i in range(labels.size)]
-    return F.LabeledDataset(feats, labels.astype(np.int64), prov)
+    return F.LabeledDataset(feats, labels, prov)
 
 
 class TestStratifiedSplit:
-    def test_per_class_rounding(self, rng):
-        ds = dataset_with_counts([60, 40], rng)
-        train, test = F.stratified_split(ds, 0.2, seed=5)
+    def test_per_class_rounding(self):
+        labels = labels_with_counts([60, 40])
+        train, test = F.stratified_split_indices(labels, 0.2, seed=5)
         assert len(test) == 20 and len(train) == 80
-        assert list(np.bincount(test.labels)) == [12, 8]
-        assert list(np.bincount(train.labels)) == [48, 32]
+        assert list(np.bincount(labels[test])) == [12, 8]
+        assert list(np.bincount(labels[train])) == [48, 32]
 
-    def test_determinism(self, rng):
-        ds = dataset_with_counts([30, 20, 10], rng)
-        a = F.stratified_split(ds, 0.25, seed=9)
-        b = F.stratified_split(ds, 0.25, seed=9)
-        assert np.array_equal(a[0].features, b[0].features)
-        assert np.array_equal(a[1].features, b[1].features)
+    def test_determinism(self):
+        labels = labels_with_counts([30, 20, 10])
+        a = F.stratified_split_indices(labels, 0.25, seed=9)
+        b = F.stratified_split_indices(labels, 0.25, seed=9)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
-    def test_partition_preserves_rows(self, rng):
-        ds = dataset_with_counts([17, 23, 11], rng)
-        train, test = F.stratified_split(ds, 0.3, seed=2)
-        assert len(train) + len(test) == len(ds)
-        combined = sorted(train.provenance + test.provenance)
-        assert combined == sorted(ds.provenance)
-        assert not set(train.provenance) & set(test.provenance)
+    def test_partition_preserves_rows(self):
+        labels = labels_with_counts([17, 23, 11])
+        train, test = F.stratified_split_indices(labels, 0.3, seed=2)
+        assert len(train) + len(test) == labels.size
+        assert sorted(np.concatenate([train, test])) == list(range(labels.size))
+        assert not set(train) & set(test)
 
-    def test_invalid_fraction(self, rng):
-        ds = dataset_with_counts([4, 4], rng)
+    def test_invalid_fraction(self):
+        labels = labels_with_counts([4, 4])
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                F.stratified_split(ds, bad, seed=0)
+                F.stratified_split_indices(labels, bad, seed=0)
 
 
 class TestCsvRoundTrip:

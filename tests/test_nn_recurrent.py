@@ -4,7 +4,13 @@ static-encoder identity asserted bit for bit."""
 import numpy as np
 import pytest
 
-from handstates.nn.recurrent import BidirectionalLSTM, LSTMLayer, lstm_step
+from handstates.nn.model import Classifier, ModelSpec
+from handstates.nn.recurrent import (
+    BidirectionalLSTM,
+    LSTMLayer,
+    lstm_step,
+    lstm_step_backward,
+)
 
 
 def make_layer(rng, n_in, units, name="lstm"):
@@ -87,6 +93,61 @@ def test_three_step_bptt_matches_finite_differences(rng):
     assert worst <= 1e-5
 
 
+def test_layer_equals_explicit_step_loop_from_zero_state(rng):
+    """The first-step path is exact: forward and BPTT over a length-4
+    sequence equal, bit for bit, lstm_step/lstm_step_backward from h = c = 0."""
+    layer = make_layer(rng, 5, 3)
+    x = rng.normal(size=(2, 4, 5))
+    d_out = rng.normal(size=(2, 4, 3))
+    out = layer.forward(x)
+    layer.zero_grads()
+    dx = layer.backward(d_out)
+
+    h = c = np.zeros((2, 3))
+    caches, steps = [], []
+    for t in range(4):
+        h, c, cache = lstm_step(x[:, t, :], h, c, layer.wx, layer.wh, layer.b)
+        steps.append(h)
+        caches.append(cache)
+    dwx, dwh, db = (np.zeros_like(w) for w in (layer.wx, layer.wh, layer.b))
+    dx_loop = np.empty_like(x)
+    dh_next = dc_next = np.zeros((2, 3))
+    for t in range(3, -1, -1):
+        dx_loop[:, t, :], dh_next, dc_next, gwx, gwh, gb = lstm_step_backward(
+            d_out[:, t, :] + dh_next, dc_next, caches[t], layer.wx, layer.wh
+        )
+        dwx += gwx
+        dwh += gwh
+        db += gb
+    assert np.array_equal(out, np.stack(steps, axis=1))
+    assert np.array_equal(layer.dwx, dwx)
+    assert np.array_equal(layer.dwh, dwh)
+    assert np.array_equal(layer.db, db)
+    assert np.array_equal(dx, dx_loop)
+
+
+class TestLengthOneHoldsNoRecurrentMatrix:
+    @pytest.mark.parametrize("kind", ["birnn", "lstm"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_wh_exactly_when_a_second_step_exists(self, rng, kind, layers):
+        for seq_length, has_wh in ((1, False), (2, True)):
+            spec = ModelSpec(kind=kind, rnn_units=4, rnn_layers=layers, seq_length=seq_length)
+            names = Classifier(spec, rng).params()
+            wh = [n for n in names if n.endswith(".wh")]
+            directions = 2 if kind == "birnn" else 1
+            assert len(wh) == (layers * directions if has_wh else 0)
+
+    def test_default_static_encoder_size(self, rng):
+        params = Classifier(ModelSpec(), rng).params()
+        assert sum(p.size for p in params.values()) == 10_501
+
+    def test_length_one_layer_rejects_longer_sequences(self, rng):
+        layer = LSTMLayer.create(rng, 3, 2, recurrent=False)
+        assert layer.wh is None and set(layer.params()) == {"lstm.wx", "lstm.b"}
+        with pytest.raises(ValueError, match="length 1"):
+            layer.forward(np.zeros((1, 2, 3)))
+
+
 class TestBidirectional:
     def test_seq1_width_contract(self, rng):
         bi = BidirectionalLSTM.create(rng, 8, 7)
@@ -95,12 +156,14 @@ class TestBidirectional:
 
     def test_seq1_equals_two_explicit_cell_calls(self, rng):
         """At sequence length 1 the encoder IS two zero-state cell calls."""
-        bi = BidirectionalLSTM.create(rng, 8, 6)
+        units = 6
+        bi = BidirectionalLSTM.create(rng, 8, units, recurrent=False)
         x = rng.normal(size=(5, 1, 8))
         _, enc = bi.forward(x)
-        zeros = np.zeros((5, 6))
-        hf, _, _ = lstm_step(x[:, 0, :], zeros, zeros, bi.fwd.wx, bi.fwd.wh, bi.fwd.b)
-        hb, _, _ = lstm_step(x[:, 0, :], zeros, zeros, bi.bwd.wx, bi.bwd.wh, bi.bwd.b)
+        zeros = np.zeros((5, units))
+        wh = np.zeros((units, 4 * units))
+        hf, _, _ = lstm_step(x[:, 0, :], zeros, zeros, bi.fwd.wx, wh, bi.fwd.b)
+        hb, _, _ = lstm_step(x[:, 0, :], zeros, zeros, bi.bwd.wx, wh, bi.bwd.b)
         explicit = np.concatenate([hf, hb], axis=1)
         assert np.array_equal(enc, explicit)  # bit-identical
 

@@ -1,5 +1,7 @@
 """Training loop, checkpoint round trips and whole-model gradient checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,26 @@ class TestPredictAndCheckpoint:
         ckpt, _ = trained
         with pytest.raises(ValueError, match="input_dim"):
             predict(ckpt, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: "{not json", "not a JSON checkpoint"),
+            (lambda doc: doc.pop("params"), "no key 'params'"),
+            (lambda doc: doc.update(schema_version=1), "schema_version 1 .*retrain"),
+            (lambda doc: doc["label_order"].reverse(), "label_order"),
+        ],
+        ids=["invalid-json", "missing-key", "old-schema", "label-order"],
+    )
+    def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
+        path = tmp_path / "ckpt.json"
+        ckpt_mod.save(trained[0], path)
+        doc = json.loads(path.read_text())
+        replacement = edit(doc)
+        path.write_text(replacement if isinstance(replacement, str) else json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as err:
+            ckpt_mod.load(path)
+        assert str(path) in str(err.value)
 
 
 class TestGradientCheckHarness:
