@@ -4,10 +4,18 @@ Subcommands: ``synth`` (scripted corpus), ``extract`` (features CSV),
 ``train`` / ``eval`` (single model + report), ``search`` (random
 hyperparameter search), ``xval`` (stratified k-fold) and ``ladder`` (the
 eight-model comparison). Every subcommand is reproducible from its inputs,
-flags and seed, and records an atomic run manifest with input/output hashes.
+flags and seed.
 
-Flag precedence: explicit flags > ``--config key=value`` file > built-in
-defaults.
+``main`` owns every run: it creates ``--out``, runs the subcommand, which
+returns the files it wrote, hashes the inputs the subcommand names
+(``--manifest-dir``, ``--features``, ``--checkpoint``) and writes one atomic
+``run_manifest.json``. The ladder trains, cross-validates and searches
+through the same steps as ``train``, ``xval`` and ``search``.
+
+Flag precedence: explicit flags > ``--config`` file > built-in defaults. A
+config line ``key=value`` is the flag ``--key=value`` and a bare ``key`` is
+the switch ``--key``; they are parsed with the subcommand's own flags, ahead
+of the explicit ones, which therefore win.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .nn import checkpoint as ckpt_mod
 from .nn.train import history_to_csv
 
 GRABBING = 1  # class index reported as the hard transitional state
+RUN_MANIFEST = "run_manifest.json"
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +101,10 @@ def sha256_file(path: Path) -> str:
 
 
 def sha256_tree(root: Path) -> str:
-    """Combined digest of every file under ``root`` (sorted relative paths)."""
+    """Combined digest of every file under ``root`` (sorted relative paths),
+    bar run manifests, which hold a wall time and an output path."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != RUN_MANIFEST):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(sha256_file(path).encode())
     return digest.hexdigest()
@@ -108,7 +118,6 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def write_run_manifest(
     out_dir: Path,
-    command: str,
     args: argparse.Namespace,
     inputs: dict[str, str],
     outputs: list[Path],
@@ -120,7 +129,7 @@ def write_run_manifest(
         if k != "func"
     }
     doc = {
-        "command": command,
+        "command": args.command,
         "config": snapshot,
         "inputs": inputs,
         "outputs": {str(p): f"sha256:{sha256_file(p)}" for p in outputs},
@@ -128,21 +137,23 @@ def write_run_manifest(
         "wall_time_s": round(time.time() - started, 3),
         "version": __version__,
     }
-    atomic_write_text(out_dir / "run_manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / RUN_MANIFEST, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; keys may use '-' or '_'."""
-    overrides: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def config_flags(path: str) -> dict[str, str]:
+    """The flags of a config file, each mapped to its key as written.
+
+    ``key=value`` becomes ``--key=value`` and a bare ``key`` the switch
+    ``--key``; '#' starts a comment; keys may use '-' or '_'.
+    """
+    flags: dict[str, str] = {}
+    for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    return overrides
+        if line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            flags[f"{flag}={value}" if sep else flag] = key
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +173,21 @@ def _model_arrays(ds: LabeledDataset, spec: ModelSpec) -> tuple[np.ndarray, np.n
     return sequence_dataset(ds, spec.seq_length)
 
 
-def _split_for_training(
-    x: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float,
-    val_fraction: float,
-    seed: int,
-):
+def _split_meta(args: argparse.Namespace) -> dict:
+    return {"test_fraction": args.test_fraction, "val_fraction": args.val_fraction,
+            "seed": args.seed}
+
+
+def _split_for_training(x: np.ndarray, y: np.ndarray, args: argparse.Namespace):
     """(train, val, test) arrays via nested stratified splits."""
-    train_idx, test_idx = stratified_split_indices(y, test_fraction, seed)
+    train_idx, test_idx = stratified_split_indices(y, args.test_fraction, args.seed)
     dataset_classes = set(np.unique(y).tolist())
     train_classes = set(np.unique(y[train_idx]).tolist())
     missing = dataset_classes - train_classes
     if missing:
         names = ", ".join(CLASS_NAMES[c] for c in sorted(missing))
         raise ValueError(f"class absent from training split: {names}")
-    inner_train, inner_val = stratified_split_indices(y[train_idx], val_fraction, seed + 1)
+    inner_train, inner_val = stratified_split_indices(y[train_idx], args.val_fraction, args.seed + 1)
     tr = train_idx[inner_train]
     va = train_idx[inner_val]
     return (x[tr], y[tr]), (x[va], y[va]), (x[test_idx], y[test_idx])
@@ -197,38 +207,43 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     )
 
 
-def _train_cfg_from_args(args: argparse.Namespace, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
+def _train_cfg(args: argparse.Namespace, **overrides) -> TrainConfig:
+    """The fit flags as a TrainConfig; ``--patience 0`` disables early stopping."""
+    patience = args.patience if args.patience > 0 else None
+    return TrainConfig(epochs=args.epochs, early_stop_patience=patience, **overrides)
+
+
+def _train_cfg_from_args(args: argparse.Namespace) -> TrainConfig:
+    return _train_cfg(
+        args,
         learning_rate=args.lr,
         batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         class_weighting=args.class_weight,
         standardize_features=not args.no_standardize,
-        early_stop_patience=args.patience if args.patience > 0 else None,
     )
 
 
-def _evaluate_checkpoint(ckpt, x_test, y_test):
+def _scores(report: metrics.ClassReport) -> tuple[float, float, float]:
+    """Accuracy, weighted F1 and grabbing F1."""
+    return report.accuracy, report.weighted_f1, float(report.f1[GRABBING])
+
+
+def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[metrics.ClassReport, list[Path]]:
+    """Score a checkpoint on a test set and write the report files."""
     _, preds = ckpt_mod.predict(ckpt, x_test)
     cm = metrics.confusion_matrix(y_test, preds, NUM_CLASSES)
-    return cm, metrics.classification_report(cm)
-
-
-def _write_eval_files(out: Path, cm, report) -> list[Path]:
-    metrics.write_report_files(report, list(CLASS_NAMES), out)
+    report = metrics.classification_report(cm)
+    files = metrics.write_report_files(report, list(CLASS_NAMES), out)
     metrics.write_confusion_csv(cm, list(CLASS_NAMES), out / "confusion.csv")
-    return [out / "report.txt", out / "report.json", out / "confusion.csv"]
+    return report, files + [out / "confusion.csv"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, out) and returns (files written, failures)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args: argparse.Namespace, out: Path):
     durations = synth.PhaseDurations(
         idle=args.idle,
         approach=args.approach,
@@ -260,15 +275,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     print("window-label histogram:")
     for c, name in enumerate(CLASS_NAMES):
         print(f"  {name}: {histogram.get(c, 0)}")
-
-    write_run_manifest(out, "synth", args, inputs={}, outputs=manifest_paths, started=started)
-    return 0
+    return manifest_paths, []
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_extract(args: argparse.Namespace, out: Path):
     cfg = PipelineConfig(
         sharpness_threshold=args.tau_sharp,
         diff_threshold=args.tau_diff,
@@ -276,75 +286,44 @@ def cmd_extract(args: argparse.Namespace) -> int:
         stride=args.stride,
         contact_epsilon=args.epsilon,
     )
-    episodes = manifest.read_corpus(args.manifest_dir)
-    dataset = build_dataset(episodes, cfg)
+    dataset = build_dataset(manifest.read_corpus(args.manifest_dir), cfg)
     features_path = out / "features.csv"
     save_dataset_csv(dataset, features_path)
     print(f"extracted {len(dataset)} feature rows -> {features_path}")
-
-    inputs = {args.manifest_dir: f"sha256:{sha256_tree(Path(args.manifest_dir))}"}
-    write_run_manifest(out, "extract", args, inputs, [features_path], started)
-    return 0
+    return [features_path], []
 
 
-def _run_training(
+def _fit(
     args: argparse.Namespace,
     spec: ModelSpec,
     cfg: TrainConfig,
     ds: LabeledDataset,
     out: Path,
-) -> tuple[Path, list[Path], dict]:
+) -> tuple[metrics.ClassReport, list[Path]]:
     """Split, train, evaluate on the held-out test set, write artifacts."""
     x, y = _model_arrays(ds, spec)
-    train_ds, val_ds, test_ds = _split_for_training(
-        x, y, args.test_fraction, args.val_fraction, args.seed
-    )
-    meta = {
-        "split": {
-            "test_fraction": args.test_fraction,
-            "val_fraction": args.val_fraction,
-            "seed": args.seed,
-        }
-    }
-    ckpt, history = train(spec, train_ds, val_ds, cfg, meta=meta)
-    cm, report = _evaluate_checkpoint(ckpt, test_ds[0], test_ds[1])
-
-    ckpt_path = out / "checkpoint.json"
-    ckpt_mod.save(ckpt, ckpt_path)
+    train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
+    ckpt, history = train(spec, train_ds, val_ds, cfg, meta={"split": _split_meta(args)})
+    ckpt_mod.save(ckpt, out / "checkpoint.json")
     history_to_csv(history, out / "history.csv")
-    outputs = [ckpt_path, out / "history.csv"]
-    outputs += _write_eval_files(out, cm, report)
-    summary = {
-        "accuracy": report.accuracy,
-        "weighted_f1": report.weighted_f1,
-        "grabbing_f1": float(report.f1[GRABBING]),
-    }
-    return ckpt_path, outputs, summary
+    report, files = _evaluate(ckpt, x_test, y_test, out)
+    return report, [out / "checkpoint.json", out / "history.csv"] + files
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(args: argparse.Namespace, out: Path):
     ds = _load_features(args.features)
-    spec = _spec_from_args(args)
-    cfg = _train_cfg_from_args(args)
-    _, outputs, summary = _run_training(args, spec, cfg, ds, out)
+    report, outputs = _fit(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out)
     print((out / "report.txt").read_text())
+    accuracy, weighted_f1, grabbing_f1 = _scores(report)
     print(
-        f"test accuracy {summary['accuracy']:.4f}, "
-        f"weighted F1 {summary['weighted_f1']:.4f}, "
-        f"grabbing F1 {summary['grabbing_f1']:.4f}"
+        f"test accuracy {accuracy:.4f}, "
+        f"weighted F1 {weighted_f1:.4f}, "
+        f"grabbing F1 {grabbing_f1:.4f}"
     )
-    inputs = {args.features: f"sha256:{sha256_file(Path(args.features))}"}
-    write_run_manifest(out, "train", args, inputs, outputs, started)
-    return 0
+    return outputs, []
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(args: argparse.Namespace, out: Path):
     ckpt = ckpt_mod.load(args.checkpoint)
     ds = _load_features(args.features)
     x, y = _model_arrays(ds, ckpt.spec)
@@ -353,16 +332,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     test_fraction = args.test_fraction or split.get("test_fraction", 0.2)
     seed = args.seed if args.seed is not None else split.get("seed", 7)
     _, test_idx = stratified_split_indices(y, test_fraction, seed)
-    cm, report = _evaluate_checkpoint(ckpt, x[test_idx], y[test_idx])
-    outputs = _write_eval_files(out, cm, report)
+    _, outputs = _evaluate(ckpt, x[test_idx], y[test_idx], out)
     print((out / "report.txt").read_text())
-
-    inputs = {
-        args.features: f"sha256:{sha256_file(Path(args.features))}",
-        args.checkpoint: f"sha256:{sha256_file(Path(args.checkpoint))}",
-    }
-    write_run_manifest(out, "eval", args, inputs, outputs, started)
-    return 0
+    return outputs, []
 
 
 def _write_trials_csv(path: Path, trials) -> None:
@@ -380,39 +352,26 @@ def _write_trials_csv(path: Path, trials) -> None:
             )
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = _load_features(args.features)
+def _search(args: argparse.Namespace, ds: LabeledDataset, out: Path):
+    """Random search over static encoders; the winner is scored on the test split.
+
+    Returns (winning trial, test report, files written).
+    """
     base_spec = ModelSpec(kind="birnn", seq_length=1)
-    base_cfg = TrainConfig(
-        epochs=args.epochs,
-        early_stop_patience=args.patience if args.patience > 0 else None,
-    )
     x, y = _model_arrays(ds, base_spec)
-    train_ds, val_ds, test_ds = _split_for_training(
-        x, y, args.test_fraction, args.val_fraction, args.seed
-    )
+    train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
     winner, trials = random_search(
-        SearchSpace(), args.budget, train_ds, val_ds, args.seed, base_spec, base_cfg
+        SearchSpace(), args.budget, train_ds, val_ds, args.seed, base_spec, _train_cfg(args)
     )
     _write_trials_csv(out / "trials.csv", trials)
-    ckpt = winner.checkpoint
-    ckpt.meta.update(
-        {
-            "split": {
-                "test_fraction": args.test_fraction,
-                "val_fraction": args.val_fraction,
-                "seed": args.seed,
-            },
-            "trial_index": winner.index,
-        }
-    )
-    ckpt_path = out / "checkpoint.json"
-    ckpt_mod.save(ckpt, ckpt_path)
-    cm, report = _evaluate_checkpoint(ckpt, test_ds[0], test_ds[1])
-    outputs = [out / "trials.csv", ckpt_path] + _write_eval_files(out, cm, report)
+    winner.checkpoint.meta.update(split=_split_meta(args), trial_index=winner.index)
+    ckpt_mod.save(winner.checkpoint, out / "checkpoint.json")
+    report, files = _evaluate(winner.checkpoint, x_test, y_test, out)
+    return winner, report, [out / "trials.csv", out / "checkpoint.json"] + files
+
+
+def cmd_search(args: argparse.Namespace, out: Path):
+    winner, report, outputs = _search(args, _load_features(args.features), out)
     print(
         f"best trial {winner.index}: units={winner.spec.rnn_units} "
         f"layers={winner.spec.rnn_layers} dropout={winner.spec.dropout_p:.3f} "
@@ -420,16 +379,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"val_acc={winner.val_acc:.4f}"
     )
     print(f"test accuracy {report.accuracy:.4f}")
-
-    inputs = {args.features: f"sha256:{sha256_file(Path(args.features))}"}
-    write_run_manifest(out, "search", args, inputs, outputs, started)
-    return 0
+    return outputs, []
 
 
-def cmd_xval(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_xval(args: argparse.Namespace, out: Path):
     ds = _load_features(args.features)
     spec = _spec_from_args(args)
     cfg = _train_cfg_from_args(args)
@@ -458,9 +411,7 @@ def cmd_xval(args: argparse.Namespace) -> int:
         f"+/- {summary['accuracy_std']:.4f}, "
         f"grabbing F1 {summary['focus_f1_mean']:.4f}"
     )
-    inputs = {args.features: f"sha256:{sha256_file(Path(args.features))}"}
-    write_run_manifest(out, "xval", args, inputs, [xval_path], started)
-    return 0
+    return [xval_path], []
 
 
 LADDER_PLAN = (
@@ -484,10 +435,7 @@ def _ladder_spec(arch: str, seq_length, regularized: bool = True) -> ModelSpec:
     return ModelSpec(kind=arch, seq_length=seq_length)
 
 
-def cmd_ladder(args: argparse.Namespace) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_ladder(args: argparse.Namespace, out: Path):
     ds = _load_features(args.features)
 
     rows: list[dict] = []
@@ -495,7 +443,6 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     for number, description, arch, seq_length, protocol in LADDER_PLAN:
         model_out = out / f"model_{number}"
         model_out.mkdir(parents=True, exist_ok=True)
-        run_seed = args.seed + 10 * number
         t0 = time.time()
         row = {
             "model": number,
@@ -504,60 +451,29 @@ def cmd_ladder(args: argparse.Namespace) -> int:
             "seq_len": seq_length if seq_length is not None else "n/a",
         }
         try:
-            regularized = not (number == 1)
-            spec = _ladder_spec(arch, seq_length, regularized=regularized)
-            weighting = "none" if number == 1 else "balanced"
-            cfg = TrainConfig(
-                epochs=args.epochs,
-                seed=run_seed,
-                class_weighting=weighting,
-                early_stop_patience=args.patience if args.patience > 0 else None,
+            spec = _ladder_spec(arch, seq_length, regularized=number != 1)
+            cfg = _train_cfg(
+                args,
+                seed=args.seed + 10 * number,
+                class_weighting="none" if number == 1 else "balanced",
             )
             if protocol == "holdout":
-                model_args = argparse.Namespace(
-                    test_fraction=args.test_fraction,
-                    val_fraction=args.val_fraction,
-                    seed=args.seed,
-                )
-                _, _, summary = _run_training(model_args, spec, cfg, ds, model_out)
+                scores = _scores(_fit(args, spec, cfg, ds, model_out)[0])
             elif protocol == "kfold":
                 x, y = _model_arrays(ds, spec)
-                fold_rows, agg = kfold_validate(
-                    spec, cfg, x, y, 5, args.seed, focus_class=GRABBING
-                )
-                summary = {
-                    "accuracy": agg["accuracy_mean"],
-                    "weighted_f1": agg["weighted_f1_mean"],
-                    "grabbing_f1": agg["focus_f1_mean"],
-                }
+                _, agg = kfold_validate(spec, cfg, x, y, 5, args.seed, focus_class=GRABBING)
+                scores = agg["accuracy_mean"], agg["weighted_f1_mean"], agg["focus_f1_mean"]
             else:  # search
-                search_args = argparse.Namespace(
-                    features=args.features,
-                    out=str(model_out),
-                    budget=args.budget,
-                    seed=args.seed,
-                    epochs=args.epochs,
-                    patience=args.patience,
-                    test_fraction=args.test_fraction,
-                    val_fraction=args.val_fraction,
-                    config=None,
-                )
-                cmd_search(search_args)
-                with open(model_out / "report.json") as fh:
-                    rep = json.load(fh)
-                summary = {
-                    "accuracy": rep["accuracy"],
-                    "weighted_f1": rep["weighted_avg"]["f1"],
-                    "grabbing_f1": rep["classes"]["grabbing"]["f1"],
-                }
+                scores = _scores(_search(args, ds, model_out)[1])
+            accuracy, weighted_f1, grabbing_f1 = scores
             row.update(
-                accuracy=f"{summary['accuracy']:.6f}",
-                weighted_f1=f"{summary['weighted_f1']:.6f}",
-                grabbing_f1=f"{summary['grabbing_f1']:.6f}",
+                accuracy=f"{accuracy:.6f}",
+                weighted_f1=f"{weighted_f1:.6f}",
+                grabbing_f1=f"{grabbing_f1:.6f}",
             )
             print(
-                f"model {number} ({description}): acc={summary['accuracy']:.4f} "
-                f"wF1={summary['weighted_f1']:.4f} grabF1={summary['grabbing_f1']:.4f} "
+                f"model {number} ({description}): acc={accuracy:.4f} "
+                f"wF1={weighted_f1:.4f} grabF1={grabbing_f1:.4f} "
                 f"[{time.time() - t0:.1f}s]"
             )
         except Exception as exc:  # summary still written, with markers
@@ -578,21 +494,15 @@ def cmd_ladder(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"ladder summary -> {summary_path}")
-
-    inputs = {args.features: f"sha256:{sha256_file(Path(args.features))}"}
-    write_run_manifest(out, "ladder", args, inputs, [summary_path], started)
-    if failures:
-        print("; ".join(failures), file=sys.stderr)
-        return 1
-    return 0
+    return [summary_path], failures
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
-def _add_common(parser: argparse.ArgumentParser, default_seed: int = 7) -> None:
-    parser.add_argument("--seed", type=int, default=default_seed, help="run seed")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=7, help="run seed")
     parser.add_argument("--config", help="key=value config file (flags override it)")
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -610,17 +520,21 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="auto = on for MLP, off for recurrent models")
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--batch-size", type=_positive_int, default=64)
+def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=60)
     parser.add_argument("--patience", type=int, default=10,
                         help="early-stop patience on validation loss; 0 disables")
+    parser.add_argument("--test-fraction", type=_fraction, default=0.2)
+    parser.add_argument("--val-fraction", type=_fraction, default=0.15)
+
+
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--batch-size", type=_positive_int, default=64)
     parser.add_argument("--class-weight", choices=("balanced", "none"), default="balanced")
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip z-score feature standardization")
-    parser.add_argument("--test-fraction", type=_fraction, default=0.2)
-    parser.add_argument("--val-fraction", type=_fraction, default=0.15)
+    _add_fit_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -676,10 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=8)
-    p.add_argument("--epochs", type=_positive_int, default=60)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--test-fraction", type=_fraction, default=0.2)
-    p.add_argument("--val-fraction", type=_fraction, default=0.15)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("xval", help="stratified k-fold validation of one model")
@@ -695,56 +606,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=6,
                    help="search budget for the final (searched) model")
-    p.add_argument("--epochs", type=_positive_int, default=60)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--test-fraction", type=_fraction, default=0.2)
-    p.add_argument("--val-fraction", type=_fraction, default=0.15)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_ladder)
 
     return parser
 
 
-def _apply_config_overrides(parser, argv: list[str]) -> None:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the ``--config`` flags inserted right after the
+    subcommand, so that explicit flags, parsed after them, win."""
     bootstrap = argparse.ArgumentParser(add_help=False)
     bootstrap.add_argument("--config")
-    known, _ = bootstrap.parse_known_args(argv)
-    if not known.config:
-        return
-    overrides = parse_config_file(known.config)
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = next((a for a in argv if a and not a.startswith("-")), None)
-    if not sub_actions or command not in sub_actions[0].choices:
-        return
-    sub = sub_actions[0].choices[command]
-    known_dests = {a.dest: a for a in sub._actions}
-    resolved = {}
-    for key, raw in overrides.items():
-        if key not in known_dests:
-            raise ValueError(f"config key {key!r} is not a flag of {command!r}")
-        action = known_dests[key]
-        if action.type is not None:
-            resolved[key] = action.type(raw)
-        elif isinstance(action.const, bool) or isinstance(action.default, bool):
-            resolved[key] = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            resolved[key] = raw
-    sub.set_defaults(**resolved)
+    path = bootstrap.parse_known_args(argv)[0].config
+    config = config_flags(path) if path else {}
+    at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
+    args, extras = parser.parse_known_args(argv[:at] + list(config) + argv[at:])
+    unknown = [config[arg] for arg in extras if arg in config]
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is not a flag of {args.command!r}")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: create ``--out``, run it, write its run manifest.
+
+    A ladder with failed rows still gets its summary and manifest, then
+    exits 1 after naming the failures.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_overrides(parser, argv)
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+        args = _parse_args(build_parser(), argv)
+        started = time.time()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, failures = args.func(args, out)
+        inputs = {
+            path: "sha256:" + (sha256_tree if name == "manifest_dir" else sha256_file)(Path(path))
+            for name in ("manifest_dir", "features", "checkpoint")
+            if (path := getattr(args, name, None))
+        }
+        write_run_manifest(out, args, inputs, outputs, started)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failures:
+        print("; ".join(failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -294,7 +295,7 @@ def window_feature_vector(window: PredictiveWindow) -> np.ndarray:
     )
 
 
-def build_dataset(episodes: list[Episode], cfg: PipelineConfig) -> LabeledDataset:
+def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDataset:
     """Run the full pipeline over episodes, concatenating rows in order."""
     rows: list[np.ndarray] = []
     labels: list[int] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -106,5 +107,7 @@ def find_manifests(root) -> list[Path]:
     return found
 
 
-def read_corpus(root) -> list[Episode]:
-    return [read_episode(p) for p in find_manifests(root)]
+def read_corpus(root) -> Iterator[Episode]:
+    """Episodes of a corpus, read one at a time as they are consumed; a
+    corpus without manifests raises at call time."""
+    return (read_episode(p) for p in find_manifests(root))

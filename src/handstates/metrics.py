@@ -188,7 +188,8 @@ def report_json(report: ClassReport, class_names: list[str]) -> dict:
     }
 
 
-def write_report_files(report: ClassReport, class_names: list[str], out_dir) -> None:
+def write_report_files(report: ClassReport, class_names: list[str], out_dir) -> list:
+    """Write ``report.txt`` and ``report.json``; returns their paths."""
     from pathlib import Path
 
     out = Path(out_dir)
@@ -196,6 +197,7 @@ def write_report_files(report: ClassReport, class_names: list[str], out_dir) -> 
     with open(out / "report.json", "w") as fh:
         json.dump(report_json(report, class_names), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return [out / "report.txt", out / "report.json"]
 
 
 def write_confusion_csv(cm: np.ndarray, class_names: list[str], path) -> None:

@@ -6,7 +6,9 @@ Floats are serialized with their shortest round-tripping decimal
 representation, so save -> load -> predict is bit-identical to predicting
 with the in-memory model. Schema 2 stores only the parameters the model
 holds: a length-1 recurrent model has no recurrent matrix ``wh``. Files of
-any other schema are refused, not migrated.
+any other schema are refused, not migrated, and so are files whose
+parameters, batch-norm layers or standardization vectors do not fit their
+spec.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def load(path) -> Checkpoint:
         label_order = list(doc["label_order"])
         if label_order != list(CLASS_NAMES):
             raise ValueError(f"label_order {label_order} is not {list(CLASS_NAMES)}")
-        return Checkpoint(
+        ckpt = Checkpoint(
             spec=ModelSpec.from_dict(doc["spec"]),
             params=params,
             bn_stats=bn_stats,
@@ -125,6 +127,14 @@ def load(path) -> Checkpoint:
             label_order=label_order,
             meta=dict(doc.get("meta", {})),
         )
+        input_dim = (ckpt.spec.input_dim,)
+        if std is not None and not ckpt.feature_mean.shape == ckpt.feature_std.shape == input_dim:
+            raise ValueError(
+                f"standardization vectors of shapes {ckpt.feature_mean.shape} and "
+                f"{ckpt.feature_std.shape}, expected {input_dim}"
+            )
+        to_classifier(ckpt)  # parameters and batch-norm layers must match the spec
+        return ckpt
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     except KeyError as exc:

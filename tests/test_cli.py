@@ -1,5 +1,6 @@
 """Subcommand behaviour: determinism, validation errors, config precedence."""
 
+import csv
 import hashlib
 import json
 
@@ -123,6 +124,29 @@ class TestExtract:
         assert code == 1
         assert "manifest.csv:2" in err
 
+    def test_input_digest_ignores_corpus_run_manifest(self, tmp_path):
+        # two synth runs of one corpus differ only in their run manifests
+        digests = []
+        for name in ("a", "b"):
+            corpus, out = tmp_path / name / "corpus", tmp_path / name / "features"
+            assert run_cli("synth", "--out", corpus, *SMALL_SYNTH) == 0
+            assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+            doc = json.loads((out / "run_manifest.json").read_text())
+            digests.append(doc["inputs"][str(corpus)])
+        assert digests[0] == digests[1]
+
+    def test_corpus_is_read_one_episode_at_a_time(self, small_corpus, monkeypatch):
+        read = []
+        monkeypatch.setattr(manifest, "read_episode", read.append)
+        episodes = manifest.read_corpus(small_corpus)
+        assert read == []
+        next(episodes)
+        assert read == [small_corpus / "ep_000" / "manifest.csv"]
+
+    def test_missing_corpus_raises_at_call_time(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no manifest.csv"):
+            manifest.read_corpus(tmp_path)
+
 
 TRAIN_FAST = ("--epochs", 4, "--units", 8, "--patience", 0)
 
@@ -191,6 +215,29 @@ class TestTrainEval:
         snap2 = json.loads((out2 / "run_manifest.json").read_text())["config"]
         assert snap2["epochs"] == 2 and snap2["units"] == 4
 
+    def test_config_switch_line(self, tmp_path, small_features):
+        config = tmp_path / "switch.cfg"
+        config.write_text("no_standardize\nepochs=1\n")
+        out = tmp_path / "sw"
+        assert run_cli(
+            "train", "--features", small_features, "--out", out,
+            "--arch", "mlp", "--config", config,
+        ) == 0
+        snap = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert snap["no_standardize"] is True and snap["epochs"] == 1
+        assert json.loads((out / "checkpoint.json").read_text())["standardization"] is None
+
+    def test_config_bad_choice_is_usage_error(self, tmp_path, small_features, capsys):
+        config = tmp_path / "choice.cfg"
+        config.write_text("batchnorm=maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "train", "--features", small_features, "--out", tmp_path / "o",
+                "--config", config,
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'maybe'" in capsys.readouterr().err
+
     def test_unknown_config_key_fails(self, tmp_path, small_features, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("warp_speed=9\n")
@@ -233,3 +280,22 @@ class TestXvalCli:
         assert rows[0] == "fold,accuracy,weighted_f1,grabbing_f1"
         assert len(rows) == 5  # 2 folds + mean + std
         assert rows[3].startswith("mean,")
+
+
+class TestLadderCli:
+    def test_failed_row_keeps_summary_and_manifest(self, tmp_path, small_features, capsys):
+        # small_features has 4 windows of one class, too few for model 3's 5 folds
+        out = tmp_path / "ladder"
+        code = run_cli(
+            "ladder", "--features", small_features, "--out", out,
+            "--epochs", 1, "--budget", 1, "--patience", 0,
+        )
+        assert code == 1
+        with open(out / "ladder_summary.csv", newline="") as fh:
+            rows = {row["model"]: row for row in csv.DictReader(fh)}
+        assert len(rows) == 8
+        scores = ("accuracy", "weighted_f1", "grabbing_f1")
+        assert [rows["3"][k] for k in scores] == ["failed"] * 3
+        assert all(0.0 <= float(rows["1"][k]) <= 1.0 for k in scores)
+        assert "model 3" in capsys.readouterr().err
+        assert (out / "run_manifest.json").exists()

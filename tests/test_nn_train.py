@@ -159,8 +159,11 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc.pop("params"), "no key 'params'"),
             (lambda doc: doc.update(schema_version=1), "schema_version 1 .*retrain"),
             (lambda doc: doc["label_order"].reverse(), "label_order"),
+            (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
+            (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
         ],
-        ids=["invalid-json", "missing-key", "old-schema", "label-order"],
+        ids=["invalid-json", "missing-key", "old-schema", "label-order", "spec-mismatch",
+             "short-standardization"],
     )
     def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
         path = tmp_path / "ckpt.json"
