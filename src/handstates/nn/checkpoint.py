@@ -1,14 +1,16 @@
-"""Checkpoint persistence: a single JSON document holding the model spec,
-named row-major parameter tensors, batch-norm running statistics, feature
+"""Checkpoints: a trained ``Classifier`` with its feature standardization and
+metadata, persisted as a single JSON document holding the model spec, named
+row-major parameter tensors, batch-norm running statistics, the
 standardization vectors and the label order.
 
 Floats are serialized with their shortest round-tripping decimal
 representation, so save -> load -> predict is bit-identical to predicting
 with the in-memory model. Schema 2 stores only the parameters the model
-holds: a length-1 recurrent model has no recurrent matrix ``wh``. Files of
+holds: a length-1 recurrent model has no recurrent matrix ``wh``. ``load``
+builds the classifier once, from the stored spec, and keeps it. Files of
 any other schema are refused, not migrated, and so are files whose
 parameters, batch-norm layers or standardization vectors do not fit their
-spec.
+spec or are not finite, or whose standardization std is not > 0.
 """
 
 from __future__ import annotations
@@ -26,70 +28,58 @@ SCHEMA_VERSION = 2
 
 @dataclass
 class Checkpoint:
-    spec: ModelSpec
-    params: dict[str, np.ndarray]
-    bn_stats: dict[str, dict[str, np.ndarray]]
+    """A trained classifier with its feature standardization and metadata."""
+
+    model: Classifier
     feature_mean: np.ndarray | None
     feature_std: np.ndarray | None
-    label_order: list[str]
     meta: dict = field(default_factory=dict)
 
-
-def from_classifier(
-    clf: Classifier,
-    feature_mean: np.ndarray | None,
-    feature_std: np.ndarray | None,
-    label_order: list[str],
-    meta: dict | None = None,
-) -> Checkpoint:
-    params = {k: v.copy() for k, v in clf.params().items()}
-    bn_stats = {
-        bn.name: {"mean": bn.running_mean.copy(), "var": bn.running_var.copy()}
-        for bn in clf.batchnorm_layers()
-    }
-    return Checkpoint(
-        spec=clf.spec,
-        params=params,
-        bn_stats=bn_stats,
-        feature_mean=None if feature_mean is None else np.asarray(feature_mean, float),
-        feature_std=None if feature_std is None else np.asarray(feature_std, float),
-        label_order=list(label_order),
-        meta=dict(meta or {}),
-    )
+    @property
+    def spec(self) -> ModelSpec:
+        return self.model.spec
 
 
-def to_classifier(ckpt: Checkpoint) -> Classifier:
-    """Instantiate the stored model; parameters overwrite the random init."""
-    clf = Classifier(ckpt.spec, np.random.default_rng(0))
-    clf.set_params(ckpt.params)
+def to_classifier(spec: ModelSpec, params: dict, batchnorm: dict) -> Classifier:
+    """Build the stored model; parameters overwrite the random init."""
+    clf = Classifier(spec, np.random.default_rng(0))
+    clf.set_params(params)
     bn_layers = {bn.name: bn for bn in clf.batchnorm_layers()}
-    if set(bn_layers) != set(ckpt.bn_stats):
+    if set(bn_layers) != set(batchnorm):
         raise ValueError("checkpoint batch-norm layers do not match the model spec")
-    for name, stats in ckpt.bn_stats.items():
+    for name, stats in batchnorm.items():
         bn_layers[name].set_running_stats(stats["mean"], stats["var"])
     return clf
 
 
 def save(ckpt: Checkpoint, path) -> None:
+    clf = ckpt.model
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "spec": ckpt.spec.to_dict(),
+        "spec": clf.spec.to_dict(),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in ckpt.params.items()
+            for name, arr in clf.params().items()
         },
         "batchnorm": {
-            name: {"mean": stats["mean"].tolist(), "var": stats["var"].tolist()}
-            for name, stats in ckpt.bn_stats.items()
+            bn.name: {"mean": bn.running_mean.tolist(), "var": bn.running_var.tolist()}
+            for bn in clf.batchnorm_layers()
         },
         "standardization": None
         if ckpt.feature_mean is None
         else {"mean": ckpt.feature_mean.tolist(), "std": ckpt.feature_std.tolist()},
-        "label_order": ckpt.label_order,
+        "label_order": list(CLASS_NAMES),
         "meta": ckpt.meta,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+
+
+def _finite(what: str, values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite values")
+    return arr
 
 
 def load(path) -> Checkpoint:
@@ -104,37 +94,31 @@ def load(path) -> Checkpoint:
                 "retrain the model to write a current checkpoint"
             )
         params = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            name: _finite(name, entry["data"]).reshape(entry["shape"])
             for name, entry in doc["params"].items()
         }
-        bn_stats = {
-            name: {
-                "mean": np.asarray(stats["mean"], dtype=np.float64),
-                "var": np.asarray(stats["var"], dtype=np.float64),
-            }
+        batchnorm = {
+            name: {key: _finite(f"{name}.{key}", stats[key]) for key in ("mean", "var")}
             for name, stats in doc.get("batchnorm", {}).items()
         }
-        std = doc.get("standardization")
         label_order = list(doc["label_order"])
         if label_order != list(CLASS_NAMES):
             raise ValueError(f"label_order {label_order} is not {list(CLASS_NAMES)}")
-        ckpt = Checkpoint(
-            spec=ModelSpec.from_dict(doc["spec"]),
-            params=params,
-            bn_stats=bn_stats,
-            feature_mean=None if std is None else np.asarray(std["mean"], float),
-            feature_std=None if std is None else np.asarray(std["std"], float),
-            label_order=label_order,
-            meta=dict(doc.get("meta", {})),
-        )
-        input_dim = (ckpt.spec.input_dim,)
-        if std is not None and not ckpt.feature_mean.shape == ckpt.feature_std.shape == input_dim:
-            raise ValueError(
-                f"standardization vectors of shapes {ckpt.feature_mean.shape} and "
-                f"{ckpt.feature_std.shape}, expected {input_dim}"
-            )
-        to_classifier(ckpt)  # parameters and batch-norm layers must match the spec
-        return ckpt
+        spec = ModelSpec.from_dict(doc["spec"])
+        mean = std = None
+        if (stored := doc.get("standardization")) is not None:
+            mean = _finite("standardization mean", stored["mean"])
+            std = _finite("standardization std", stored["std"])
+            if not mean.shape == std.shape == (spec.input_dim,):
+                raise ValueError(
+                    f"standardization vectors of shapes {mean.shape} and {std.shape}, "
+                    f"expected {(spec.input_dim,)}"
+                )
+            if not (std > 0).all():
+                raise ValueError("standardization std must be > 0")
+        # the build checks that the parameters and batch-norm layers fit the spec
+        return Checkpoint(to_classifier(spec, params, batchnorm), mean, std,
+                          dict(doc.get("meta", {})))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     except KeyError as exc:
@@ -159,6 +143,5 @@ def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     expected = ckpt.spec.input_dim
     if x.shape[-1] != expected:
         raise ValueError(f"feature dim {x.shape[-1]} != checkpoint input_dim {expected}")
-    clf = to_classifier(ckpt)
-    probs = clf.predict_proba(standardize(ckpt, x))
+    probs = ckpt.model.predict_proba(standardize(ckpt, x))
     return probs, probs.argmax(axis=1)

@@ -1,8 +1,10 @@
 """Dense, batch-norm, ReLU and dropout building blocks with exact gradients.
 
-Every layer caches what its backward pass needs during forward and exposes
-its parameters/gradients through ``params()`` / ``grads()`` dictionaries so
-the optimizer can address them by name. All math is float64.
+Every layer keeps the ``Layer`` interface: ``forward(x, train, rng)`` caches
+what ``backward(dy)`` needs, and ``backward`` accumulates the layer's own
+parameter gradients, its L2 term included, and returns dL/dx. Parameters and
+gradients are exposed through ``params()`` / ``grads()`` dictionaries so the
+optimizer can address them by name. All math is float64.
 """
 
 from __future__ import annotations
@@ -18,7 +20,24 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Dense:
+class Layer:
+    """The layer interface. These defaults are those of a layer without
+    parameters; layers that need no RNG ignore ``rng`` in ``forward``."""
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def zero_grads(self) -> None:
+        pass
+
+    def penalty(self) -> float:
+        return 0.0
+
+
+class Dense(Layer):
     """Affine map y = x W + b with an optional L2 penalty on W.
 
     The penalty is lambda * ||W||^2, contributing 2 * lambda * W to the
@@ -41,7 +60,7 @@ class Dense:
         w = glorot_uniform(rng, n_in, n_out, (n_in, n_out))
         return cls(w, np.zeros(n_out), l2=l2, name=name)
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(
                 f"{self.name}: input width {x.shape[1]} != weight rows {self.w.shape[0]}"
@@ -71,11 +90,11 @@ class Dense:
         self.db[:] = 0.0
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
 
@@ -83,7 +102,7 @@ class ReLU:
         return dy * self._mask
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-feature batch normalisation with running statistics.
 
     Train mode normalises by the batch mean and population variance and
@@ -106,7 +125,7 @@ class BatchNorm:
     def create(cls, dim: int, name: str = "bn"):
         return cls(np.ones(dim), np.zeros(dim), name=name)
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if train:
             if x.shape[0] < 2:
                 raise ValueError(f"{self.name}: train-mode batch must have >= 2 rows")
@@ -155,7 +174,7 @@ class BatchNorm:
         self.running_var = np.asarray(var, dtype=np.float64)
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: kept units are scaled by 1/(1-p) at train time."""
 
     def __init__(self, p: float):

@@ -1,21 +1,23 @@
 """Classifier architectures: regularized MLP and gated recurrent encoders.
 
-A ``ModelSpec`` declares the architecture; ``Classifier`` wires the layers
-and exposes named parameters, exact gradients and inference. Recurrent
-models encode each sample with stacked (bi)directional LSTM layers and feed
-the final hidden state(s) through dropout into a linear softmax head. At
-``seq_length=1`` every layer runs only its zero-state first step and holds
-no recurrent matrix, so the cell is a static encoder.
+A ``ModelSpec`` declares the architecture; ``Classifier`` builds it as one
+list of layers and exposes named parameters, exact gradients and inference.
+An MLP stacks Dense, optional BatchNorm, ReLU and optional Dropout blocks. A
+recurrent model stacks (bi)directional LSTM layers: each lower layer hands
+every step's hidden state up, the top one only its final state, which goes
+through optional batch-norm and dropout into a linear softmax head. At
+``seq_length=1`` every LSTM runs only its zero-state first step and holds no
+recurrent matrix, so the cell is a static encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .layers import BatchNorm, Dense, Dropout, ReLU
+from .layers import BatchNorm, Dense, Dropout, Layer, ReLU
 from .losses import softmax, softmax_cross_entropy
 from .recurrent import BidirectionalLSTM, LSTMLayer
 
@@ -68,76 +70,58 @@ class ModelSpec:
         return cls(**d)
 
 
-@dataclass
-class _MlpBlock:
-    dense: Dense
-    bn: Optional[BatchNorm]
-    relu: ReLU = field(default_factory=ReLU)
-    dropout: Optional[Dropout] = None
-
-
 class Classifier:
-    """Forward/backward engine for one ModelSpec."""
+    """One stack of layers for one ModelSpec, the softmax head last.
+
+    Every layer maps ``forward(x, train, rng)`` and ``backward(dy)``, so the
+    forward pass is one loop over the stack and the backward pass the same
+    loop reversed.
+    """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        self._blocks: list[_MlpBlock] = []
-        self._rnns: list = []
-        self._enc_bn: Optional[BatchNorm] = None
-        self._enc_dropout: Optional[Dropout] = None
-
+        layers: list[Layer] = []
+        n_in = spec.input_dim
         if spec.kind == "mlp":
-            n_in = spec.input_dim
             for i, width in enumerate(spec.hidden):
-                dense = Dense.create(rng, n_in, width, l2=spec.l2_lambda, name=f"dense{i}")
-                bn = BatchNorm.create(width, name=f"bn{i}") if spec.use_batchnorm else None
-                dropout = Dropout(spec.dropout_p) if spec.dropout_p > 0 else None
-                self._blocks.append(_MlpBlock(dense=dense, bn=bn, dropout=dropout))
+                layers.append(Dense.create(rng, n_in, width, l2=spec.l2_lambda, name=f"dense{i}"))
+                if spec.use_batchnorm:
+                    layers.append(BatchNorm.create(width, name=f"bn{i}"))
+                layers.append(ReLU())
+                if spec.dropout_p > 0:
+                    layers.append(Dropout(spec.dropout_p))
                 n_in = width
-            head_in = n_in
         else:
-            n_in = spec.input_dim
             cell = BidirectionalLSTM if spec.kind == "birnn" else LSTMLayer
             for i in range(spec.rnn_layers):
-                layer = cell.create(
+                layers.append(cell.create(
                     rng, n_in, spec.rnn_units, l2=spec.l2_lambda, name=f"rnn{i}",
-                    recurrent=spec.seq_length > 1,
-                )
+                    recurrent=spec.seq_length > 1, top=i == spec.rnn_layers - 1,
+                ))
                 n_in = 2 * spec.rnn_units if spec.kind == "birnn" else spec.rnn_units
-                self._rnns.append(layer)
-            head_in = n_in
             if spec.use_batchnorm:
-                self._enc_bn = BatchNorm.create(head_in, name="enc_bn")
+                layers.append(BatchNorm.create(n_in, name="enc_bn"))
             if spec.dropout_p > 0:
-                self._enc_dropout = Dropout(spec.dropout_p)
-        self._head = Dense.create(rng, head_in, spec.num_classes, l2=spec.l2_lambda, name="head")
+                layers.append(Dropout(spec.dropout_p))
+        layers.append(Dense.create(rng, n_in, spec.num_classes, l2=spec.l2_lambda, name="head"))
+        self.layers = layers
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _layers_with_params(self):
-        for block in self._blocks:
-            yield block.dense
-            if block.bn is not None:
-                yield block.bn
-        yield from self._rnns
-        if self._enc_bn is not None:
-            yield self._enc_bn
-        yield self._head
-
     def params(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for layer in self._layers_with_params():
+        for layer in self.layers:
             out.update(layer.params())
         return out
 
     def grads(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for layer in self._layers_with_params():
+        for layer in self.layers:
             out.update(layer.grads())
         return out
 
     def zero_grads(self) -> None:
-        for layer in self._layers_with_params():
+        for layer in self.layers:
             layer.zero_grads()
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
@@ -154,14 +138,7 @@ class Classifier:
             arr[:] = incoming
 
     def batchnorm_layers(self) -> list[BatchNorm]:
-        layers = [b.bn for b in self._blocks if b.bn is not None]
-        if self._enc_bn is not None:
-            layers.append(self._enc_bn)
-        return layers
-
-    @property
-    def has_batchnorm(self) -> bool:
-        return bool(self.batchnorm_layers())
+        return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 
     # -- forward / backward -------------------------------------------------
 
@@ -184,70 +161,22 @@ class Classifier:
     def forward(
         self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        x = self._shape_input(x)
-        if self.spec.kind == "mlp":
-            out = x
-            for block in self._blocks:
-                out = block.dense.forward(out, train)
-                if block.bn is not None:
-                    out = block.bn.forward(out, train)
-                out = block.relu.forward(out, train)
-                if block.dropout is not None:
-                    out = block.dropout.forward(out, train, rng)
-            return self._head.forward(out, train)
-
-        steps = x
-        encoding = None
-        for layer in self._rnns:
-            if isinstance(layer, BidirectionalLSTM):
-                steps, encoding = layer.forward(steps)
-            else:
-                steps = layer.forward(steps)
-                encoding = steps[:, -1, :]
-        out = encoding
-        if self._enc_bn is not None:
-            out = self._enc_bn.forward(out, train)
-        if self._enc_dropout is not None:
-            out = self._enc_dropout.forward(out, train, rng)
-        return self._head.forward(out, train)
+        out = self._shape_input(x)
+        for layer in self.layers:
+            out = layer.forward(out, train, rng)
+        return out
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients (including L2 terms) from dlogits."""
-        dy = self._head.backward(dlogits)
-        if self.spec.kind == "mlp":
-            for block in reversed(self._blocks):
-                if block.dropout is not None:
-                    dy = block.dropout.backward(dy)
-                dy = block.relu.backward(dy)
-                if block.bn is not None:
-                    dy = block.bn.backward(dy)
-                dy = block.dense.backward(dy)
-            return
-        if self._enc_dropout is not None:
-            dy = self._enc_dropout.backward(dy)
-        if self._enc_bn is not None:
-            dy = self._enc_bn.backward(dy)
-        d_steps = None
-        d_encoding = dy
-        for layer in reversed(self._rnns):
-            if isinstance(layer, BidirectionalLSTM):
-                d_in = layer.backward(d_steps, d_encoding)
-            else:
-                d_out = np.zeros((dy.shape[0], len(layer._caches), layer.units))
-                if d_steps is not None:
-                    d_out += d_steps
-                if d_encoding is not None:
-                    d_out[:, -1, :] += d_encoding
-                d_in = layer.backward(d_out)
-            layer.add_penalty_grads()
-            d_steps = d_in
-            d_encoding = None
+        dy = dlogits
+        for layer in reversed(self.layers):
+            dy = layer.backward(dy)
 
     def penalty(self) -> float:
-        total = self._head.penalty()
-        for block in self._blocks:
-            total += block.dense.penalty()
-        for layer in self._rnns:
+        # The head's term comes first: float summation order is part of every
+        # reported loss, and val_loss picks the best epoch.
+        total = self.layers[-1].penalty()
+        for layer in self.layers[:-1]:
             total += layer.penalty()
         return total
 

@@ -1,5 +1,7 @@
 """Gated recurrent (LSTM) layers with exact backpropagation through time,
-plus the bidirectional encoder used by the classifier.
+plus the bidirectional encoder used by the classifier. Both keep the
+``Layer`` interface; the top layer of a stack returns its final state, the
+layers below it every step, and ``backward`` adds the L2 gradient.
 
 Gate layout in the fused weight matrices is [input, forget, candidate,
 output] along the last axis. Every sequence starts from the zero state, so
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import glorot_uniform
+from .layers import Layer, glorot_uniform
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -91,36 +93,38 @@ def lstm_step_backward(dh, dc_in, cache, wx, wh):
     return da @ wx.T, da @ wh.T, dc_prev, x.T @ da, h_prev.T @ da, da.sum(axis=0)
 
 
-class LSTMLayer:
+class LSTMLayer(Layer):
     """LSTM unrolled over a (batch, length, features) sequence from the zero
     state. Built with ``wh=None`` it holds no recurrent matrix and runs
-    length-1 sequences only.
+    length-1 sequences only. A ``top`` layer returns its final hidden state
+    (batch, units); a lower one returns every step (batch, length, units).
     """
 
-    def __init__(self, wx, wh, b, l2: float = 0.0, name: str = "lstm"):
+    def __init__(self, wx, wh, b, l2: float = 0.0, name: str = "lstm", top: bool = False):
         self.weights = {"wx": wx, "b": b} if wh is None else {"wx": wx, "wh": wh, "b": b}
         self.gradients = {k: np.zeros_like(w) for k, w in self.weights.items()}
         self.wx, self.wh, self.b = wx, wh, b
         self.dwx, self.dwh, self.db = (self.gradients.get(k) for k in ("wx", "wh", "b"))
         self.l2 = float(l2)
         self.name = name
+        self.top = top
         self.units = b.shape[0] // 4
         self._caches: list | None = None
 
     @classmethod
     def create(
         cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
-        recurrent: bool = True,
+        recurrent: bool = True, top: bool = False,
     ):
         """``recurrent=False`` builds a length-1 layer: ``wh`` is neither drawn nor held."""
         wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units))
         wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units)) if recurrent else None
         b = np.zeros(4 * units)
         b[units : 2 * units] = 1.0  # forget-gate bias keeps early memory open
-        return cls(wx, wh, b, l2=l2, name=name)
+        return cls(wx, wh, b, l2=l2, name=name, top=top)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the cell over all steps; returns hidden states (B, L, units)."""
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        """Run the cell over all steps; returns the final or every hidden state."""
         if x.ndim != 3 or x.shape[1] < 1:
             raise ValueError(f"{self.name}: expected non-empty (batch, length, features) input")
         batch, length, _ = x.shape
@@ -134,12 +138,17 @@ class LSTMLayer:
             h, c, cache = lstm_step(x[:, t, :], h, c, self.wx, self.wh, self.b)
             outputs[:, t, :] = h
             self._caches.append(cache)
-        return outputs
+        return outputs[:, -1, :] if self.top else outputs
 
-    def backward(self, d_outputs: np.ndarray) -> np.ndarray:
-        """BPTT given gradients for every per-step hidden state."""
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        """BPTT given dL/d(output of forward); adds the L2 gradient."""
         caches = self._caches
-        batch, length, _ = d_outputs.shape
+        batch, length = dy.shape[0], len(caches)
+        d_outputs = np.zeros((batch, length, self.units))
+        if self.top:
+            d_outputs[:, -1, :] += dy
+        else:
+            d_outputs += dy
         dx = np.empty((batch, length, self.wx.shape[0]))
         dh_next = np.zeros((batch, self.units))
         dc_next = np.zeros((batch, self.units))
@@ -155,6 +164,9 @@ class LSTMLayer:
         )
         self.dwx += dwx
         self.db += db
+        if self.l2 > 0.0:
+            for w, grad in self._penalised():
+                grad += 2.0 * self.l2 * w
         return dx
 
     def _penalised(self):
@@ -165,11 +177,6 @@ class LSTMLayer:
         if self.l2 <= 0.0:
             return 0.0
         return self.l2 * float(sum((w * w).sum() for w, _ in self._penalised()))
-
-    def add_penalty_grads(self):
-        if self.l2 > 0.0:
-            for w, grad in self._penalised():
-                grad += 2.0 * self.l2 * w
 
     def params(self):
         return {f"{self.name}.{k}": w for k, w in self.weights.items()}
@@ -182,56 +189,45 @@ class LSTMLayer:
             grad[:] = 0.0
 
 
-class BidirectionalLSTM:
+class BidirectionalLSTM(Layer):
     """Forward and reversed passes over a sequence, states concatenated.
 
-    ``forward`` returns per-step outputs (B, L, 2 * units) for stacking and
-    the encoding (B, 2 * units) formed from the two final hidden states.
+    ``top`` is the directions' own setting. A top layer returns the encoding
+    (B, 2 * units) formed from the two final hidden states; a lower one the
+    per-step outputs (B, L, 2 * units), each step holding the forward state
+    and the reversed pass's state at that step.
     """
 
     def __init__(self, fwd: LSTMLayer, bwd: LSTMLayer):
         self.fwd = fwd
         self.bwd = bwd
         self.units = fwd.units
+        self.top = fwd.top
 
     @classmethod
     def create(
         cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm",
-        recurrent: bool = True,
+        recurrent: bool = True, top: bool = False,
     ):
-        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd", recurrent=recurrent)
-        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd", recurrent=recurrent)
+        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd",
+                               recurrent=recurrent, top=top)
+        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd",
+                               recurrent=recurrent, top=top)
         return cls(fwd, bwd)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         hf = self.fwd.forward(x)
         hb = self.bwd.forward(x[:, ::-1, :])
-        steps = np.concatenate([hf, hb[:, ::-1, :]], axis=2)
-        encoding = np.concatenate([hf[:, -1, :], hb[:, -1, :]], axis=1)
-        return steps, encoding
+        return np.concatenate([hf, hb if self.top else hb[:, ::-1, :]], axis=-1)
 
-    def backward(self, d_steps: np.ndarray | None, d_encoding: np.ndarray | None) -> np.ndarray:
-        batch = (d_steps if d_steps is not None else d_encoding).shape[0]
-        length = len(self.fwd._caches)
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         u = self.units
-        dhf = np.zeros((batch, length, u))
-        dhb = np.zeros((batch, length, u))
-        if d_steps is not None:
-            dhf += d_steps[:, :, :u]
-            dhb += d_steps[:, ::-1, u:]
-        if d_encoding is not None:
-            dhf[:, -1, :] += d_encoding[:, :u]
-            dhb[:, -1, :] += d_encoding[:, u:]
-        dx = self.fwd.backward(dhf)
-        dx += self.bwd.backward(dhb)[:, ::-1, :]
+        dx = self.fwd.backward(dy[..., :u])
+        dx += self.bwd.backward(dy[..., u:] if self.top else dy[:, ::-1, u:])[:, ::-1, :]
         return dx
 
     def penalty(self) -> float:
         return self.fwd.penalty() + self.bwd.penalty()
-
-    def add_penalty_grads(self):
-        self.fwd.add_penalty_grads()
-        self.bwd.add_penalty_grads()
 
     def params(self):
         return {**self.fwd.params(), **self.bwd.params()}
@@ -242,4 +238,3 @@ class BidirectionalLSTM:
     def zero_grads(self):
         self.fwd.zero_grads()
         self.bwd.zero_grads()
-

@@ -3,7 +3,8 @@ early stopping on validation loss and deterministic seeding.
 
 ``train`` consumes (features, labels) array pairs; features are 2-D for the
 MLP and (batch, seq_length, dim) for recurrent models. The checkpoint
-returned corresponds to the epoch with the lowest validation loss.
+returned holds the trained classifier, restored to the epoch with the
+lowest validation loss.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..features import CLASS_NAMES
 from . import checkpoint as ckpt_mod
 from .losses import balanced_class_weights, softmax_cross_entropy
 from .model import Classifier, ModelSpec
@@ -117,7 +117,7 @@ def train(
         # Batch-norm cannot normalise a single row; when the final batch
         # would be a singleton it is withheld for this epoch (the shuffle
         # rotates which row sits there).
-        if clf.has_batchnorm and n % cfg.batch_size == 1 and n > 1:
+        if clf.batchnorm_layers() and n % cfg.batch_size == 1 and n > 1:
             order = order[:-1]
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -170,14 +170,7 @@ def train(
         "epochs_run": len(history),
     }
     full_meta.update(meta or {})
-    ckpt = ckpt_mod.from_classifier(
-        clf,
-        feature_mean=mean,
-        feature_std=std,
-        label_order=list(CLASS_NAMES),
-        meta=full_meta,
-    )
-    return ckpt, history
+    return ckpt_mod.Checkpoint(clf, mean, std, full_meta), history
 
 
 def history_to_csv(history: list[dict], path) -> None:

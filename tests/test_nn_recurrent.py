@@ -150,16 +150,16 @@ class TestLengthOneHoldsNoRecurrentMatrix:
 
 class TestBidirectional:
     def test_seq1_width_contract(self, rng):
-        bi = BidirectionalLSTM.create(rng, 8, 7)
-        _, enc = bi.forward(rng.normal(size=(4, 1, 8)))
+        bi = BidirectionalLSTM.create(rng, 8, 7, top=True)
+        enc = bi.forward(rng.normal(size=(4, 1, 8)))
         assert enc.shape == (4, 14)
 
     def test_seq1_equals_two_explicit_cell_calls(self, rng):
         """At sequence length 1 the encoder IS two zero-state cell calls."""
         units = 6
-        bi = BidirectionalLSTM.create(rng, 8, units, recurrent=False)
+        bi = BidirectionalLSTM.create(rng, 8, units, recurrent=False, top=True)
         x = rng.normal(size=(5, 1, 8))
-        _, enc = bi.forward(x)
+        enc = bi.forward(x)
         zeros = np.zeros((5, units))
         wh = np.zeros((units, 4 * units))
         hf, _, _ = lstm_step(x[:, 0, :], zeros, zeros, bi.fwd.wx, wh, bi.fwd.b)
@@ -168,12 +168,12 @@ class TestBidirectional:
         assert np.array_equal(enc, explicit)  # bit-identical
 
     def test_palindrome_with_tied_parameters(self, rng):
-        fwd = make_layer(rng, 3, 4, name="f")
-        bwd = LSTMLayer(fwd.wx.copy(), fwd.wh.copy(), fwd.b.copy(), name="b")
+        fwd = LSTMLayer.create(rng, 3, 4, name="f", top=True)
+        bwd = LSTMLayer(fwd.wx.copy(), fwd.wh.copy(), fwd.b.copy(), name="b", top=True)
         bi = BidirectionalLSTM(fwd, bwd)
         half = rng.normal(size=(2, 3, 3))
         seq = np.concatenate([half, half[:, ::-1, :]], axis=1)  # palindrome
-        _, enc = bi.forward(seq)
+        enc = bi.forward(seq)
         assert np.array_equal(enc[:, :4], enc[:, 4:])
 
     def test_empty_sequence_rejected(self, rng):
@@ -182,17 +182,17 @@ class TestBidirectional:
             bi.forward(np.zeros((2, 0, 3)))
 
     def test_encoder_backward_matches_finite_differences(self, rng):
-        bi = BidirectionalLSTM.create(rng, 3, 2)
+        bi = BidirectionalLSTM.create(rng, 3, 2, top=True)
         x = rng.normal(size=(2, 4, 3))
         proj = rng.normal(size=(2, 4))
 
         def loss():
-            _, enc = bi.forward(x)
+            enc = bi.forward(x)
             return float((enc * proj).sum())
 
         bi.forward(x)
         bi.zero_grads()
-        dx = bi.backward(None, proj)
+        dx = bi.backward(proj)
         h = 1e-5
         flat = x.reshape(-1)
         gflat = dx.reshape(-1)

@@ -7,6 +7,7 @@ import pytest
 
 from handstates.nn import optim
 from handstates.nn import (
+    Classifier,
     ModelSpec,
     TrainConfig,
     TrainingDivergedError,
@@ -152,6 +153,22 @@ class TestPredictAndCheckpoint:
         with pytest.raises(ValueError, match="input_dim"):
             predict(ckpt, np.zeros((2, 5)))
 
+    def test_loaded_checkpoint_builds_its_classifier_once(self, trained, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        ckpt_mod.save(trained[0], path)
+        builds = []
+        original = Classifier.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Classifier, "__init__", counting_init)
+        loaded = ckpt_mod.load(path)
+        for _ in range(4):
+            predict(loaded, trained[1])
+        assert len(builds) == 1
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -161,9 +178,22 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc["label_order"].reverse(), "label_order"),
             (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
             (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
+            (lambda doc: doc["params"]["head.w"]["data"].__setitem__(0, float("nan")),
+             "head.w has non-finite values"),
+            (lambda doc: doc["batchnorm"]["bn0"]["mean"].__setitem__(1, float("inf")),
+             "bn0.mean has non-finite values"),
+            (lambda doc: doc["batchnorm"]["bn1"]["var"].__setitem__(0, float("nan")),
+             "bn1.var has non-finite values"),
+            (lambda doc: doc["standardization"]["mean"].__setitem__(2, float("-inf")),
+             "standardization mean has non-finite values"),
+            (lambda doc: doc["standardization"]["std"].__setitem__(3, float("nan")),
+             "standardization std has non-finite values"),
+            (lambda doc: doc["standardization"]["std"].__setitem__(4, 0.0),
+             r"standardization std must be > 0"),
         ],
         ids=["invalid-json", "missing-key", "old-schema", "label-order", "spec-mismatch",
-             "short-standardization"],
+             "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var",
+             "inf-standardization-mean", "nan-standardization-std", "zero-standardization-std"],
     )
     def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
         path = tmp_path / "ckpt.json"
@@ -188,6 +218,25 @@ class TestGradientCheckHarness:
         spec = ModelSpec(kind="birnn", rnn_units=6, seq_length=1, dropout_p=0.0,
                          l2_lambda=1e-4, use_batchnorm=False)
         x = rng.normal(size=(4, 1, 8))
+        y = rng.integers(0, 5, 4)
+        assert gradient_check(spec, x, y) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "kind, layers, seq_length, batchnorm",
+        [
+            ("lstm", 2, 3, False),
+            ("birnn", 2, 3, False),
+            ("birnn", 1, 3, True),
+            ("lstm", 1, 1, False),
+            ("birnn", 2, 1, True),
+        ],
+        ids=["lstm-2layer-seq3", "birnn-2layer-seq3", "birnn-seq3-bn", "lstm-seq1",
+             "birnn-2layer-seq1-bn"],
+    )
+    def test_recurrent_stack_within_tolerance(self, rng, kind, layers, seq_length, batchnorm):
+        spec = ModelSpec(kind=kind, rnn_units=4, rnn_layers=layers, seq_length=seq_length,
+                         dropout_p=0.0, l2_lambda=1e-3, use_batchnorm=batchnorm)
+        x = rng.normal(size=(4, seq_length, 8))
         y = rng.integers(0, 5, 4)
         assert gradient_check(spec, x, y) <= 1e-5
 
