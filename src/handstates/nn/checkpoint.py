@@ -10,7 +10,8 @@ holds: a length-1 recurrent model has no recurrent matrix ``wh``. ``load``
 builds the classifier once, from the stored spec, and keeps it. Files of
 any other schema are refused, not migrated, and so are files whose
 parameters, batch-norm layers or standardization vectors do not fit their
-spec or are not finite, or whose standardization std is not > 0.
+spec or are not finite, whose batch-norm variance is negative, or whose
+standardization std is not > 0.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def load(path) -> Checkpoint:
             name: {key: _finite(f"{name}.{key}", stats[key]) for key in ("mean", "var")}
             for name, stats in doc.get("batchnorm", {}).items()
         }
+        for name, stats in batchnorm.items():
+            if (stats["var"] < 0).any():
+                raise ValueError(f"{name}.var has negative values")
         label_order = list(doc["label_order"])
         if label_order != list(CLASS_NAMES):
             raise ValueError(f"label_order {label_order} is not {list(CLASS_NAMES)}")

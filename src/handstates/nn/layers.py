@@ -36,6 +36,12 @@ class Layer:
     def penalty(self) -> float:
         return 0.0
 
+    def __getstate__(self):
+        # The underscore attributes are what the last forward cached for
+        # backward; a pickled layer (a checkpoint a worker process sends
+        # back) carries its parameters only.
+        return {k: None if k.startswith("_") else v for k, v in self.__dict__.items()}
+
 
 class Dense(Layer):
     """Affine map y = x W + b with an optional L2 penalty on W.

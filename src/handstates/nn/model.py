@@ -188,12 +188,17 @@ class Classifier:
         train: bool = True,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Weighted cross-entropy plus L2 penalty; gradients accumulate."""
+        """Weighted cross-entropy of the batch; gradients accumulate.
+
+        The gradients include the L2 terms, the returned loss does not: the
+        penalty is summed over every matrix, so it is added only where a
+        loss is reported (``penalty``).
+        """
         self.zero_grads()
         logits = self.forward(x, train=train, rng=rng)
         data_loss, dlogits = softmax_cross_entropy(logits, y, class_weights)
         self.backward(dlogits)
-        return data_loss + self.penalty()
+        return data_loss
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.forward(x, train=False))

@@ -19,12 +19,18 @@ from .layers import Layer, glorot_uniform
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|).
+
+    Both forms are computed for every element and one is picked, so no
+    exp overflows and no boolean gather or scatter is needed. -|z| is taken
+    as min(z, -z), which keeps the sign of a NaN.
+    """
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    return np.where(z >= 0, np.divide(1.0, d, out=d), e)
 
 
 def _cell(a, c_prev):

@@ -5,11 +5,16 @@ learning rate), trains every candidate and returns the best trial by
 validation accuracy, breaking ties by lower validation loss and then by
 earlier trial index. Diverged trials are recorded, not fatal, unless every
 trial diverges.
+
+Folds and trials are seeded one by one (``cfg.seed + fold``, ``seed + 1000 *
+(trial + 1)``), so ``map_tasks`` may train them in parallel worker processes
+without changing a bit of any result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +43,41 @@ class TrialResult:
     val_acc: float = float("nan")
     val_loss: float = float("nan")
     checkpoint: Optional[ckpt_mod.Checkpoint] = None
-    history: list = field(default_factory=list)
+
+
+def pool_size(tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks.
+
+    The cores this process may run on, divided by the BLAS threads each
+    worker starts (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; with
+    neither set BLAS starts one thread per core, which leaves one worker),
+    and no more than the tasks.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    blas = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
+    return max(1, min(tasks, cores // blas))
+
+
+def map_tasks(fn, tasks: list[tuple]) -> list:
+    """``[fn(*args) for args in tasks]``, in task order.
+
+    With a pool of more than one worker (``pool_size``) the calls run in
+    forked worker processes; otherwise inline, one after another. Only
+    ``fn``'s arguments and results cross between processes.
+    """
+    workers = pool_size(len(tasks))
+    if workers == 1:
+        return [fn(*args) for args in tasks]
+    # Imported here, so a run that never forks does not pay for the import.
+    # Forked workers need no re-import. The executor forks them all before
+    # it starts its own thread, and OpenBLAS stops its threads across a fork.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def sample_trial(
@@ -59,6 +98,23 @@ def sample_trial(
     return spec, cfg
 
 
+def _run_trial(index, spec, cfg, train_ds, val_ds) -> TrialResult:
+    """Train one candidate; a diverged one is recorded, not raised."""
+    try:
+        ckpt, _ = train(spec, train_ds, val_ds, cfg)
+    except TrainingDivergedError:
+        return TrialResult(index=index, spec=spec, cfg=cfg, status="diverged")
+    return TrialResult(
+        index=index,
+        spec=spec,
+        cfg=cfg,
+        status="ok",
+        val_acc=float(ckpt.meta["val_acc"]),
+        val_loss=float(ckpt.meta["val_loss"]),
+        checkpoint=ckpt,
+    )
+
+
 def random_search(
     space: SearchSpace,
     budget: int,
@@ -72,27 +128,11 @@ def random_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    trials: list[TrialResult] = []
+    tasks = []
     for i in range(budget):
         spec, cfg = sample_trial(space, rng, base_spec, base_cfg)
-        cfg = replace(cfg, seed=seed + 1000 * (i + 1))
-        try:
-            ckpt, history = train(spec, train_ds, val_ds, cfg)
-        except TrainingDivergedError:
-            trials.append(TrialResult(index=i, spec=spec, cfg=cfg, status="diverged"))
-            continue
-        trials.append(
-            TrialResult(
-                index=i,
-                spec=spec,
-                cfg=cfg,
-                status="ok",
-                val_acc=float(ckpt.meta["val_acc"]),
-                val_loss=float(ckpt.meta["val_loss"]),
-                checkpoint=ckpt,
-                history=history,
-            )
-        )
+        tasks.append((i, spec, replace(cfg, seed=seed + 1000 * (i + 1)), train_ds, val_ds))
+    trials = map_tasks(_run_trial, tasks)
     finished = [t for t in trials if t.status == "ok"]
     if not finished:
         outcomes = ", ".join(f"trial {t.index}: {t.status}" for t in trials)
@@ -119,6 +159,26 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.nonzero(assignment == fold)[0] for fold in range(k)]
 
 
+def _run_fold(fold_idx, val_idx, spec, cfg, x, y, focus_class) -> dict:
+    """Train on every row outside ``val_idx``, score on it; returns the fold row.
+
+    The fold's model is dropped on return, before the next fold trains.
+    """
+    mask = np.ones(y.shape[0], dtype=bool)
+    mask[val_idx] = False
+    train_idx = np.nonzero(mask)[0]
+    ckpt, _ = train(spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg)
+    _, preds = ckpt_mod.predict(ckpt, x[val_idx])
+    cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
+    report = classification_report(cm)
+    return {
+        "fold": fold_idx,
+        "accuracy": report.accuracy,
+        "weighted_f1": report.weighted_f1,
+        "focus_f1": float(report.f1[focus_class]),
+    }
+
+
 def kfold_validate(
     spec: ModelSpec,
     cfg: TrainConfig,
@@ -137,26 +197,10 @@ def kfold_validate(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     folds = stratified_folds(y, k, seed)
-    rows: list[dict] = []
-    for fold_idx, val_idx in enumerate(folds):
-        mask = np.ones(y.shape[0], dtype=bool)
-        mask[val_idx] = False
-        train_idx = np.nonzero(mask)[0]
-        fold_cfg = replace(cfg, seed=cfg.seed + fold_idx)
-        ckpt, _ = train(
-            spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), fold_cfg
-        )
-        _, preds = ckpt_mod.predict(ckpt, x[val_idx])
-        cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
-        report = classification_report(cm)
-        rows.append(
-            {
-                "fold": fold_idx,
-                "accuracy": report.accuracy,
-                "weighted_f1": report.weighted_f1,
-                "focus_f1": float(report.f1[focus_class]),
-            }
-        )
+    rows = map_tasks(_run_fold, [
+        (fold_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y, focus_class)
+        for fold_idx, val_idx in enumerate(folds)
+    ])
     summary = {}
     for key in ("accuracy", "weighted_f1", "focus_f1"):
         values = np.array([r[key] for r in rows])

@@ -26,6 +26,11 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
         self.epoch = epoch
 
+    def __reduce__(self):
+        # rebuilt from the epoch, not the message, when a worker process
+        # sends it back
+        return type(self), (self.epoch,)
+
 
 @dataclass
 class TrainConfig:
@@ -81,7 +86,8 @@ def train(
 
     History rows carry epoch, train/val loss and accuracy; losses include
     the L2 penalty and use the training class weights. Raises
-    TrainingDivergedError as soon as a non-finite loss appears.
+    TrainingDivergedError as soon as a batch's cross-entropy or an epoch's
+    reported loss is non-finite.
     """
     x_train, y_train = _dataset(train_ds)
     x_val, y_val = _dataset(val_ds)

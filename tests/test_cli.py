@@ -11,6 +11,7 @@ from conftest import run_cli
 
 from handstates import manifest, pgm
 from handstates.features import ClassLabel, Episode
+from handstates.nn import search
 
 
 def tree_digest(root, skip_names=("run_manifest.json",)):
@@ -280,6 +281,27 @@ class TestXvalCli:
         assert rows[0] == "fold,accuracy,weighted_f1,grabbing_f1"
         assert len(rows) == 5  # 2 folds + mean + std
         assert rows[3].startswith("mean,")
+
+
+class TestWorkerPoolCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("xval", "--arch", "birnn", "--seq-length", 2, "--units", 8, "--k", 2,
+             "--epochs", 2, "--patience", 0),
+            ("search", "--budget", 3, "--epochs", 2, "--patience", 0),
+        ],
+        ids=["xval", "search"],
+    )
+    def test_one_and_two_workers_write_identical_trees(self, tmp_path, small_features,
+                                                       monkeypatch, argv):
+        digests = []
+        for workers in (1, 2):
+            monkeypatch.setattr(search, "pool_size", lambda tasks: min(tasks, workers))
+            out = tmp_path / f"w{workers}"
+            assert run_cli(argv[0], "--features", small_features, "--out", out, *argv[1:]) == 0
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
 
 
 class TestLadderCli:

@@ -8,6 +8,7 @@ from handstates.nn.model import Classifier, ModelSpec
 from handstates.nn.recurrent import (
     BidirectionalLSTM,
     LSTMLayer,
+    _sigmoid,
     lstm_step,
     lstm_step_backward,
 )
@@ -15,6 +16,36 @@ from handstates.nn.recurrent import (
 
 def make_layer(rng, n_in, units, name="lstm"):
     return LSTMLayer.create(rng, n_in, units, name=name)
+
+
+def masked_sigmoid(z):
+    """The reference: each form evaluated only on its own elements."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+             np.inf, -np.inf, np.nan, -np.nan]
+
+    def test_bit_identical_to_masked_form(self, rng):
+        z = np.concatenate([self.EDGES, rng.normal(scale=8.0, size=4000)])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_sigmoid(z).view(np.uint64),
+                                  masked_sigmoid(z).view(np.uint64))
+
+    def test_gate_block_view(self, rng):
+        # the cell passes column slices of the fused pre-activations
+        a = rng.normal(scale=8.0, size=(64, 4 * 32))
+        a[0, :len(self.EDGES)] = self.EDGES
+        block = a[:, :32]
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_sigmoid(block).view(np.uint64),
+                                  masked_sigmoid(block).view(np.uint64))
 
 
 class TestLstmStep:

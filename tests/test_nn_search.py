@@ -1,10 +1,15 @@
-"""Random hyperparameter search and stratified k-fold validation."""
+"""Random hyperparameter search, stratified k-fold validation and the
+worker pool that runs their trials and folds."""
+
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from handstates.nn import ModelSpec, SearchSpace, TrainConfig
-from handstates.nn.search import kfold_validate, random_search, stratified_folds
+from handstates.nn import ModelSpec, SearchSpace, TrainConfig, TrainingDivergedError
+from handstates.nn import search
+from handstates.nn.search import kfold_validate, pool_size, random_search, stratified_folds
 
 BASE_SPEC = ModelSpec(kind="birnn", rnn_units=8, seq_length=1, use_batchnorm=False)
 FAST_CFG = TrainConfig(epochs=3, batch_size=16, seed=0, early_stop_patience=None)
@@ -107,3 +112,78 @@ class TestKfoldValidate:
         a = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
         b = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
         assert a == b
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(search, "pool_size", lambda tasks: min(tasks, 2))
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "cores, env, tasks, expected",
+        [
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 5, 2),
+            (2, {"OMP_NUM_THREADS": "1"}, 5, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 1),
+            (2, {}, 5, 1),  # unset: BLAS takes every core
+            (8, {"OPENBLAS_NUM_THREADS": "2"}, 5, 4),
+            (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 5, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "0"}, 5, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "many"}, 5, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
+        ],
+    )
+    def test_cores_over_blas_threads_capped_by_tasks(self, monkeypatch, cores, env, tasks,
+                                                     expected):
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert pool_size(tasks) == expected
+
+
+class TestWorkerPool:
+    def test_inline_fold_model_is_dropped_before_the_next_fold_trains(self, rng, monkeypatch):
+        x, y = blob_data(rng, n_per=15)
+        monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
+        models, alive = [], []
+        real_train = search.train
+
+        def tracking_train(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in models))
+            ckpt, history = real_train(*args, **kwargs)
+            models.append(weakref.ref(ckpt.model))
+            return ckpt, history
+
+        monkeypatch.setattr(search, "train", tracking_train)
+        kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
+        assert alive == [0, 0, 0]
+
+    def test_trial_checkpoints_come_back_without_forward_caches(self, rng, two_workers):
+        x, y = blob_data(rng, n_per=12)
+        _, trials = random_search(SearchSpace(rnn_units=(4, 6)), 2, (x, y), (x, y), 2,
+                                  BASE_SPEC, FAST_CFG)
+        for t in trials:
+            encoder = t.checkpoint.model.layers[0]
+            assert encoder.fwd._caches is None and encoder.bwd._caches is None
+            assert t.checkpoint.model.layers[-1]._x is None
+
+    def test_diverged_fold_in_a_worker_fails_with_its_epoch(self, rng, two_workers):
+        x, y = blob_data(rng, n_per=10)
+        cfg = replace(FAST_CFG, learning_rate=1e200)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                kfold_validate(BASE_SPEC, cfg, x, y, 2, seed=0)
+        assert err.value.epoch == 0
+        assert str(err.value) == "training diverged (non-finite loss) at epoch 0"
+
+    def test_diverged_trials_in_workers_are_recorded(self, rng, two_workers):
+        x, y = blob_data(rng, n_per=10)
+        space = SearchSpace(rnn_units=(4, 4), learning_rate=(1e200, 1e200))
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=r"\(trial 0: diverged, trial 1: diverged\)"):
+                random_search(space, 2, (x, y), (x, y), 0, BASE_SPEC, FAST_CFG)

@@ -1,6 +1,7 @@
 """Training loop, checkpoint round trips and whole-model gradient checks."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ class TestTrainLoop:
             with pytest.raises(TrainingDivergedError) as err:
                 train(SMALL_MLP, (x, y), (x, y), cfg)
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize("lr, epoch", [(6e152, 3), (7e152, 2), (1e200, 0)])
+    def test_exploding_learning_rate_raises_at_its_epoch(self, rng, lr, epoch):
+        # The L2 penalty overflows first: in a batch, where it is no longer
+        # summed, then in the epoch's reported losses, which still sum it.
+        # The epochs are those at which the per-batch sum raised.
+        x, y = two_blob_data(rng)
+        spec = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
+                         use_batchnorm=False)
+        cfg = TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
+                          early_stop_patience=None)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(spec, (x, y), (x, y), cfg)
+        assert err.value.epoch == epoch
+
+    def test_diverged_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(3)))
+        assert type(err) is TrainingDivergedError
+        assert err.epoch == 3
+        assert str(err) == "training diverged (non-finite loss) at epoch 3"
 
     def test_empty_dataset_rejected(self):
         empty = (np.empty((0, 8)), np.empty(0, dtype=np.int64))
@@ -169,6 +191,15 @@ class TestPredictAndCheckpoint:
             predict(loaded, trained[1])
         assert len(builds) == 1
 
+    def test_pickled_checkpoint_holds_no_forward_caches(self, trained):
+        ckpt, x = trained
+        before, _ = predict(ckpt, x)  # the layers now cache this call
+        copy = pickle.loads(pickle.dumps(ckpt))
+        cached = [(type(layer).__name__, k) for layer in copy.model.layers
+                  for k, v in vars(layer).items() if k.startswith("_") and v is not None]
+        assert cached == []
+        assert np.array_equal(predict(copy, x)[0], before)
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -184,6 +215,8 @@ class TestPredictAndCheckpoint:
              "bn0.mean has non-finite values"),
             (lambda doc: doc["batchnorm"]["bn1"]["var"].__setitem__(0, float("nan")),
              "bn1.var has non-finite values"),
+            (lambda doc: doc["batchnorm"]["bn0"]["var"].__setitem__(0, -1.0),
+             "bn0.var has negative values"),
             (lambda doc: doc["standardization"]["mean"].__setitem__(2, float("-inf")),
              "standardization mean has non-finite values"),
             (lambda doc: doc["standardization"]["std"].__setitem__(3, float("nan")),
@@ -192,7 +225,7 @@ class TestPredictAndCheckpoint:
              r"standardization std must be > 0"),
         ],
         ids=["invalid-json", "missing-key", "old-schema", "label-order", "spec-mismatch",
-             "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var",
+             "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var", "negative-bn-var",
              "inf-standardization-mean", "nan-standardization-std", "zero-standardization-std"],
     )
     def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
