@@ -5,10 +5,11 @@ standardization vectors and the label order.
 
 Floats are serialized with their shortest round-tripping decimal
 representation, so save -> load -> predict is bit-identical to predicting
-with the in-memory model. Schema 2 stores only the parameters the model
-holds: a length-1 recurrent model has no recurrent matrix ``wh``. ``load``
-builds the classifier once, from the stored spec, and keeps it. Files of
-any other schema are refused, not migrated, and so are files whose
+with the in-memory model. Schema 3 stores only the parameters that reach a
+logit: a length-1 recurrent layer is a ``Dense`` layer of input, candidate
+and output gate columns, with no forget gate and no recurrent matrix ``wh``.
+``load`` builds the classifier once, from the stored spec, and keeps it.
+Files of any other schema are refused, not migrated, and so are files whose
 parameters, batch-norm layers or standardization vectors do not fit their
 spec or are not finite, whose batch-norm variance is negative, or whose
 standardization std is not > 0.
@@ -24,7 +25,7 @@ import numpy as np
 from ..features import CLASS_NAMES
 from .model import Classifier, ModelSpec
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -172,9 +172,6 @@ class BatchNorm(Layer):
         self.dgamma[:] = 0.0
         self.dbeta[:] = 0.0
 
-    def running_stats(self):
-        return {"mean": self.running_mean, "var": self.running_var}
-
     def set_running_stats(self, mean: np.ndarray, var: np.ndarray):
         self.running_mean = np.asarray(mean, dtype=np.float64)
         self.running_var = np.asarray(var, dtype=np.float64)

@@ -6,8 +6,9 @@ An MLP stacks Dense, optional BatchNorm, ReLU and optional Dropout blocks. A
 recurrent model stacks (bi)directional LSTM layers: each lower layer hands
 every step's hidden state up, the top one only its final state, which goes
 through optional batch-norm and dropout into a linear softmax head. At
-``seq_length=1`` every LSTM runs only its zero-state first step and holds no
-recurrent matrix, so the cell is a static encoder.
+``seq_length=1`` each recurrent layer is the static encoder it then is: a
+``Dense`` layer into 3 * width gate pre-activations and a ``ZeroStateGate``,
+width being 2 * rnn_units for ``birnn`` and rnn_units for ``lstm``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .layers import BatchNorm, Dense, Dropout, Layer, ReLU
 from .losses import softmax, softmax_cross_entropy
-from .recurrent import BidirectionalLSTM, LSTMLayer
+from .recurrent import BidirectionalLSTM, LSTMLayer, ZeroStateGate
 
 KINDS = ("mlp", "birnn", "lstm")
 
@@ -93,12 +94,15 @@ class Classifier:
                 n_in = width
         else:
             cell = BidirectionalLSTM if spec.kind == "birnn" else LSTMLayer
+            width = 2 * spec.rnn_units if spec.kind == "birnn" else spec.rnn_units
             for i in range(spec.rnn_layers):
-                layers.append(cell.create(
-                    rng, n_in, spec.rnn_units, l2=spec.l2_lambda, name=f"rnn{i}",
-                    recurrent=spec.seq_length > 1, top=i == spec.rnn_layers - 1,
-                ))
-                n_in = 2 * spec.rnn_units if spec.kind == "birnn" else spec.rnn_units
+                if spec.seq_length == 1:
+                    layers += [Dense.create(rng, n_in, 3 * width, l2=spec.l2_lambda,
+                                            name=f"rnn{i}"), ZeroStateGate()]
+                else:
+                    layers.append(cell.create(rng, n_in, spec.rnn_units, l2=spec.l2_lambda,
+                                              name=f"rnn{i}", top=i == spec.rnn_layers - 1))
+                n_in = width
             if spec.use_batchnorm:
                 layers.append(BatchNorm.create(n_in, name="enc_bn"))
             if spec.dropout_p > 0:
@@ -143,19 +147,19 @@ class Classifier:
     # -- forward / backward -------------------------------------------------
 
     def _shape_input(self, x: np.ndarray) -> np.ndarray:
+        # An MLP and a length-1 model run on (batch, input_dim); the latter
+        # also takes (batch, 1, input_dim).
         spec = self.spec
         x = np.asarray(x, dtype=np.float64)
-        if spec.kind == "mlp":
-            if x.ndim != 2 or x.shape[1] != spec.input_dim:
-                raise ValueError(f"mlp expects (batch, {spec.input_dim}) input, got {x.shape}")
-            return x
-        if x.ndim == 2 and spec.seq_length == 1:
-            x = x[:, None, :]
-        if x.ndim != 3 or x.shape[1] != spec.seq_length or x.shape[2] != spec.input_dim:
-            raise ValueError(
-                f"{spec.kind} expects (batch, {spec.seq_length}, {spec.input_dim}) "
-                f"input, got {x.shape}"
-            )
+        if spec.kind == "mlp" or spec.seq_length == 1:
+            if spec.kind != "mlp" and x.ndim == 3 and x.shape[1] == 1:
+                x = x[:, 0, :]
+            expected = (spec.input_dim,)
+        else:
+            expected = (spec.seq_length, spec.input_dim)
+        if x.shape[1:] != expected:
+            dims = ", ".join(map(str, expected))
+            raise ValueError(f"{spec.kind} expects (batch, {dims}) input, got {x.shape}")
         return x
 
     def forward(

@@ -1,14 +1,13 @@
 """Gated recurrent (LSTM) layers with exact backpropagation through time,
-plus the bidirectional encoder used by the classifier. Both keep the
-``Layer`` interface; the top layer of a stack returns its final state, the
-layers below it every step, and ``backward`` adds the L2 gradient.
+the bidirectional encoder, and the zero-state gate of a length-1 model. All
+keep the ``Layer`` interface; the top layer of a stack returns its final
+state, the layers below it every step, and ``backward`` adds the L2 gradient.
 
 Gate layout in the fused weight matrices is [input, forget, candidate,
 output] along the last axis. Every sequence starts from the zero state, so
-its first step is its own exact path: gates from ``x @ wx + b`` alone and
-``c = i * g``. Only later steps use the recurrent matrix ``wh``, and a layer
-built for length 1 holds none. At length 1 the bidirectional encoder is two
-such steps concatenated: a static nonlinear feature encoder.
+its first step needs neither ``wh`` nor the forget gate: h = o * tanh(i * g).
+That zero-state cell is step 0 of ``LSTMLayer`` and, after a ``Dense`` layer
+into [i, g, o], the whole of a length-1 model: ``ZeroStateGate``.
 """
 
 from __future__ import annotations
@@ -33,19 +32,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, np.divide(1.0, d, out=d), e)
 
 
+def _zero_state_cell(a_i, a_g, a_o):
+    """(h, c, gates) of the cell from the zero state, given the input,
+    candidate and output pre-activations: c = i * g, h = o * tanh(c)."""
+    i = _sigmoid(a_i)
+    g = np.tanh(a_g)
+    o = _sigmoid(a_o)
+    c = i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, g, o, tc)
+
+
+def _zero_state_cell_backward(dh, dc_in, gates):
+    """dL/d(input, candidate, output pre-activations) and dL/dc of a cell."""
+    i, g, o, tc = gates
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    return dc * g * i * (1.0 - i), dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o), dc
+
+
 def _cell(a, c_prev):
-    """Gates and the new (h, c) from pre-activations ``a``.
+    """Gates and the new (h, c) from pre-activations ``a`` and state ``c_prev``.
 
     i = sig(.), f = sig(.), g = tanh(.), o = sig(.);
-    c = f * c_prev + i * g; h = o * tanh(c). ``c_prev`` None is the zero
-    state: c = i * g, and the forget gate is not needed.
+    c = f * c_prev + i * g; h = o * tanh(c).
     """
     units = a.shape[1] // 4
     i = _sigmoid(a[:, :units])
+    f = _sigmoid(a[:, units : 2 * units])
     g = np.tanh(a[:, 2 * units : 3 * units])
     o = _sigmoid(a[:, 3 * units :])
-    f = None if c_prev is None else _sigmoid(a[:, units : 2 * units])
-    c = i * g if c_prev is None else f * c_prev + i * g
+    c = f * c_prev + i * g
     tc = np.tanh(c)
     return o * tc, c, (i, f, g, o, tc)
 
@@ -53,31 +69,8 @@ def _cell(a, c_prev):
 def _cell_backward(dh, dc_in, c_prev, gates):
     """dL/da and dL/dc of one cell given dL/dh and the incoming dL/dc."""
     i, f, g, o, tc = gates
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    da_forget = np.zeros_like(dc) if c_prev is None else dc * c_prev * f * (1.0 - f)
-    da = np.concatenate(
-        [dc * g * i * (1.0 - i), da_forget, dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
-        axis=1,
-    )
-    return da, dc
-
-
-def lstm_first_step(x, wx, b):
-    """The step from the zero state (h_prev = c_prev = 0); returns (h, c, cache).
-
-    It needs no recurrent matrix: a = x @ wx + b and c = i * g.
-    """
-    if x.shape[1] != wx.shape[0]:
-        raise ValueError(f"lstm_first_step shape mismatch: x {x.shape}, wx {wx.shape}")
-    h, c, gates = _cell(x @ wx + b, None)
-    return h, c, (x, gates)
-
-
-def lstm_first_step_backward(dh, dc_in, cache, wx):
-    """Gradients (dx, dwx, db) of the zero-state step."""
-    x, gates = cache
-    da, _ = _cell_backward(dh, dc_in, None, gates)
-    return da @ wx.T, x.T @ da, da.sum(axis=0)
+    da_i, da_g, da_o, dc = _zero_state_cell_backward(dh, dc_in, (i, g, o, tc))
+    return np.concatenate([da_i, dc * c_prev * f * (1.0 - f), da_g, da_o], axis=1), dc
 
 
 def lstm_step(x, h_prev, c_prev, wx, wh, b):
@@ -99,18 +92,32 @@ def lstm_step_backward(dh, dc_in, cache, wx, wh):
     return da @ wx.T, da @ wh.T, dc_prev, x.T @ da, h_prev.T @ da, da.sum(axis=0)
 
 
+class ZeroStateGate(Layer):
+    """Splits its input into [i, g, o] pre-activations of equal width and
+    returns h = o * tanh(i * g): after a ``Dense`` layer, a length-1 LSTM."""
+
+    def __init__(self):
+        self._gates = None
+
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        w = x.shape[1] // 3
+        h, _, self._gates = _zero_state_cell(x[:, :w], x[:, w : 2 * w], x[:, 2 * w :])
+        return h
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        return np.concatenate(_zero_state_cell_backward(dy, 0.0, self._gates)[:3], axis=1)
+
+
 class LSTMLayer(Layer):
     """LSTM unrolled over a (batch, length, features) sequence from the zero
-    state. Built with ``wh=None`` it holds no recurrent matrix and runs
-    length-1 sequences only. A ``top`` layer returns its final hidden state
-    (batch, units); a lower one returns every step (batch, length, units).
+    state; step 0 is the zero-state cell, later steps ``lstm_step``. A
+    ``top`` layer returns its final hidden state (batch, units); a lower one
+    returns every step (batch, length, units).
     """
 
     def __init__(self, wx, wh, b, l2: float = 0.0, name: str = "lstm", top: bool = False):
-        self.weights = {"wx": wx, "b": b} if wh is None else {"wx": wx, "wh": wh, "b": b}
-        self.gradients = {k: np.zeros_like(w) for k, w in self.weights.items()}
         self.wx, self.wh, self.b = wx, wh, b
-        self.dwx, self.dwh, self.db = (self.gradients.get(k) for k in ("wx", "wh", "b"))
+        self.dwx, self.dwh, self.db = (np.zeros_like(w) for w in (wx, wh, b))
         self.l2 = float(l2)
         self.name = name
         self.top = top
@@ -118,13 +125,10 @@ class LSTMLayer(Layer):
         self._caches: list | None = None
 
     @classmethod
-    def create(
-        cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
-        recurrent: bool = True, top: bool = False,
-    ):
-        """``recurrent=False`` builds a length-1 layer: ``wh`` is neither drawn nor held."""
+    def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
+               top: bool = False):
         wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units))
-        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units)) if recurrent else None
+        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units))
         b = np.zeros(4 * units)
         b[units : 2 * units] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b, l2=l2, name=name, top=top)
@@ -134,12 +138,12 @@ class LSTMLayer(Layer):
         if x.ndim != 3 or x.shape[1] < 1:
             raise ValueError(f"{self.name}: expected non-empty (batch, length, features) input")
         batch, length, _ = x.shape
-        if length > 1 and self.wh is None:
-            raise ValueError(f"{self.name}: built for length 1, got a length-{length} sequence")
-        outputs = np.empty((batch, length, self.units))
-        h, c, cache = lstm_first_step(x[:, 0, :], self.wx, self.b)
+        u = self.units
+        outputs = np.empty((batch, length, u))
+        a = x[:, 0, :] @ self.wx + self.b
+        h, c, gates = _zero_state_cell(a[:, :u], a[:, 2 * u : 3 * u], a[:, 3 * u :])
         outputs[:, 0, :] = h
-        self._caches = [cache]
+        self._caches = [(x[:, 0, :], gates)]
         for t in range(1, length):
             h, c, cache = lstm_step(x[:, t, :], h, c, self.wx, self.wh, self.b)
             outputs[:, t, :] = h
@@ -165,33 +169,31 @@ class LSTMLayer(Layer):
             self.dwx += dwx
             self.dwh += dwh
             self.db += db
-        dx[:, 0, :], dwx, db = lstm_first_step_backward(
-            d_outputs[:, 0, :] + dh_next, dc_next, caches[0], self.wx
-        )
-        self.dwx += dwx
-        self.db += db
+        x0, gates = caches[0]
+        dh = d_outputs[:, 0, :] + dh_next
+        da_i, da_g, da_o, _ = _zero_state_cell_backward(dh, dc_next, gates)
+        da = np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=1)
+        dx[:, 0, :] = da @ self.wx.T
+        self.dwx += x0.T @ da
+        self.db += da.sum(axis=0)
         if self.l2 > 0.0:
-            for w, grad in self._penalised():
-                grad += 2.0 * self.l2 * w
+            self.dwx += 2.0 * self.l2 * self.wx
+            self.dwh += 2.0 * self.l2 * self.wh
         return dx
-
-    def _penalised(self):
-        """(weight, gradient) of every held matrix; the bias is not penalised."""
-        return [(w, self.gradients[k]) for k, w in self.weights.items() if k != "b"]
 
     def penalty(self) -> float:
         if self.l2 <= 0.0:
             return 0.0
-        return self.l2 * float(sum((w * w).sum() for w, _ in self._penalised()))
+        return self.l2 * float((self.wx * self.wx).sum() + (self.wh * self.wh).sum())
 
     def params(self):
-        return {f"{self.name}.{k}": w for k, w in self.weights.items()}
+        return {f"{self.name}.wx": self.wx, f"{self.name}.wh": self.wh, f"{self.name}.b": self.b}
 
     def grads(self):
-        return {f"{self.name}.{k}": g for k, g in self.gradients.items()}
+        return {f"{self.name}.wx": self.dwx, f"{self.name}.wh": self.dwh, f"{self.name}.b": self.db}
 
     def zero_grads(self):
-        for grad in self.gradients.values():
+        for grad in (self.dwx, self.dwh, self.db):
             grad[:] = 0.0
 
 
@@ -211,14 +213,10 @@ class BidirectionalLSTM(Layer):
         self.top = fwd.top
 
     @classmethod
-    def create(
-        cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm",
-        recurrent: bool = True, top: bool = False,
-    ):
-        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd",
-                               recurrent=recurrent, top=top)
-        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd",
-                               recurrent=recurrent, top=top)
+    def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm",
+               top: bool = False):
+        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd", top=top)
+        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd", top=top)
         return cls(fwd, bwd)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Gated-cell and bidirectional-encoder tests, including the sequence-length-1
-static-encoder identity asserted bit for bit."""
+static-encoder identity, asserted bit for bit, and its Dense + ZeroStateGate
+form, to rounding."""
 
 import numpy as np
 import pytest
 
+from handstates.nn.layers import Dense
 from handstates.nn.model import Classifier, ModelSpec
 from handstates.nn.recurrent import (
     BidirectionalLSTM,
     LSTMLayer,
+    ZeroStateGate,
     _sigmoid,
     lstm_step,
     lstm_step_backward,
@@ -170,13 +173,48 @@ class TestLengthOneHoldsNoRecurrentMatrix:
 
     def test_default_static_encoder_size(self, rng):
         params = Classifier(ModelSpec(), rng).params()
-        assert sum(p.size for p in params.values()) == 10_501
+        assert sum(p.size for p in params.values()) == 8_197
 
-    def test_length_one_layer_rejects_longer_sequences(self, rng):
-        layer = LSTMLayer.create(rng, 3, 2, recurrent=False)
-        assert layer.wh is None and set(layer.params()) == {"lstm.wx", "lstm.b"}
-        with pytest.raises(ValueError, match="length 1"):
-            layer.forward(np.zeros((1, 2, 3)))
+    def test_every_static_encoder_parameter_reaches_a_logit(self, rng):
+        spec = ModelSpec(rnn_units=16, dropout_p=0.0, l2_lambda=0.0)
+        clf = Classifier(spec, rng)
+        clf.loss_and_grads(rng.normal(size=(32, 1, 8)), rng.integers(0, 5, 32), np.ones(5))
+        for name, grad in clf.grads().items():
+            assert np.all(grad != 0.0), name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_birnn_is_an_lstm_of_twice_the_units(self, rng, layers):
+        def shapes(kind, units):
+            spec = ModelSpec(kind=kind, rnn_units=units, rnn_layers=layers)
+            return {k: v.shape for k, v in Classifier(spec, rng).params().items()}
+
+        assert shapes("birnn", 5) == shapes("lstm", 10)
+
+
+def test_length_one_bidirectional_lstm_is_dense_and_gate(rng):
+    """A length-1 BidirectionalLSTM equals Dense + ZeroStateGate whose weights
+    are both directions' [i, g, o] columns side by side; one matmul replaces
+    two, so the match is to rounding, not bitwise."""
+    units, n_in = 6, 8
+    bi = BidirectionalLSTM.create(rng, n_in, units, top=True)
+    bi.fwd.b[:] = rng.normal(size=4 * units)
+    bi.bwd.b[:] = rng.normal(size=4 * units)
+
+    def igo(m):
+        return [m[..., k * units : (k + 1) * units] for k in (0, 2, 3)]
+
+    w = np.concatenate([c for pair in zip(igo(bi.fwd.wx), igo(bi.bwd.wx)) for c in pair], axis=-1)
+    b = np.concatenate([c for pair in zip(igo(bi.fwd.b), igo(bi.bwd.b)) for c in pair])
+    dense, gate = Dense(w, b), ZeroStateGate()
+    x = rng.normal(size=(5, 1, n_in))
+    dy = rng.normal(size=(5, 2 * units))
+
+    out = bi.forward(x)
+    dx = bi.backward(dy)
+    out_dg = gate.forward(dense.forward(x[:, 0, :]))
+    dx_dg = dense.backward(gate.backward(dy))
+    assert np.abs(out - out_dg).max() <= 1e-12
+    assert np.abs(dx[:, 0, :] - dx_dg).max() <= 1e-12
 
 
 class TestBidirectional:
@@ -188,7 +226,7 @@ class TestBidirectional:
     def test_seq1_equals_two_explicit_cell_calls(self, rng):
         """At sequence length 1 the encoder IS two zero-state cell calls."""
         units = 6
-        bi = BidirectionalLSTM.create(rng, 8, units, recurrent=False, top=True)
+        bi = BidirectionalLSTM.create(rng, 8, units, top=True)
         x = rng.normal(size=(5, 1, 8))
         enc = bi.forward(x)
         zeros = np.zeros((5, units))

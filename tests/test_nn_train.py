@@ -206,6 +206,7 @@ class TestPredictAndCheckpoint:
             (lambda doc: "{not json", "not a JSON checkpoint"),
             (lambda doc: doc.pop("params"), "no key 'params'"),
             (lambda doc: doc.update(schema_version=1), "schema_version 1 .*retrain"),
+            (lambda doc: doc.update(schema_version=2), "schema_version 2 .*retrain"),
             (lambda doc: doc["label_order"].reverse(), "label_order"),
             (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
             (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
@@ -224,9 +225,10 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc["standardization"]["std"].__setitem__(4, 0.0),
              r"standardization std must be > 0"),
         ],
-        ids=["invalid-json", "missing-key", "old-schema", "label-order", "spec-mismatch",
-             "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var", "negative-bn-var",
-             "inf-standardization-mean", "nan-standardization-std", "zero-standardization-std"],
+        ids=["invalid-json", "missing-key", "old-schema", "schema-2", "label-order",
+             "spec-mismatch", "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var",
+             "negative-bn-var", "inf-standardization-mean", "nan-standardization-std",
+             "zero-standardization-std"],
     )
     def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
         path = tmp_path / "ckpt.json"
