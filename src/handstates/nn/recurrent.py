@@ -20,16 +20,22 @@ from .layers import Layer, glorot_uniform
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|).
 
-    Both forms are computed for every element and one is picked, so no
-    exp overflows and no boolean gather or scatter is needed. -|z| is taken
-    as min(z, -z), which keeps the sign of a NaN.
+    The numerator is picked per element and divided once, so no exp
+    overflows and no boolean gather or scatter is needed. -|z| is taken as
+    min(z, -z), which keeps the sign of a NaN.
     """
     e = np.negative(z)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.divide(e, d, out=e)
-    return np.where(z >= 0, np.divide(1.0, d, out=d), e)
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, d, out=e)
+
+
+def _igo(a):
+    """The input, candidate and output column blocks of fused [i, f, g, o]."""
+    u = a.shape[1] // 4
+    return a[:, :u], a[:, 2 * u : 3 * u], a[:, 3 * u :]
 
 
 def _zero_state_cell(a_i, a_g, a_o):
@@ -43,11 +49,23 @@ def _zero_state_cell(a_i, a_g, a_o):
     return o * tc, c, (i, g, o, tc)
 
 
-def _zero_state_cell_backward(dh, dc_in, gates):
-    """dL/d(input, candidate, output pre-activations) and dL/dc of a cell."""
+def _zero_state_cell_backward(dh, dc_in, gates, out):
+    """dL/dc of a cell given dL/dh and the incoming dL/dc; writes dL/d(input,
+    candidate, output pre-activations) into the three arrays of ``out``."""
     i, g, o, tc = gates
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    return dc * g * i * (1.0 - i), dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o), dc
+    da_i, da_g, da_o = out
+    dc = dh * o
+    dc *= 1.0 - tc * tc
+    dc += dc_in
+    np.multiply(dc, g, out=da_i)
+    da_i *= i
+    da_i *= 1.0 - i
+    np.multiply(dc, i, out=da_g)
+    da_g *= 1.0 - g * g
+    np.multiply(dh, tc, out=da_o)
+    da_o *= o
+    da_o *= 1.0 - o
+    return dc
 
 
 def _cell(a, c_prev):
@@ -57,11 +75,12 @@ def _cell(a, c_prev):
     c = f * c_prev + i * g; h = o * tanh(c).
     """
     units = a.shape[1] // 4
-    i = _sigmoid(a[:, :units])
-    f = _sigmoid(a[:, units : 2 * units])
+    i_f = _sigmoid(a[:, : 2 * units])
+    i, f = i_f[:, :units], i_f[:, units:]
     g = np.tanh(a[:, 2 * units : 3 * units])
     o = _sigmoid(a[:, 3 * units :])
-    c = f * c_prev + i * g
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
     return o * tc, c, (i, f, g, o, tc)
 
@@ -69,8 +88,14 @@ def _cell(a, c_prev):
 def _cell_backward(dh, dc_in, c_prev, gates):
     """dL/da and dL/dc of one cell given dL/dh and the incoming dL/dc."""
     i, f, g, o, tc = gates
-    da_i, da_g, da_o, dc = _zero_state_cell_backward(dh, dc_in, (i, g, o, tc))
-    return np.concatenate([da_i, dc * c_prev * f * (1.0 - f), da_g, da_o], axis=1), dc
+    u = dh.shape[1]
+    da = np.empty((dh.shape[0], 4 * u))
+    dc = _zero_state_cell_backward(dh, dc_in, (i, g, o, tc), _igo(da))
+    da_f = da[:, u : 2 * u]
+    np.multiply(dc, c_prev, out=da_f)
+    da_f *= f
+    da_f *= 1.0 - f
+    return da, dc
 
 
 def lstm_step(x, h_prev, c_prev, wx, wh, b):
@@ -105,7 +130,11 @@ class ZeroStateGate(Layer):
         return h
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.concatenate(_zero_state_cell_backward(dy, 0.0, self._gates)[:3], axis=1)
+        w = dy.shape[1]
+        dx = np.empty((dy.shape[0], 3 * w))
+        _zero_state_cell_backward(dy, 0.0, self._gates,
+                                  (dx[:, :w], dx[:, w : 2 * w], dx[:, 2 * w :]))
+        return dx
 
 
 class LSTMLayer(Layer):
@@ -138,10 +167,9 @@ class LSTMLayer(Layer):
         if x.ndim != 3 or x.shape[1] < 1:
             raise ValueError(f"{self.name}: expected non-empty (batch, length, features) input")
         batch, length, _ = x.shape
-        u = self.units
-        outputs = np.empty((batch, length, u))
+        outputs = np.empty((batch, length, self.units))
         a = x[:, 0, :] @ self.wx + self.b
-        h, c, gates = _zero_state_cell(a[:, :u], a[:, 2 * u : 3 * u], a[:, 3 * u :])
+        h, c, gates = _zero_state_cell(*_igo(a))
         outputs[:, 0, :] = h
         self._caches = [(x[:, 0, :], gates)]
         for t in range(1, length):
@@ -171,8 +199,8 @@ class LSTMLayer(Layer):
             self.db += db
         x0, gates = caches[0]
         dh = d_outputs[:, 0, :] + dh_next
-        da_i, da_g, da_o, _ = _zero_state_cell_backward(dh, dc_next, gates)
-        da = np.concatenate([da_i, np.zeros_like(da_i), da_g, da_o], axis=1)
+        da = np.zeros((batch, 4 * self.units))
+        _zero_state_cell_backward(dh, dc_next, gates, _igo(da))
         dx[:, 0, :] = da @ self.wx.T
         self.dwx += x0.T @ da
         self.db += da.sum(axis=0)

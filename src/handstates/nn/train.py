@@ -81,13 +81,18 @@ def train(
     val_ds,
     cfg: TrainConfig,
     meta: dict | None = None,
+    history: bool = True,
 ) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
     """Train a model and return (best-validation checkpoint, history).
 
-    History rows carry epoch, train/val loss and accuracy; losses include
-    the L2 penalty and use the training class weights. Raises
+    Every epoch ends with a validation pass, which picks the best epoch and
+    drives early stopping. With ``history`` each epoch also evaluates the
+    whole training set and records a row of epoch, train/val loss and
+    accuracy; without it that pass is skipped and the history is ``[]``,
+    every other result being the same. Reported losses include the L2
+    penalty and use the training class weights. Raises
     TrainingDivergedError as soon as a batch's cross-entropy or an epoch's
-    reported loss is non-finite.
+    validation loss (and, with ``history``, training loss) is non-finite.
     """
     x_train, y_train = _dataset(train_ds)
     x_val, y_val = _dataset(val_ds)
@@ -112,7 +117,7 @@ def train(
     optimizer = Adam(clf.params(), lr=cfg.learning_rate)
 
     n = x_train.shape[0]
-    history: list[dict] = []
+    rows: list[dict] = []
     best_val = np.inf
     best_state: dict | None = None
     best_epoch = -1
@@ -134,19 +139,23 @@ def train(
                 raise TrainingDivergedError(epoch)
             optimizer.step(clf.grads())
 
-        train_loss, train_acc = _evaluate(clf, x_train, y_train, weights)
+        # The validation pass runs last, so the model keeps its (smaller)
+        # forward caches.
+        if history:
+            train_loss, train_acc = _evaluate(clf, x_train, y_train, weights)
         val_loss, val_acc = _evaluate(clf, x_val, y_val, weights)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        if not np.isfinite(val_loss) or (history and not np.isfinite(train_loss)):
             raise TrainingDivergedError(epoch)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "train_acc": train_acc,
-                "val_loss": val_loss,
-                "val_acc": val_acc,
-            }
-        )
+        if history:
+            rows.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": train_loss,
+                    "train_acc": train_acc,
+                    "val_loss": val_loss,
+                    "val_acc": val_acc,
+                }
+            )
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -173,10 +182,10 @@ def train(
         "best_epoch": best_epoch,
         "val_loss": best_state["val_loss"],
         "val_acc": best_state["val_acc"],
-        "epochs_run": len(history),
+        "epochs_run": epoch + 1,
     }
     full_meta.update(meta or {})
-    return ckpt_mod.Checkpoint(clf, mean, std, full_meta), history
+    return ckpt_mod.Checkpoint(clf, mean, std, full_meta), rows
 
 
 def history_to_csv(history: list[dict], path) -> None:

@@ -11,6 +11,8 @@ from handstates.nn.recurrent import (
     BidirectionalLSTM,
     LSTMLayer,
     ZeroStateGate,
+    _cell,
+    _cell_backward,
     _sigmoid,
     lstm_step,
     lstm_step_backward,
@@ -49,6 +51,62 @@ class TestSigmoid:
         with np.errstate(all="ignore"):
             assert np.array_equal(_sigmoid(block).view(np.uint64),
                                   masked_sigmoid(block).view(np.uint64))
+
+
+def concatenated_cell_backward(dh, dc_in, c_prev, gates):
+    """The reference: every gate block a fresh product, joined by concatenate."""
+    i, f, g, o, tc = gates
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    return np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                           dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1), dc
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestCellBits:
+    def test_cell_matches_separate_gate_calls(self, rng):
+        a = rng.normal(scale=4.0, size=(16, 4 * 5))
+        c_prev = rng.normal(size=(16, 5))
+        i, f, o = (_sigmoid(a[:, k * 5 : (k + 1) * 5]) for k in (0, 1, 3))
+        g = np.tanh(a[:, 10:15])
+        c = f * c_prev + i * g
+        h, c_new, _ = _cell(a, c_prev)
+        assert np.array_equal(bits(c_new), bits(c))
+        assert np.array_equal(bits(h), bits(o * np.tanh(c)))
+
+    @staticmethod
+    def assert_same_bits(dh, dc_in, c_prev, gates):
+        da, dc = _cell_backward(dh, dc_in, c_prev, gates)
+        ref_da, ref_dc = concatenated_cell_backward(dh, dc_in, c_prev, gates)
+        assert np.array_equal(bits(da), bits(ref_da))
+        assert np.array_equal(bits(dc), bits(ref_dc))
+
+    def test_random_blocks(self, rng):
+        b, u = 9, 7
+        gates = tuple(rng.uniform(-1.0, 1.0, size=(b, u)) for _ in range(5))
+        self.assert_same_bits(rng.normal(size=(b, u)), rng.normal(size=(b, u)),
+                              rng.normal(size=(b, u)), gates)
+
+    def test_strided_gate_blocks(self, rng):
+        # gates as the cell makes them: column views of fused arrays
+        b, u = 12, 6
+        _, _, gates = _cell(rng.normal(scale=3.0, size=(b, 4 * u)), rng.normal(size=(b, u)))
+        dh = rng.normal(size=(b, 2 * u))[:, ::2]
+        c_prev = rng.normal(size=(b, 3 * u))[:, u : 2 * u]
+        self.assert_same_bits(dh, rng.normal(size=(b, u)), c_prev, gates)
+
+    def test_signed_zeros_in_incoming_cell_gradient(self, rng):
+        b, u = 8, 4
+        gates = tuple(rng.uniform(-1.0, 1.0, size=(b, u)) for _ in range(5))
+        dh = rng.normal(size=(b, u))
+        dh[:4] = 0.0
+        dh[:2] *= -1.0  # -0.0
+        dc_in = np.zeros((b, u))
+        dc_in[::2] = -0.0
+        self.assert_same_bits(dh, dc_in, rng.normal(size=(b, u)), gates)
+        self.assert_same_bits(-dh, dc_in, np.zeros((b, u)), gates)
 
 
 class TestLstmStep:

@@ -1,6 +1,7 @@
 """Random hyperparameter search, stratified k-fold validation and the
 worker pool that runs their trials and folds."""
 
+import importlib
 import weakref
 from dataclasses import replace
 
@@ -10,6 +11,9 @@ import pytest
 from handstates.nn import ModelSpec, SearchSpace, TrainConfig, TrainingDivergedError
 from handstates.nn import search
 from handstates.nn.search import kfold_validate, pool_size, random_search, stratified_folds
+
+# the package exports the function ``train`` under the module's name
+train_mod = importlib.import_module("handstates.nn.train")
 
 BASE_SPEC = ModelSpec(kind="birnn", rnn_units=8, seq_length=1, use_batchnorm=False)
 FAST_CFG = TrainConfig(epochs=3, batch_size=16, seed=0, early_stop_patience=None)
@@ -187,3 +191,74 @@ class TestWorkerPool:
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match=r"\(trial 0: diverged, trial 1: diverged\)"):
                 random_search(space, 2, (x, y), (x, y), 0, BASE_SPEC, FAST_CFG)
+
+
+class TestNoTrainingSetPass:
+    """Folds and trials evaluate their validation rows only; the per-epoch
+    pass over the training set that fills ``train``'s history is skipped."""
+
+    @pytest.fixture
+    def evaluated_rows(self, monkeypatch):
+        monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
+        rows = []
+        real_evaluate = train_mod._evaluate
+
+        def counting_evaluate(clf, x, y, weights):
+            rows.append(x.shape[0])
+            return real_evaluate(clf, x, y, weights)
+
+        monkeypatch.setattr(train_mod, "_evaluate", counting_evaluate)
+        return rows
+
+    def test_folds_evaluate_only_their_held_out_rows(self, rng, evaluated_rows):
+        x, y = blob_data(rng, n_per=15)
+        kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
+        held_out = [fold.size for fold in stratified_folds(y, 3, seed=4)]
+        assert evaluated_rows == [size for size in held_out for _ in range(FAST_CFG.epochs)]
+
+    def test_trials_evaluate_only_the_validation_rows(self, rng, evaluated_rows):
+        x, y = blob_data(rng, n_per=15)
+        random_search(SearchSpace(rnn_units=(4, 6)), 2, (x[:33], y[:33]), (x[33:], y[33:]), 3,
+                      BASE_SPEC, FAST_CFG)
+        assert evaluated_rows == [12] * (2 * FAST_CFG.epochs)
+
+
+class TestDivergenceWithoutHistory:
+    """A diverging fold or trial is reported as it was when every epoch also
+    checked the training-set loss."""
+
+    SPEC = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
+                     use_batchnorm=False)
+
+    @staticmethod
+    def two_blobs():
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(30, 8)) + 4.0, rng.normal(size=(30, 8)) - 4.0])
+        y = np.repeat(np.array([0, 1], dtype=np.int64), 30)
+        order = rng.permutation(60)
+        return x[order], y[order]
+
+    @staticmethod
+    def cfg(lr):
+        return TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
+                           early_stop_patience=None)
+
+    @pytest.mark.parametrize("lr, epoch", [(6e152, 0), (7e152, 5), (1e200, 0)])
+    def test_fold_fails_with_its_epoch(self, monkeypatch, lr, epoch):
+        monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
+        x, y = self.two_blobs()
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                kfold_validate(self.SPEC, self.cfg(lr), x, y, 2, seed=0)
+        assert str(err.value) == f"training diverged (non-finite loss) at epoch {epoch}"
+
+    @pytest.mark.parametrize("lr", [6e152, 7e152, 1e200])
+    def test_trials_are_recorded_diverged(self, monkeypatch, lr):
+        monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
+        x, y = self.two_blobs()
+        space = SearchSpace(learning_rate=(lr, lr), dropout_p=(0.0, 0.0), batch_sizes=(16,))
+        expected = r"\(trial 0: diverged, trial 1: diverged, trial 2: diverged\)"
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=expected):
+                random_search(space, 3, (x[:40], y[:40]), (x[40:], y[40:]), 0, self.SPEC,
+                              self.cfg(lr))

@@ -83,16 +83,18 @@ class TestTrainLoop:
     def test_exploding_learning_rate_raises_at_its_epoch(self, rng, lr, epoch):
         # The L2 penalty overflows first: in a batch, where it is no longer
         # summed, then in the epoch's reported losses, which still sum it.
-        # The epochs are those at which the per-batch sum raised.
+        # The epochs are those at which the per-batch sum raised, with or
+        # without the training-set pass.
         x, y = two_blob_data(rng)
         spec = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
                          use_batchnorm=False)
         cfg = TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
                           early_stop_patience=None)
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                train(spec, (x, y), (x, y), cfg)
-        assert err.value.epoch == epoch
+        for history in (True, False):
+            with np.errstate(all="ignore"):
+                with pytest.raises(TrainingDivergedError) as err:
+                    train(spec, (x, y), (x, y), cfg, history=history)
+            assert err.value.epoch == epoch
 
     def test_diverged_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(3)))
@@ -111,6 +113,43 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=8, epochs=2, seed=1)
         ckpt, history = train(spec, (x, y), (x, y), cfg)
         assert len(history) == 2
+
+
+class TestHistoryOff:
+    """Skipping the training-set pass changes nothing but the history; at
+    patience 2 the MLP and the static encoder stop early."""
+
+    @pytest.mark.parametrize(
+        "spec, seq_length",
+        [
+            (ModelSpec(kind="mlp", hidden=(16, 8), dropout_p=0.2, use_batchnorm=True), None),
+            (ModelSpec(kind="lstm", rnn_units=6, seq_length=3), 3),
+            (ModelSpec(kind="birnn", rnn_units=8, seq_length=1), 1),
+        ],
+        ids=["mlp", "lstm-seq3", "static-encoder"],
+    )
+    @pytest.mark.parametrize("patience", [None, 2])
+    def test_same_parameters_and_meta_as_with_history(self, rng, tmp_path, spec, seq_length,
+                                                      patience):
+        x, y = two_blob_data(rng, n=50)
+        if seq_length is not None:
+            x = np.repeat(x[:, None, :], seq_length, axis=1) + rng.normal(
+                scale=0.5, size=(50, seq_length, 8))
+        train_ds, val_ds = (x[:35], y[:35]), (x[35:], y[35:])
+        cfg = TrainConfig(learning_rate=3e-2, batch_size=8, epochs=12, seed=5,
+                          early_stop_patience=patience)
+        ckpt_on, history = train(spec, train_ds, val_ds, cfg, meta={"tag": "x"})
+        ckpt_off, none = train(spec, train_ds, val_ds, cfg, meta={"tag": "x"}, history=False)
+        assert none == []
+        assert ckpt_off.meta == ckpt_on.meta
+        assert ckpt_on.meta["epochs_run"] == len(history)
+        on, off = ckpt_on.model.params(), ckpt_off.model.params()
+        assert on.keys() == off.keys()
+        for name in on:
+            assert np.array_equal(on[name].view(np.uint64), off[name].view(np.uint64)), name
+        ckpt_mod.save(ckpt_on, tmp_path / "on.json")
+        ckpt_mod.save(ckpt_off, tmp_path / "off.json")
+        assert (tmp_path / "on.json").read_bytes() == (tmp_path / "off.json").read_bytes()
 
 
 class TestStandardization:
