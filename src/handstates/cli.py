@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -100,13 +101,27 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _walk_files(directory: Path) -> Iterator[Path]:
+    """Files under ``directory``, depth first with each directory's entries
+    sorted by name: the order of ``sorted(directory.rglob("*"))``, without
+    holding every path at once. Symlinked directories are not entered."""
+    with os.scandir(directory) as it:
+        entries = sorted(it, key=lambda entry: entry.name)
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            yield from _walk_files(Path(entry.path))
+        elif entry.is_file():
+            yield Path(entry.path)
+
+
 def sha256_tree(root: Path) -> str:
     """Combined digest of every file under ``root`` (sorted relative paths),
     bar run manifests, which hold a wall time and an output path."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != RUN_MANIFEST):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(sha256_file(path).encode())
+    for path in _walk_files(root):
+        if path.name != RUN_MANIFEST:
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(sha256_file(path).encode())
     return digest.hexdigest()
 
 
@@ -262,16 +277,14 @@ def cmd_synth(args: argparse.Namespace, out: Path):
         noise_flip_prob=args.mask_noise,
         contact_epsilon=args.epsilon,
     )
-    episodes = synth.generate_corpus(cfg, args.episodes, args.seed)
-    manifest_paths = [
-        manifest.write_episode(episode, out / episode.episode_id)
-        for episode in episodes
-    ]
-
     pipeline = PipelineConfig(contact_epsilon=args.epsilon)
-    dataset = build_dataset(episodes, pipeline)
-    histogram = collections.Counter(int(label) for label in dataset.labels)
-    print(f"wrote {len(episodes)} episodes to {out}")
+    manifest_paths = []
+    histogram = collections.Counter()
+    # each episode is written and counted as it is made, then dropped
+    for episode in synth.generate_corpus(cfg, args.episodes, args.seed):
+        manifest_paths.append(manifest.write_episode(episode, out / episode.episode_id))
+        histogram.update(build_dataset([episode], pipeline).labels.tolist())
+    print(f"wrote {len(manifest_paths)} episodes to {out}")
     print("window-label histogram:")
     for c, name in enumerate(CLASS_NAMES):
         print(f"  {name}: {histogram.get(c, 0)}")

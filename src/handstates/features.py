@@ -64,7 +64,11 @@ def parse_label(name: str) -> ClassLabel:
 
 @dataclass
 class Episode:
-    """Frame sequence with per-frame hand/object masks and state labels."""
+    """Frame sequence with per-frame hand/object masks and state labels.
+
+    Frames are 2-D intensity arrays, uint8 as read from PGM or rendered by
+    ``synth``; the keyframe scores convert each to float64 once.
+    """
 
     episode_id: str
     frames: list[np.ndarray]
@@ -198,14 +202,19 @@ def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
 
     Frame 0 is always retained; frame i > 0 is retained iff its Laplacian
     variance reaches the sharpness threshold and its difference energy
-    against the previous original frame reaches the motion threshold.
+    against the previous original frame reaches the motion threshold. Each
+    frame is converted to float64 once; only the previous frame's copy is
+    kept.
     """
     entries: list[KeyframeEntry] = []
     prev_centroid: Point2 | None = None
-    for i in range(len(episode)):
-        if i > 0:
-            sharp = laplacian_variance(episode.frames[i])
-            moving = frame_diff_energy(episode.frames[i - 1], episode.frames[i])
+    prev_frame: np.ndarray | None = None
+    for i, frame in enumerate(episode.frames):
+        frame = np.asarray(frame, dtype=np.float64)
+        previous, prev_frame = prev_frame, frame
+        if previous is not None:
+            sharp = laplacian_variance(frame)
+            moving = frame_diff_energy(previous, frame)
             if sharp < cfg.sharpness_threshold or moving < cfg.diff_threshold:
                 continue
         entry = _keyframe_signals(episode, i, prev_centroid, cfg.contact_epsilon)
@@ -296,8 +305,11 @@ def window_feature_vector(window: PredictiveWindow) -> np.ndarray:
 
 
 def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDataset:
-    """Run the full pipeline over episodes, concatenating rows in order."""
-    rows: list[np.ndarray] = []
+    """Run the full pipeline over episodes, concatenating rows in order.
+
+    Episodes are consumed one at a time; each leaves one feature block.
+    """
+    blocks: list[np.ndarray] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
     for episode in episodes:
@@ -311,12 +323,11 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
                 cfg.window_length,
             )
             continue
-        for window in windows:
-            rows.append(window_feature_vector(window))
-            labels.append(int(window.target_label))
-            provenance.append((window.episode_id, window.target_index))
-    if rows:
-        features = np.vstack(rows)
+        blocks.append(np.vstack([window_feature_vector(w) for w in windows]))
+        labels.extend(int(w.target_label) for w in windows)
+        provenance.extend((w.episode_id, w.target_index) for w in windows)
+    if blocks:
+        features = np.concatenate(blocks)
     else:
         features = np.empty((0, FEATURE_DIM), dtype=np.float64)
     return LabeledDataset(

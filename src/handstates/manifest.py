@@ -46,7 +46,11 @@ def write_episode(episode: Episode, out_dir) -> Path:
 
 
 def read_episode(manifest_path) -> Episode:
-    """Load an episode from its manifest; the directory name is its id."""
+    """Load an episode from its manifest; the directory name is its id.
+
+    Frames stay the uint8 arrays the PGM reader returns; the keyframe scores
+    convert each to float64 as they reach it.
+    """
     path = Path(manifest_path)
     base = path.parent
 
@@ -67,7 +71,7 @@ def read_episode(manifest_path) -> Episode:
                 fail(lineno, f"expected 4 columns, got {len(row)}")
             frame_rel, hand_rel, obj_rel, label_name = row
             try:
-                frame = pgm.read_pgm(base / frame_rel).astype(np.float64)
+                frame = pgm.read_pgm(base / frame_rel)
                 hand = pgm.gray_to_mask(pgm.read_pgm(base / hand_rel))
                 obj = pgm.gray_to_mask(pgm.read_pgm(base / obj_rel))
             except (OSError, ValueError) as exc:

@@ -73,8 +73,9 @@ def save(ckpt: Checkpoint, path) -> None:
         "label_order": list(CLASS_NAMES),
         "meta": ckpt.meta,
     }
+    # json.dumps runs the C encoder; json.dump always runs the Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _finite(what: str, values) -> np.ndarray:

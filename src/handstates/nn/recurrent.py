@@ -20,15 +20,16 @@ from .layers import Layer, glorot_uniform
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|).
 
-    The numerator is picked per element and divided once, so no exp
-    overflows and no boolean gather or scatter is needed. -|z| is taken as
+    The numerator, max(e, z >= 0), is 1 where z >= 0 (there e <= 1) and e
+    itself elsewhere, NaN included; it is divided once, so no exp overflows
+    and no boolean gather or scatter is needed. -|z| is taken as
     min(z, -z), which keeps the sign of a NaN.
     """
     e = np.negative(z)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.copyto(e, 1.0, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)
     return np.divide(e, d, out=e)
 
 

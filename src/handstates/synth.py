@@ -19,6 +19,7 @@ scripted ground truth.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -292,13 +293,20 @@ def episode_config(cfg: ScenarioConfig, ep_seed: int) -> ScenarioConfig:
 
 def generate_corpus(
     cfg: ScenarioConfig, n_episodes: int, seed: int
-) -> list[Episode]:
-    """Generate ``n_episodes`` episodes with derived seeds ``seed + index``."""
+) -> Iterator[Episode]:
+    """Episodes ``ep_000``, ``ep_001``, ... with derived seeds ``seed + index``,
+    rendered one at a time as they are consumed.
+
+    A count below 1, or an episode whose scripted geometry is infeasible,
+    raises at call time, before any episode is rendered.
+    """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    episodes = []
-    for i in range(n_episodes):
-        ep_cfg = episode_config(cfg, seed + i)
-        episodes.append(generate_episode(ep_cfg, episode_id=f"ep_{i:03d}"))
-    return episodes
+    configs = [episode_config(cfg, seed + i) for i in range(n_episodes)]
+    for ep_cfg in configs:
+        _distance_schedule(ep_cfg)
+    return (
+        generate_episode(ep_cfg, episode_id=f"ep_{i:03d}")
+        for i, ep_cfg in enumerate(configs)
+    )
 

@@ -3,14 +3,15 @@
 import csv
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import run_cli
 
-from handstates import manifest, pgm
-from handstates.features import ClassLabel, Episode
+from handstates import cli, manifest, pgm
+from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
 from handstates.nn import search
 
 
@@ -70,6 +71,49 @@ class TestSynth:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert list((tmp_path / "bad").iterdir()) == []
+
+
+class LiveEpisodes:
+    """Counts the Episode objects made, and the most alive at once."""
+
+    def __init__(self, monkeypatch):
+        self.made = self.alive = self.peak = 0
+        post_init = Episode.__post_init__
+
+        def counted(episode):
+            post_init(episode)
+            self.made += 1
+            self.alive += 1
+            self.peak = max(self.peak, self.alive)
+            weakref.finalize(episode, self.dropped)
+
+        monkeypatch.setattr(Episode, "__post_init__", counted)
+
+    def dropped(self):
+        self.alive -= 1
+
+
+FOUR_EPISODES = ("--episodes", 4) + SMALL_SYNTH[2:]
+
+
+class TestEpisodeStreaming:
+    """At most two episodes are alive at once: the one in use and the one
+    being made or read."""
+
+    def test_synth(self, tmp_path, monkeypatch):
+        live = LiveEpisodes(monkeypatch)
+        assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
+        assert live.made == 4
+        assert live.peak <= 2
+
+    def test_build_dataset_over_read_corpus(self, tmp_path, monkeypatch):
+        assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
+        live = LiveEpisodes(monkeypatch)
+        ds = build_dataset(manifest.read_corpus(tmp_path), PipelineConfig())
+        assert len(ds) > 0
+        assert live.made == 4
+        assert live.peak <= 2
 
 
 class TestExtract:
@@ -147,6 +191,41 @@ class TestExtract:
     def test_missing_corpus_raises_at_call_time(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no manifest.csv"):
             manifest.read_corpus(tmp_path)
+
+    def test_frames_are_read_as_uint8(self, small_corpus):
+        episode = manifest.read_episode(small_corpus / "ep_000" / "manifest.csv")
+        assert all(frame.dtype == np.uint8 for frame in episode.frames)
+
+
+def rglob_tree_digest(root):
+    """The input digest as first written: files in ``sorted(rglob)`` order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "run_manifest.json"):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(cli.sha256_file(path).encode())
+    return digest.hexdigest()
+
+
+class TestInputDigest:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "tree"
+        for rel in ("a/x", "a/sub/y", "a/run_manifest.json", "a.txt", "a-b/z",
+                    "a b", "A/w", ".hidden", "run_manifest.json"):
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rel)
+        (root / "empty").mkdir()
+        return root
+
+    def test_walk_order_is_sorted_rglob_order(self, tree):
+        files = sorted(p for p in tree.rglob("*") if p.is_file())
+        # the tree tells path order from plain string order
+        assert sorted(files, key=str) != files
+        assert list(cli._walk_files(tree)) == files
+
+    def test_digest_matches_sorted_rglob_formula(self, tree):
+        assert cli.sha256_tree(tree) == rglob_tree_digest(tree)
 
 
 TRAIN_FAST = ("--epochs", 4, "--units", 8, "--patience", 0)

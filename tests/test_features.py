@@ -81,6 +81,17 @@ class TestSelectKeyframes:
             tighter = set(F.select_keyframes(ep, PipelineConfig(tau_s, tau_d)).indices)
             assert tighter <= base
 
+    def test_uint8_and_float64_frames_give_identical_entries(self):
+        from handstates.synth import ScenarioConfig, generate_episode
+
+        ep = generate_episode(ScenarioConfig(seed=13))
+        assert ep.frames[0].dtype == np.uint8
+        widened = Episode(ep.episode_id, [f.astype(np.float64) for f in ep.frames],
+                          ep.hand_masks, ep.object_masks, ep.labels)
+        cfg = PipelineConfig()
+        # repr spells every float exactly, so equal reprs are equal bits
+        assert repr(F.select_keyframes(ep, cfg)) == repr(F.select_keyframes(widened, cfg))
+
     def test_empty_masks_never_crash(self, rng):
         shape = (12, 16)
         frames = [textured(rng, shape) for _ in range(3)]

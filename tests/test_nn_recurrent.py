@@ -34,8 +34,8 @@ def masked_sigmoid(z):
 
 
 class TestSigmoid:
-    EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
-             np.inf, -np.inf, np.nan, -np.nan]
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0,
+             745.0, -745.0, 745.2, -745.2, np.inf, -np.inf, np.nan, -np.nan]
 
     def test_bit_identical_to_masked_form(self, rng):
         z = np.concatenate([self.EDGES, rng.normal(scale=8.0, size=4000)])

@@ -132,10 +132,24 @@ def test_noise_flips_stay_on_mask_boundaries():
 
 def test_corpus_first_episode_matches_derived_config():
     cfg = ScenarioConfig()
-    corpus = generate_corpus(cfg, 1, seed=21)
+    first = next(iter(generate_corpus(cfg, 1, seed=21)))
     direct = generate_episode(synth.episode_config(cfg, 21), episode_id="ep_000")
-    assert corpus[0].labels == direct.labels
-    assert all(np.array_equal(a, b) for a, b in zip(corpus[0].frames, direct.frames))
+    assert first.labels == direct.labels
+    assert all(np.array_equal(a, b) for a, b in zip(first.frames, direct.frames))
+
+
+def test_corpus_rejects_zero_episodes_at_call_time():
+    with pytest.raises(ValueError, match="n_episodes"):
+        generate_corpus(ScenarioConfig(), 0, seed=1)
+
+
+def test_corpus_rejects_infeasible_episode_before_rendering(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(synth, "generate_episode", lambda *a, **k: rendered.append(a))
+    cfg = ScenarioConfig(durations=PhaseDurations(approach=200), approach_speed=5.0)
+    with pytest.raises(InfeasibleScenarioError):
+        generate_corpus(cfg, 3, seed=1)
+    assert rendered == []
 
 
 def test_corpus_is_deterministic():
