@@ -142,8 +142,11 @@ def standardize(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:
 def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and argmax labels for raw (unstandardized) features.
 
-    Inference is deterministic and row-independent: dropout is off and
-    batch-norm uses the stored running statistics.
+    Inference is deterministic: dropout is off and batch-norm uses the stored
+    running statistics. Rows go through ``Classifier.logits`` in blocks, and
+    any split into blocks of two or more rows gives the same bits; a lone row
+    can differ in its last bits (up to 5e-16 measured), probably because BLAS
+    takes its matrix-vector path for it.
     """
     x = np.asarray(features, dtype=np.float64)
     expected = ckpt.spec.input_dim

@@ -23,6 +23,7 @@ from .losses import softmax, softmax_cross_entropy
 from .recurrent import BidirectionalLSTM, LSTMLayer, ZeroStateGate
 
 KINDS = ("mlp", "birnn", "lstm")
+LOGIT_BLOCK = 512  # rows per inference forward pass, so its caches stay small
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ class Classifier:
         class_weights: np.ndarray,
         train: bool = True,
         rng: np.random.Generator | None = None,
-    ) -> float:
-        """Weighted cross-entropy of the batch; gradients accumulate.
+    ) -> tuple[float, np.ndarray]:
+        """Weighted cross-entropy of the batch and its logits; gradients accumulate.
 
         The gradients include the L2 terms, the returned loss does not: the
         penalty is summed over every matrix, so it is added only where a
@@ -202,7 +203,12 @@ class Classifier:
         logits = self.forward(x, train=train, rng=rng)
         data_loss, dlogits = softmax_cross_entropy(logits, y, class_weights)
         self.backward(dlogits)
-        return data_loss
+        return data_loss, logits
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Inference logits, one ``forward`` per ``array_split`` block of <= LOGIT_BLOCK rows."""
+        blocks = np.array_split(x, max(1, -(-len(x) // LOGIT_BLOCK)))
+        return np.concatenate([self.forward(block) for block in blocks])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x, train=False))
+        return softmax(self.logits(x))

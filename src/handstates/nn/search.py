@@ -101,7 +101,7 @@ def sample_trial(
 def _run_trial(index, spec, cfg, train_ds, val_ds) -> TrialResult:
     """Train one candidate; a diverged one is recorded, not raised."""
     try:
-        ckpt, _ = train(spec, train_ds, val_ds, cfg, history=False)
+        ckpt, _ = train(spec, train_ds, val_ds, cfg)
     except TrainingDivergedError:
         return TrialResult(index=index, spec=spec, cfg=cfg, status="diverged")
     return TrialResult(
@@ -167,8 +167,7 @@ def _run_fold(fold_idx, val_idx, spec, cfg, x, y, focus_class) -> dict:
     mask = np.ones(y.shape[0], dtype=bool)
     mask[val_idx] = False
     train_idx = np.nonzero(mask)[0]
-    ckpt, _ = train(spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg,
-                    history=False)
+    ckpt, _ = train(spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg)
     _, preds = ckpt_mod.predict(ckpt, x[val_idx])
     cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
     report = classification_report(cm)

@@ -68,7 +68,7 @@ def _dataset(ds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(clf: Classifier, x, y, weights) -> tuple[float, float]:
-    logits = clf.forward(x, train=False)
+    logits = clf.logits(x)
     loss, _ = softmax_cross_entropy(logits, y, weights)
     loss += clf.penalty()
     acc = float((logits.argmax(axis=1) == y).mean())
@@ -81,18 +81,18 @@ def train(
     val_ds,
     cfg: TrainConfig,
     meta: dict | None = None,
-    history: bool = True,
 ) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
     """Train a model and return (best-validation checkpoint, history).
 
-    Every epoch ends with a validation pass, which picks the best epoch and
-    drives early stopping. With ``history`` each epoch also evaluates the
-    whole training set and records a row of epoch, train/val loss and
-    accuracy; without it that pass is skipped and the history is ``[]``,
-    every other result being the same. Reported losses include the L2
-    penalty and use the training class weights. Raises
+    Each epoch trains on one shuffle of the training rows, then runs one
+    validation pass, which picks the best epoch and drives early stopping,
+    and appends one history row: epoch, train_loss, train_acc, val_loss and
+    val_acc. The train columns describe the epoch's batches as they were
+    trained, in train mode: the row-weighted mean of their losses and the
+    share of their rows predicted right. Reported losses use the training
+    class weights and add the L2 penalty at the end of the epoch. Raises
     TrainingDivergedError as soon as a batch's cross-entropy or an epoch's
-    validation loss (and, with ``history``, training loss) is non-finite.
+    validation loss is non-finite.
     """
     x_train, y_train = _dataset(train_ds)
     x_val, y_val = _dataset(val_ds)
@@ -130,32 +130,29 @@ def train(
         # rotates which row sits there).
         if clf.batchnorm_layers() and n % cfg.batch_size == 1 and n > 1:
             order = order[:-1]
+        loss_sum, correct = 0.0, 0
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss = clf.loss_and_grads(
-                x_train[idx], y_train[idx], weights, train=True, rng=rng
-            )
+            y_batch = y_train[idx]
+            loss, logits = clf.loss_and_grads(x_train[idx], y_batch, weights, train=True, rng=rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             optimizer.step(clf.grads())
+            loss_sum += loss * idx.size
+            correct += int((logits.argmax(axis=1) == y_batch).sum())
 
-        # The validation pass runs last, so the model keeps its (smaller)
-        # forward caches.
-        if history:
-            train_loss, train_acc = _evaluate(clf, x_train, y_train, weights)
         val_loss, val_acc = _evaluate(clf, x_val, y_val, weights)
-        if not np.isfinite(val_loss) or (history and not np.isfinite(train_loss)):
+        if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch)
-        if history:
-            rows.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": train_loss,
-                    "train_acc": train_acc,
-                    "val_loss": val_loss,
-                    "val_acc": val_acc,
-                }
-            )
+        rows.append(
+            {
+                "epoch": epoch,
+                "train_loss": loss_sum / order.size + clf.penalty(),
+                "train_acc": correct / order.size,
+                "val_loss": val_loss,
+                "val_acc": val_acc,
+            }
+        )
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch

@@ -194,8 +194,8 @@ class TestWorkerPool:
 
 
 class TestNoTrainingSetPass:
-    """Folds and trials evaluate their validation rows only; the per-epoch
-    pass over the training set that fills ``train``'s history is skipped."""
+    """Holdout training, folds and trials evaluate their validation rows only,
+    once per epoch; no epoch makes a pass over the training set."""
 
     @pytest.fixture
     def evaluated_rows(self, monkeypatch):
@@ -209,6 +209,12 @@ class TestNoTrainingSetPass:
 
         monkeypatch.setattr(train_mod, "_evaluate", counting_evaluate)
         return rows
+
+    def test_holdout_train_evaluates_only_the_validation_rows(self, rng, evaluated_rows):
+        x, y = blob_data(rng, n_per=15)
+        ckpt, history = train_mod.train(BASE_SPEC, (x[:33], y[:33]), (x[33:], y[33:]), FAST_CFG)
+        assert len(history) == ckpt.meta["epochs_run"]
+        assert evaluated_rows == [12] * len(history)
 
     def test_folds_evaluate_only_their_held_out_rows(self, rng, evaluated_rows):
         x, y = blob_data(rng, n_per=15)

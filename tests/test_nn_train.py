@@ -1,5 +1,6 @@
 """Training loop, checkpoint round trips and whole-model gradient checks."""
 
+import importlib
 import json
 import pickle
 
@@ -18,6 +19,9 @@ from handstates.nn import (
     train,
 )
 from handstates.nn import checkpoint as ckpt_mod
+
+# the package exports the function ``train`` under the module's name
+train_mod = importlib.import_module("handstates.nn.train")
 
 SMALL_MLP = ModelSpec(
     kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False
@@ -82,19 +86,17 @@ class TestTrainLoop:
     @pytest.mark.parametrize("lr, epoch", [(6e152, 3), (7e152, 2), (1e200, 0)])
     def test_exploding_learning_rate_raises_at_its_epoch(self, rng, lr, epoch):
         # The L2 penalty overflows first: in a batch, where it is no longer
-        # summed, then in the epoch's reported losses, which still sum it.
-        # The epochs are those at which the per-batch sum raised, with or
-        # without the training-set pass.
+        # summed, then in the epoch's validation loss, which still sums it.
+        # The epochs are those at which the per-batch sum raised.
         x, y = two_blob_data(rng)
         spec = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
                          use_batchnorm=False)
         cfg = TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
                           early_stop_patience=None)
-        for history in (True, False):
-            with np.errstate(all="ignore"):
-                with pytest.raises(TrainingDivergedError) as err:
-                    train(spec, (x, y), (x, y), cfg, history=history)
-            assert err.value.epoch == epoch
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(spec, (x, y), (x, y), cfg)
+        assert err.value.epoch == epoch
 
     def test_diverged_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(3)))
@@ -115,9 +117,9 @@ class TestTrainLoop:
         assert len(history) == 2
 
 
-class TestHistoryOff:
-    """Skipping the training-set pass changes nothing but the history; at
-    patience 2 the MLP and the static encoder stop early."""
+class TestHistory:
+    """Every epoch appends one row, whose train columns summarise the batches
+    it trained on; at patience 2 the MLP and the static encoder stop early."""
 
     @pytest.mark.parametrize(
         "spec, seq_length",
@@ -129,27 +131,77 @@ class TestHistoryOff:
         ids=["mlp", "lstm-seq3", "static-encoder"],
     )
     @pytest.mark.parametrize("patience", [None, 2])
-    def test_same_parameters_and_meta_as_with_history(self, rng, tmp_path, spec, seq_length,
-                                                      patience):
+    def test_train_columns_summarise_the_batches(self, rng, monkeypatch, spec, seq_length,
+                                                 patience):
         x, y = two_blob_data(rng, n=50)
         if seq_length is not None:
             x = np.repeat(x[:, None, :], seq_length, axis=1) + rng.normal(
                 scale=0.5, size=(50, seq_length, 8))
-        train_ds, val_ds = (x[:35], y[:35]), (x[35:], y[35:])
+        epochs = [[]]  # per epoch: (loss, rows, correct) of each batch
+        penalties = []
+        real_step, real_evaluate = Classifier.loss_and_grads, train_mod._evaluate
+
+        def recording_step(self, xb, yb, *args, **kwargs):
+            loss, logits = real_step(self, xb, yb, *args, **kwargs)
+            epochs[-1].append((loss, len(yb), int((logits.argmax(axis=1) == yb).sum())))
+            return loss, logits
+
+        def recording_evaluate(clf, *args):
+            penalties.append(clf.penalty())
+            epochs.append([])
+            return real_evaluate(clf, *args)
+
+        monkeypatch.setattr(Classifier, "loss_and_grads", recording_step)
+        monkeypatch.setattr(train_mod, "_evaluate", recording_evaluate)
         cfg = TrainConfig(learning_rate=3e-2, batch_size=8, epochs=12, seed=5,
                           early_stop_patience=patience)
-        ckpt_on, history = train(spec, train_ds, val_ds, cfg, meta={"tag": "x"})
-        ckpt_off, none = train(spec, train_ds, val_ds, cfg, meta={"tag": "x"}, history=False)
-        assert none == []
-        assert ckpt_off.meta == ckpt_on.meta
-        assert ckpt_on.meta["epochs_run"] == len(history)
-        on, off = ckpt_on.model.params(), ckpt_off.model.params()
-        assert on.keys() == off.keys()
-        for name in on:
-            assert np.array_equal(on[name].view(np.uint64), off[name].view(np.uint64)), name
-        ckpt_mod.save(ckpt_on, tmp_path / "on.json")
-        ckpt_mod.save(ckpt_off, tmp_path / "off.json")
-        assert (tmp_path / "on.json").read_bytes() == (tmp_path / "off.json").read_bytes()
+        ckpt, history = train(spec, (x[:35], y[:35]), (x[35:], y[35:]), cfg)
+        assert len(history) == ckpt.meta["epochs_run"] == len(penalties)
+        if patience is not None and spec.kind != "lstm":
+            assert len(history) < cfg.epochs
+        for row, batches, penalty in zip(history, epochs, penalties):
+            rows = sum(n for _, n, _ in batches)
+            assert rows == 35
+            assert row["train_loss"] == sum(loss * n for loss, n, _ in batches) / rows + penalty
+            assert row["train_acc"] == sum(c for _, _, c in batches) / rows
+
+
+class TestLogits:
+    """``Classifier.logits`` runs ``forward`` in blocks and keeps its bits."""
+
+    SPECS = {
+        "mlp-bn": (ModelSpec(kind="mlp", hidden=(16, 8), use_batchnorm=True), None),
+        "static-encoder": (ModelSpec(), None),
+        "lstm-seq10": (ModelSpec(kind="lstm", rnn_units=8, seq_length=10), 10),
+        "birnn-2layer-seq5": (ModelSpec(kind="birnn", rnn_units=6, rnn_layers=2,
+                                        seq_length=5), 5),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    @pytest.mark.parametrize("n", [1, 2, 513, 1537])
+    def test_equals_one_forward_bit_for_bit(self, rng, name, n):
+        spec, seq_length = self.SPECS[name]
+        clf = Classifier(spec, rng)
+        shape = (n, 8) if seq_length is None else (n, seq_length, 8)
+        x = rng.normal(size=shape)
+        whole = clf.forward(x)
+        blocked = clf.logits(x)
+        assert blocked.shape == (n, spec.num_classes)
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+    def test_no_block_holds_one_row(self, rng, monkeypatch):
+        clf = Classifier(SMALL_MLP, rng)
+        blocks = []
+        real_forward = clf.forward
+
+        def recording_forward(x, *args, **kwargs):
+            blocks.append(x.shape[0])
+            return real_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(clf, "forward", recording_forward)
+        for n in (0, 1, 2, 512, 513, 1537):
+            clf.logits(rng.normal(size=(n, 8)))
+        assert blocks == [0, 1, 2, 512, 257, 256, 385, 384, 384, 384]
 
 
 class TestStandardization:
