@@ -9,8 +9,14 @@ flags and seed.
 ``main`` owns every run: it creates ``--out``, runs the subcommand, which
 returns the files it wrote, hashes the inputs the subcommand names
 (``--manifest-dir``, ``--features``, ``--checkpoint``) and writes one atomic
-``run_manifest.json``. The ladder trains, cross-validates and searches
-through the same steps as ``train``, ``xval`` and ``search``.
+``run_manifest.json``.
+
+``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
+``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
+out) -> ((accuracy, weighted F1, grabbing F1), files written)``. Each
+ladder row is one call of its protocol's step into ``model_N/``, so a row
+writes what its subcommand writes and the ladder's manifest lists the
+files of every row.
 
 Flag precedence: explicit flags > ``--config`` file > built-in defaults. A
 config line ``key=value`` is the flag ``--key=value`` and a bare ``key`` is
@@ -29,6 +35,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +78,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -83,6 +97,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+
+
+def _rect(text: str) -> tuple[int, int, int, int]:
+    rect = _int_list(text)
+    if len(rect) != 4:
+        raise argparse.ArgumentTypeError(f"must look like x0,y0,width,height, got {text!r}")
+    return rect
 
 
 def _canvas(text: str) -> tuple[int, int]:
@@ -239,19 +260,16 @@ def _train_cfg_from_args(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _scores(report: metrics.ClassReport) -> tuple[float, float, float]:
-    """Accuracy, weighted F1 and grabbing F1."""
-    return report.accuracy, report.weighted_f1, float(report.f1[GRABBING])
-
-
-def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[metrics.ClassReport, list[Path]]:
-    """Score a checkpoint on a test set and write the report files."""
+def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[tuple[float, float, float], list[Path]]:
+    """Score a checkpoint on a test set and write the report files; returns
+    (accuracy, weighted F1, grabbing F1) and the files written."""
     _, preds = ckpt_mod.predict(ckpt, x_test)
     cm = metrics.confusion_matrix(y_test, preds, NUM_CLASSES)
     report = metrics.classification_report(cm)
     files = metrics.write_report_files(report, list(CLASS_NAMES), out)
     metrics.write_confusion_csv(cm, list(CLASS_NAMES), out / "confusion.csv")
-    return report, files + [out / "confusion.csv"]
+    scores = report.accuracy, report.weighted_f1, float(report.f1[GRABBING])
+    return scores, files + [out / "confusion.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +324,23 @@ def cmd_extract(args: argparse.Namespace, out: Path):
     return [features_path], []
 
 
-def _fit(
-    args: argparse.Namespace,
-    spec: ModelSpec,
-    cfg: TrainConfig,
-    ds: LabeledDataset,
-    out: Path,
-) -> tuple[metrics.ClassReport, list[Path]]:
+def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
+         out: Path):
     """Split, train, evaluate on the held-out test set, write artifacts."""
     x, y = _model_arrays(ds, spec)
     train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
     ckpt, history = train(spec, train_ds, val_ds, cfg, meta={"split": _split_meta(args)})
     ckpt_mod.save(ckpt, out / "checkpoint.json")
     history_to_csv(history, out / "history.csv")
-    report, files = _evaluate(ckpt, x_test, y_test, out)
-    return report, [out / "checkpoint.json", out / "history.csv"] + files
+    scores, files = _evaluate(ckpt, x_test, y_test, out)
+    return scores, [out / "checkpoint.json", out / "history.csv"] + files
 
 
 def cmd_train(args: argparse.Namespace, out: Path):
     ds = _load_features(args.features)
-    report, outputs = _fit(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out)
+    scores, outputs = _fit(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out)
     print((out / "report.txt").read_text())
-    accuracy, weighted_f1, grabbing_f1 = _scores(report)
+    accuracy, weighted_f1, grabbing_f1 = scores
     print(
         f"test accuracy {accuracy:.4f}, "
         f"weighted F1 {weighted_f1:.4f}, "
@@ -365,42 +378,43 @@ def _write_trials_csv(path: Path, trials) -> None:
             )
 
 
-def _search(args: argparse.Namespace, ds: LabeledDataset, out: Path):
-    """Random search over static encoders; the winner is scored on the test split.
-
-    Returns (winning trial, test report, files written).
-    """
-    base_spec = ModelSpec(kind="birnn", seq_length=1)
-    x, y = _model_arrays(ds, base_spec)
+def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
+            out: Path):
+    """Random search around ``spec`` and ``cfg``; the winner is scored on the
+    test split."""
+    x, y = _model_arrays(ds, spec)
     train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
     winner, trials = random_search(
-        SearchSpace(), args.budget, train_ds, val_ds, args.seed, base_spec, _train_cfg(args)
+        SearchSpace(), args.budget, train_ds, val_ds, args.seed, spec, cfg
     )
     _write_trials_csv(out / "trials.csv", trials)
     winner.checkpoint.meta.update(split=_split_meta(args), trial_index=winner.index)
     ckpt_mod.save(winner.checkpoint, out / "checkpoint.json")
-    report, files = _evaluate(winner.checkpoint, x_test, y_test, out)
-    return winner, report, [out / "trials.csv", out / "checkpoint.json"] + files
-
-
-def cmd_search(args: argparse.Namespace, out: Path):
-    winner, report, outputs = _search(args, _load_features(args.features), out)
+    scores, files = _evaluate(winner.checkpoint, x_test, y_test, out)
     print(
         f"best trial {winner.index}: units={winner.spec.rnn_units} "
         f"layers={winner.spec.rnn_layers} dropout={winner.spec.dropout_p:.3f} "
         f"lr={winner.cfg.learning_rate:.5f} batch={winner.cfg.batch_size} "
         f"val_acc={winner.val_acc:.4f}"
     )
-    print(f"test accuracy {report.accuracy:.4f}")
+    return scores, [out / "trials.csv", out / "checkpoint.json"] + files
+
+
+STATIC_ENCODER = ModelSpec(kind="birnn", seq_length=1)
+
+
+def cmd_search(args: argparse.Namespace, out: Path):
+    ds = _load_features(args.features)
+    (accuracy, _, _), outputs = _search(args, STATIC_ENCODER, _train_cfg(args), ds, out)
+    print(f"test accuracy {accuracy:.4f}")
     return outputs, []
 
 
-def cmd_xval(args: argparse.Namespace, out: Path):
-    ds = _load_features(args.features)
-    spec = _spec_from_args(args)
-    cfg = _train_cfg_from_args(args)
+def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
+          out: Path, k: int):
+    """Stratified k-fold validation, scored by the means over the folds."""
     x, y = _model_arrays(ds, spec)
-    rows, summary = kfold_validate(spec, cfg, x, y, args.k, args.seed, focus_class=GRABBING)
+    rows, summary = kfold_validate(spec, cfg, x, y, k, args.seed, focus_class=GRABBING)
 
     xval_path = out / "xval.csv"
     with open(xval_path, "w", newline="") as fh:
@@ -420,65 +434,57 @@ def cmd_xval(args: argparse.Namespace, out: Path):
              repr(summary["focus_f1_std"])]
         )
     print(
-        f"{args.k}-fold: accuracy {summary['accuracy_mean']:.4f} "
+        f"{k}-fold: accuracy {summary['accuracy_mean']:.4f} "
         f"+/- {summary['accuracy_std']:.4f}, "
         f"grabbing F1 {summary['focus_f1_mean']:.4f}"
     )
-    return [xval_path], []
+    scores = summary["accuracy_mean"], summary["weighted_f1_mean"], summary["focus_f1_mean"]
+    return scores, [xval_path]
 
 
+def cmd_xval(args: argparse.Namespace, out: Path):
+    ds = _load_features(args.features)
+    _, outputs = _xval(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out, args.k)
+    return outputs, []
+
+
+LADDER_FOLDS = 5
 LADDER_PLAN = (
-    # (model number, description, architecture, seq_length, protocol)
-    (1, "plain MLP", "mlp", None, "holdout"),
-    (2, "regularized MLP", "mlp", None, "holdout"),
-    (3, "regularized MLP, 5-fold", "mlp", None, "kfold"),
-    (4, "unidirectional LSTM", "lstm", 10, "holdout"),
-    (5, "bidirectional LSTM", "birnn", 5, "holdout"),
-    (6, "bidirectional LSTM, 5-fold", "birnn", 5, "kfold"),
-    (7, "static-encoder bidirectional LSTM", "birnn", 1, "holdout"),
-    (8, "searched static-encoder (champion)", "birnn", 1, "search"),
+    # (model number, description, spec, class weighting, step)
+    (1, "plain MLP", ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False),
+     "none", _fit),
+    (2, "regularized MLP", ModelSpec(kind="mlp"), "balanced", _fit),
+    (3, "regularized MLP, 5-fold", ModelSpec(kind="mlp"), "balanced",
+     partial(_xval, k=LADDER_FOLDS)),
+    (4, "unidirectional LSTM", ModelSpec(kind="lstm", seq_length=10), "balanced", _fit),
+    (5, "bidirectional LSTM", ModelSpec(kind="birnn", seq_length=5), "balanced", _fit),
+    (6, "bidirectional LSTM, 5-fold", ModelSpec(kind="birnn", seq_length=5), "balanced",
+     partial(_xval, k=LADDER_FOLDS)),
+    (7, "static-encoder bidirectional LSTM", STATIC_ENCODER, "balanced", _fit),
+    (8, "searched static-encoder (champion)", STATIC_ENCODER, "balanced", _search),
 )
-
-
-def _ladder_spec(arch: str, seq_length, regularized: bool = True) -> ModelSpec:
-    if arch == "mlp":
-        if regularized:
-            return ModelSpec(kind="mlp")
-        return ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False)
-    return ModelSpec(kind=arch, seq_length=seq_length)
 
 
 def cmd_ladder(args: argparse.Namespace, out: Path):
     ds = _load_features(args.features)
 
     rows: list[dict] = []
+    outputs: list[Path] = []
     failures: list[str] = []
-    for number, description, arch, seq_length, protocol in LADDER_PLAN:
+    for number, description, spec, class_weighting, step in LADDER_PLAN:
         model_out = out / f"model_{number}"
         model_out.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
         row = {
             "model": number,
             "description": description,
-            "architecture": arch,
-            "seq_len": seq_length if seq_length is not None else "n/a",
+            "architecture": spec.kind,
+            "seq_len": spec.seq_length if spec.kind != "mlp" else "n/a",
         }
         try:
-            spec = _ladder_spec(arch, seq_length, regularized=number != 1)
-            cfg = _train_cfg(
-                args,
-                seed=args.seed + 10 * number,
-                class_weighting="none" if number == 1 else "balanced",
-            )
-            if protocol == "holdout":
-                scores = _scores(_fit(args, spec, cfg, ds, model_out)[0])
-            elif protocol == "kfold":
-                x, y = _model_arrays(ds, spec)
-                _, agg = kfold_validate(spec, cfg, x, y, 5, args.seed, focus_class=GRABBING)
-                scores = agg["accuracy_mean"], agg["weighted_f1_mean"], agg["focus_f1_mean"]
-            else:  # search
-                scores = _scores(_search(args, ds, model_out)[1])
-            accuracy, weighted_f1, grabbing_f1 = scores
+            cfg = _train_cfg(args, seed=args.seed + 10 * number, class_weighting=class_weighting)
+            (accuracy, weighted_f1, grabbing_f1), files = step(args, spec, cfg, ds, model_out)
+            outputs += files
             row.update(
                 accuracy=f"{accuracy:.6f}",
                 weighted_f1=f"{weighted_f1:.6f}",
@@ -507,7 +513,7 @@ def cmd_ladder(args: argparse.Namespace, out: Path):
         writer.writeheader()
         writer.writerows(rows)
     print(f"ladder summary -> {summary_path}")
-    return [summary_path], failures
+    return [summary_path] + outputs, failures
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +541,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=60)
-    parser.add_argument("--patience", type=int, default=10,
+    parser.add_argument("--patience", type=_non_negative_int, default=10,
                         help="early-stop patience on validation loss; 0 disables")
     parser.add_argument("--test-fraction", type=_fraction, default=0.2)
     parser.add_argument("--val-fraction", type=_fraction, default=0.15)
@@ -562,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--canvas", type=_canvas, default=(128, 96))
-    p.add_argument("--object-rect", type=_int_list, default=(86, 40, 22, 22),
+    p.add_argument("--object-rect", type=_rect, default=(86, 40, 22, 22),
                    help="x0,y0,width,height")
     p.add_argument("--hand-radius", type=_positive_int, default=7)
     p.add_argument("--approach-speed", type=float, default=3.0)

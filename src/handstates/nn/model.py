@@ -48,6 +48,8 @@ class ModelSpec:
             raise ValueError("input_dim must be >= 1 and num_classes >= 2")
         if self.kind == "mlp" and not self.hidden:
             raise ValueError("mlp needs at least one hidden layer")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
         if self.kind != "mlp" and (self.rnn_units < 1 or self.rnn_layers < 1):
             raise ValueError("recurrent models need rnn_units, rnn_layers >= 1")
         if self.seq_length < 1:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .features import ClassLabel, Episode
 
 
 class InfeasibleScenarioError(ValueError):
-    """The scripted geometry cannot reach contact as configured."""
+    """The scripted geometry does not fit the canvas."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class ScenarioConfig:
     noise_flip_prob: float = 0.003
     contact_epsilon: float = 10.0
     seed: int = 0
-    hand_start: Optional[tuple[float, float]] = None  # derived when None
 
     def __post_init__(self):
         if self.approach_speed <= 0:
@@ -145,34 +143,22 @@ def _check_disc_in_canvas(center: np.ndarray, cfg: ScenarioConfig, what: str) ->
         )
 
 
-def _distance_schedule(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, list[ClassLabel]]:
-    """Per-frame remaining distance along the approach line, plus labels.
+def _distance_schedule(cfg: ScenarioConfig) -> tuple[np.ndarray, list[ClassLabel]]:
+    """Per-frame hand centers along the approach line, plus labels.
 
-    Returns (contact center, s values, labels). Raises
-    InfeasibleScenarioError when the approach cannot reach the grab band.
+    The hand starts left of the contact position, far enough to cover the
+    approach at ``approach_speed`` and then the grab band. Returns (centers,
+    labels). Raises InfeasibleScenarioError when the object, the start or
+    the contact position does not fit the canvas.
     """
     d = cfg.durations
     if d.total() < 1:
         raise ValueError("scenario has no frames")
     contact, s_grab = _contact_geometry(cfg)
 
-    if cfg.hand_start is None:
-        direction = np.array([-1.0, 0.0])
-        start_dist = s_grab + cfg.approach_speed * d.approach
-        start = contact + direction * start_dist
-    else:
-        start = np.asarray(cfg.hand_start, dtype=np.float64)
-        offset = start - contact
-        start_dist = float(np.hypot(*offset))
-        if start_dist < 1e-9:
-            direction = np.array([-1.0, 0.0])
-        else:
-            direction = offset / start_dist
-        if cfg.approach_speed * d.approach + 1e-9 < start_dist - s_grab:
-            raise InfeasibleScenarioError(
-                "infeasible scenario: approach speed/duration too small to "
-                "reach contact within the grab phase"
-            )
+    direction = np.array([-1.0, 0.0])
+    start_dist = s_grab + cfg.approach_speed * d.approach
+    start = contact + direction * start_dist
     _check_disc_in_canvas(start, cfg, "hand start")
     _check_disc_in_canvas(contact, cfg, "contact position")
 
@@ -202,7 +188,7 @@ def _distance_schedule(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, lis
         emit("retreat", min(start_dist, s_rel + cfg.approach_speed * j))
 
     centers = contact[None, :] + direction[None, :] * np.asarray(s_values)[:, None]
-    return centers, np.asarray(s_values), labels
+    return centers, labels
 
 
 def _disc_mask(shape: tuple[int, int], center: np.ndarray, radius: float) -> np.ndarray:
@@ -244,7 +230,7 @@ def _flip_boundary(mask: np.ndarray, prob: float, rng: np.random.Generator) -> n
 
 def generate_episode(cfg: ScenarioConfig, episode_id: str = "episode") -> Episode:
     """Render one scripted episode; fully reproducible from ``cfg.seed``."""
-    centers, _, labels = _distance_schedule(cfg)
+    centers, labels = _distance_schedule(cfg)
     w, h = cfg.canvas
     shape = (h, w)
     rng = np.random.default_rng(cfg.seed)

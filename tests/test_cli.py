@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ def tree_digest(root, skip_names=("run_manifest.json",)):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def assert_manifest_lists_every_file(out):
+    """The run manifest hashes every file under ``out`` but itself."""
+    manifest_path = out / "run_manifest.json"
+    outputs = json.loads(manifest_path.read_text())["outputs"]
+    files = {str(p) for p in out.rglob("*") if p.is_file() and p != manifest_path}
+    assert set(outputs) == files
+    for path, digest in outputs.items():
+        assert digest == "sha256:" + cli.sha256_file(Path(path))
 
 
 SMALL_SYNTH = (
@@ -57,6 +68,12 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             run_cli("synth", "--out", tmp_path / "x", "--episodes", 0)
         assert exc.value.code == 2
+
+    def test_object_rect_needs_four_values(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--out", tmp_path / "x", "--object-rect", "86,40")
+        assert exc.value.code == 2
+        assert "--object-rect" in capsys.readouterr().err
 
     def test_histogram_lists_all_classes(self, tmp_path, capsys):
         assert run_cli("synth", "--out", tmp_path / "h", *SMALL_SYNTH) == 0
@@ -249,6 +266,8 @@ class TestTrainEval:
         ) == 0
         assert (run_dir / "report.txt").read_bytes() == (eval_dir / "report.txt").read_bytes()
         assert (run_dir / "confusion.csv").read_bytes() == (eval_dir / "confusion.csv").read_bytes()
+        assert_manifest_lists_every_file(run_dir)
+        assert_manifest_lists_every_file(eval_dir)
 
     def test_train_reruns_are_hash_identical(self, tmp_path, small_features):
         digests = []
@@ -260,6 +279,24 @@ class TestTrainEval:
             ) == 0
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("width", [0, -4])
+    def test_hidden_width_below_one_fails(self, tmp_path, small_features, capsys, width):
+        code = run_cli(
+            "train", "--features", small_features, "--out", tmp_path / "o",
+            "--arch", "mlp", "--hidden", width, *TRAIN_FAST,
+        )
+        assert code == 1
+        assert "hidden" in capsys.readouterr().err
+
+    def test_negative_patience_is_usage_error(self, tmp_path, small_features, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "train", "--features", small_features, "--out", tmp_path / "o",
+                "--patience", -2,
+            )
+        assert exc.value.code == 2
+        assert "--patience" in capsys.readouterr().err
 
     def test_missing_class_in_training_split_fails(self, tmp_path, small_features, capsys):
         # push the lone sample of a rare class entirely into the test split
@@ -347,6 +384,7 @@ class TestSearchCli:
         accs = [float(r.split(",")[7]) for r in rows[1:]]
         winner = json.loads((outs[0] / "checkpoint.json").read_text())
         assert winner["meta"]["val_acc"] == max(accs)
+        assert_manifest_lists_every_file(outs[0])
 
 
 class TestXvalCli:
@@ -360,6 +398,7 @@ class TestXvalCli:
         assert rows[0] == "fold,accuracy,weighted_f1,grabbing_f1"
         assert len(rows) == 5  # 2 folds + mean + std
         assert rows[3].startswith("mean,")
+        assert_manifest_lists_every_file(out)
 
 
 class TestWorkerPoolCli:
@@ -400,3 +439,33 @@ class TestLadderCli:
         assert all(0.0 <= float(rows["1"][k]) <= 1.0 for k in scores)
         assert "model 3" in capsys.readouterr().err
         assert (out / "run_manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def ladder_run(tmp_path_factory):
+    """A one-epoch ladder on a 2-episode corpus with the default phases."""
+    root = tmp_path_factory.mktemp("ladder")
+    assert run_cli("synth", "--out", root / "corpus", "--episodes", 2, "--seed", 3) == 0
+    assert run_cli("extract", "--manifest-dir", root / "corpus", "--out", root / "data") == 0
+    out = root / "ladder"
+    assert run_cli(
+        "ladder", "--features", root / "data" / "features.csv", "--out", out,
+        "--epochs", 1, "--budget", 1, "--patience", 0,
+    ) == 0
+    return out
+
+
+class TestLadderOutputs:
+    def test_manifest_lists_every_row_file(self, ladder_run):
+        assert_manifest_lists_every_file(ladder_run)
+
+    def test_kfold_rows_write_xval_csv(self, ladder_run):
+        with open(ladder_run / "ladder_summary.csv", newline="") as fh:
+            summary = {row["model"]: row for row in csv.DictReader(fh)}
+        for number in ("3", "6"):
+            with open(ladder_run / f"model_{number}" / "xval.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["fold"] for row in rows] == ["0", "1", "2", "3", "4", "mean", "std"]
+            mean = rows[5]
+            for score in ("accuracy", "weighted_f1", "grabbing_f1"):
+                assert f"{float(mean[score]):.6f}" == summary[number][score]

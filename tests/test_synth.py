@@ -98,16 +98,6 @@ def test_same_seed_is_byte_identical():
     assert a.labels == b.labels
 
 
-def test_infeasible_when_approach_cannot_reach():
-    cfg = ScenarioConfig(
-        hand_start=(10.0, 48.0),
-        approach_speed=0.5,
-        durations=PhaseDurations(approach=5),
-    )
-    with pytest.raises(InfeasibleScenarioError, match="too small"):
-        generate_episode(cfg)
-
-
 def test_infeasible_when_start_leaves_canvas():
     cfg = ScenarioConfig(
         durations=PhaseDurations(approach=60), approach_speed=4.0
