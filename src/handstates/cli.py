@@ -47,9 +47,11 @@ from .features import (
     LabeledDataset,
     PipelineConfig,
     build_dataset,
+    keyframe_indices,
     load_dataset_csv,
     save_dataset_csv,
     sequence_dataset,
+    slide_windows,
     stratified_split_indices,
 )
 from .nn import (
@@ -71,25 +73,27 @@ RUN_MANIFEST = "run_manifest.json"
 # small utilities
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the
+    value, so a bad value is a usage error that names its flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):  # NaN fails every float bound
+            raise argparse.ArgumentTypeError(f"must {requirement}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid float value: 'x'"
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "be a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "be a non-negative integer")
+_fold_count = _checked(int, lambda v: v >= 2, "be an integer >= 2")
+_positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
+_non_negative_float = _checked(float, lambda v: v >= 0.0, "be >= 0")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
+_dropout = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -295,13 +299,17 @@ def cmd_synth(args: argparse.Namespace, out: Path):
         noise_flip_prob=args.mask_noise,
         contact_epsilon=args.epsilon,
     )
-    pipeline = PipelineConfig(contact_epsilon=args.epsilon)
+    pipeline = PipelineConfig()
     manifest_paths = []
     histogram = collections.Counter()
-    # each episode is written and counted as it is made, then dropped
+    # each episode is written and counted as it is made, then dropped; a
+    # window's label needs only the keyframe indices, not their signals
     for episode in synth.generate_corpus(cfg, args.episodes, args.seed):
         manifest_paths.append(manifest.write_episode(episode, out / episode.episode_id))
-        histogram.update(build_dataset([episode], pipeline).labels.tolist())
+        keyframes = keyframe_indices(episode, pipeline)
+        histogram.update(
+            episode.labels[keyframes[t]] for t in slide_windows(len(keyframes), pipeline)
+        )
     print(f"wrote {len(manifest_paths)} episodes to {out}")
     print("window-label histogram:")
     for c, name in enumerate(CLASS_NAMES):
@@ -533,8 +541,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--units", type=_positive_int, default=128)
     parser.add_argument("--layers", type=_positive_int, default=1)
     parser.add_argument("--seq-length", type=_positive_int, default=1)
-    parser.add_argument("--dropout", type=float, default=0.3)
-    parser.add_argument("--l2", type=float, default=1e-4)
+    parser.add_argument("--dropout", type=_dropout, default=0.3)
+    parser.add_argument("--l2", type=_non_negative_float, default=1e-4)
     parser.add_argument("--batchnorm", choices=("auto", "on", "off"), default="auto",
                         help="auto = on for MLP, off for recurrent models")
 
@@ -548,7 +556,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--lr", type=_positive_float, default=1e-3)
     parser.add_argument("--batch-size", type=_positive_int, default=64)
     parser.add_argument("--class-weight", choices=("balanced", "none"), default="balanced")
     parser.add_argument("--no-standardize", action="store_true",
@@ -615,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xval", help="stratified k-fold validation of one model")
     _add_common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--k", type=_positive_int, default=5)
+    p.add_argument("--k", type=_fold_count, default=5)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_xval)

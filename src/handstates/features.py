@@ -1,10 +1,19 @@
 """Statistical-kinematic feature pipeline over mask-annotated frame sequences.
 
 The pipeline turns an episode (frames + hand/object masks + per-frame state
-labels) into fixed 8-dimensional descriptors: keyframes are selected by
-sharpness and motion energy, a sliding window of N consecutive keyframes is
-summarised into distance/speed statistics plus contact metrics, and the
-window's training label is the state at the keyframe that follows it.
+labels) into fixed 8-dimensional descriptors in four steps:
+
+1. ``keyframe_indices`` keeps the frames that are sharp and moving;
+2. ``select_keyframes`` caches each keyframe's hand centroid, hand-object
+   distance and contact flag;
+3. ``slide_windows`` gives the target positions of the windows of N
+   consecutive keyframes, each labelled by the state at the keyframe that
+   follows it; it is the only definition of window geometry;
+4. ``window_feature_vector`` summarises all of a series' windows at once
+   into distance/speed statistics plus contact metrics, one row each.
+
+``build_dataset`` runs the four steps episode by episode. The label of a
+window needs only steps 1 and 3, which is how ``synth`` counts them.
 """
 
 from __future__ import annotations
@@ -107,8 +116,8 @@ class PipelineConfig:
     contact_epsilon: float = 10.0
 
     def __post_init__(self):
-        if self.window_length < 2:
-            raise ValueError("window_length must be >= 2")
+        if self.window_length < 3:  # the speed trend needs two speeds
+            raise ValueError("window_length must be >= 3")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.contact_epsilon <= 0:
@@ -132,22 +141,8 @@ class KeyframeSeries:
     episode_id: str
     entries: list[KeyframeEntry]
 
-    @property
-    def indices(self) -> list[int]:
-        return [e.index for e in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass
-class PredictiveWindow:
-    """N consecutive keyframe entries plus the label of the next keyframe."""
-
-    context: list[KeyframeEntry]
-    target_label: ClassLabel
-    episode_id: str
-    target_index: int  # position of the target keyframe within its series
 
 
 @dataclass
@@ -161,147 +156,103 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.features.shape[0])
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=NUM_CLASSES)
+
+def keyframe_indices(episode: Episode, cfg: PipelineConfig) -> list[int]:
+    """Frame indices of the sharp, moving frames of an episode.
+
+    Frame 0 is always kept; frame i > 0 is kept iff its Laplacian variance
+    reaches the sharpness threshold and its difference energy against the
+    previous original frame reaches the motion threshold. Both scores are
+    computed for every frame i > 0. Each frame is converted to float64 once;
+    only the previous frame's copy is kept.
+    """
+    kept = [0]
+    previous = np.asarray(episode.frames[0], dtype=np.float64)
+    for i in range(1, len(episode)):
+        frame = np.asarray(episode.frames[i], dtype=np.float64)
+        sharp = laplacian_variance(frame)
+        moving = frame_diff_energy(previous, frame)
+        if sharp >= cfg.sharpness_threshold and moving >= cfg.diff_threshold:
+            kept.append(i)
+        previous = frame
+    return kept
 
 
 def _keyframe_signals(
-    episode: Episode, index: int, prev_centroid: Point2 | None, epsilon: float
-) -> KeyframeEntry:
-    """Centroid, hand-object distance and contact flag for one frame.
+    episode: Episode, indices: list[int], epsilon: float
+) -> list[KeyframeEntry]:
+    """Centroid, hand-object distance and contact flag of each keyframe.
 
     Empty masks never crash the pipeline: an empty hand mask carries the
-    previous centroid forward (canvas center at the start of an episode) and
-    an absent hand or object pins the distance to the image diagonal.
+    previous keyframe's centroid forward (canvas center at the start of an
+    episode) and an absent hand or object pins the distance to the image
+    diagonal.
     """
-    hand = episode.hand_masks[index]
-    obj = episode.object_masks[index]
-
-    if hand.any():
-        centroid = mask_centroid(hand)
-    elif prev_centroid is not None:
-        centroid = prev_centroid
-    else:
-        h, w = episode.shape
-        centroid = Point2(w / 2.0, h / 2.0)
-
-    if hand.any() and obj.any():
-        distance = mask_distance(hand, obj)
-    else:
-        distance = image_diagonal(episode.shape)
-    return KeyframeEntry(
-        index=index,
-        centroid=centroid,
-        distance=distance,
-        contact=bool(distance <= epsilon),
-    )
+    h, w = episode.shape
+    centroid = Point2(w / 2.0, h / 2.0)
+    diagonal = image_diagonal(episode.shape)
+    entries: list[KeyframeEntry] = []
+    for i in indices:
+        hand = episode.hand_masks[i]
+        obj = episode.object_masks[i]
+        distance = diagonal
+        if hand.any():
+            centroid = mask_centroid(hand)
+            if obj.any():
+                distance = mask_distance(hand, obj)
+        entries.append(KeyframeEntry(i, centroid, distance, bool(distance <= epsilon)))
+    return entries
 
 
 def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
-    """Retain sharp, moving frames and cache their kinematic signals.
+    """The keyframes of an episode with their kinematic signals."""
+    indices = keyframe_indices(episode, cfg)
+    return KeyframeSeries(
+        episode.episode_id, _keyframe_signals(episode, indices, cfg.contact_epsilon)
+    )
 
-    Frame 0 is always retained; frame i > 0 is retained iff its Laplacian
-    variance reaches the sharpness threshold and its difference energy
-    against the previous original frame reaches the motion threshold. Each
-    frame is converted to float64 once; only the previous frame's copy is
-    kept.
+
+def slide_windows(n_keyframes: int, cfg: PipelineConfig) -> range:
+    """Target positions of the predictive windows over ``n_keyframes``.
+
+    The window with target t holds keyframes t-N .. t-1 as context and is
+    labelled by keyframe t. Targets start at N and advance by ``stride``; a
+    series shorter than N+1 keyframes has none.
     """
-    entries: list[KeyframeEntry] = []
-    prev_centroid: Point2 | None = None
-    prev_frame: np.ndarray | None = None
-    for i, frame in enumerate(episode.frames):
-        frame = np.asarray(frame, dtype=np.float64)
-        previous, prev_frame = prev_frame, frame
-        if previous is not None:
-            sharp = laplacian_variance(frame)
-            moving = frame_diff_energy(previous, frame)
-            if sharp < cfg.sharpness_threshold or moving < cfg.diff_threshold:
-                continue
-        entry = _keyframe_signals(episode, i, prev_centroid, cfg.contact_epsilon)
-        entries.append(entry)
-        prev_centroid = entry.centroid
-    return KeyframeSeries(episode_id=episode.episode_id, entries=entries)
+    return range(cfg.window_length, n_keyframes, cfg.stride)
 
 
-def slide_windows(
-    series: KeyframeSeries, cfg: PipelineConfig, episode: Episode
-) -> list[PredictiveWindow]:
-    """Predictive windows: N keyframes of context, labelled by the next one.
-
-    Offsets advance by ``stride`` while a target keyframe exists; a series
-    shorter than N+1 keyframes yields no windows.
-    """
-    n = cfg.window_length
-    windows: list[PredictiveWindow] = []
-    offset = 0
-    while offset + n < len(series):
-        target_entry = series.entries[offset + n]
-        windows.append(
-            PredictiveWindow(
-                context=series.entries[offset : offset + n],
-                target_label=episode.labels[target_entry.index],
-                episode_id=series.episode_id,
-                target_index=offset + n,
-            )
-        )
-        offset += cfg.stride
-    return windows
-
-
-def contact_metrics(flags: list[bool], n: int = 10) -> tuple[int, int]:
-    """Contact count and the longest run of consecutive contact flags."""
-    if len(flags) != n:
-        raise ValueError(f"expected {n} contact flags, got {len(flags)}")
-    count = 0
-    duration = 0
-    run = 0
-    for flag in flags:
-        if flag:
-            count += 1
-            run += 1
-            duration = max(duration, run)
-        else:
-            run = 0
-    return count, duration
-
-
-def linear_trend(values) -> float:
-    """Ordinary least-squares slope of ``values`` against indices 0..n-1."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 2:
-        raise ValueError("linear trend requires at least 2 values")
-    t = np.arange(v.size, dtype=np.float64)
-    t -= t.mean()
-    return float(np.dot(t, v - v.mean()) / np.dot(t, t))
-
-
-def window_feature_vector(window: PredictiveWindow) -> np.ndarray:
-    """8-dimensional descriptor of one predictive window.
+def window_feature_vector(series: KeyframeSeries, targets: range, n: int) -> np.ndarray:
+    """The (len(targets), 8) descriptors of the windows of one series.
 
     Layout follows FEATURE_NAMES: distance mean/std/trend, speed
     mean/std/trend (speeds are centroid displacements per keyframe step),
     then contact count and longest contact run. Std is the population
-    standard deviation.
+    standard deviation; a trend is the least-squares slope against the
+    keyframe step.
     """
-    ctx = window.context
-    dist = np.array([e.distance for e in ctx], dtype=np.float64)
-    cx = np.array([e.centroid.x for e in ctx], dtype=np.float64)
-    cy = np.array([e.centroid.y for e in ctx], dtype=np.float64)
-    speed = np.hypot(np.diff(cx), np.diff(cy))
-    count, duration = contact_metrics([e.contact for e in ctx], n=len(ctx))
-    return np.array(
-        [
-            dist.mean(),
-            dist.std(),
-            linear_trend(dist),
-            speed.mean(),
-            speed.std(),
-            linear_trend(speed),
-            float(count),
-            float(duration),
-        ],
-        dtype=np.float64,
-    )
+    entries = series.entries
+    dist = np.array([e.distance for e in entries], dtype=np.float64)
+    xy = np.array([e.centroid for e in entries], dtype=np.float64)
+    contact = np.array([e.contact for e in entries], dtype=bool)
+    step = np.diff(xy, axis=0)
+    speed = np.hypot(step[:, 0], step[:, 1])  # speed[j]: keyframe j -> j+1
+
+    windows = np.asarray(targets)[:, None] + np.arange(-n, 0)  # context positions
+    columns = []
+    for values in (dist[windows], speed[windows[:, :-1]]):
+        t = np.arange(values.shape[1], dtype=np.float64)
+        t -= t.mean()
+        mean = values.mean(axis=1)
+        columns += [mean, values.std(axis=1), (values - mean[:, None]) @ t / (t @ t)]
+
+    flags = contact[windows]
+    run = longest = np.zeros(len(targets), dtype=np.int64)
+    for column in flags.T:
+        run = (run + 1) * column
+        longest = np.maximum(longest, run)
+    columns += [flags.sum(axis=1), longest]
+    return np.column_stack(columns)
 
 
 def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDataset:
@@ -314,8 +265,8 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
     provenance: list[tuple[str, int]] = []
     for episode in episodes:
         series = select_keyframes(episode, cfg)
-        windows = slide_windows(series, cfg, episode)
-        if not windows:
+        targets = slide_windows(len(series), cfg)
+        if not targets:
             log.warning(
                 "episode %s yields no windows (%d keyframes, window %d); skipped",
                 episode.episode_id,
@@ -323,9 +274,9 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
                 cfg.window_length,
             )
             continue
-        blocks.append(np.vstack([window_feature_vector(w) for w in windows]))
-        labels.extend(int(w.target_label) for w in windows)
-        provenance.extend((w.episode_id, w.target_index) for w in windows)
+        blocks.append(window_feature_vector(series, targets, cfg.window_length))
+        labels.extend(int(episode.labels[series.entries[t].index]) for t in targets)
+        provenance.extend((episode.episode_id, t) for t in targets)
     if blocks:
         features = np.concatenate(blocks)
     else:

@@ -2,7 +2,7 @@
 
 Conventions: a frame ("raster") is a 2-D uint8 array of intensities in
 row-major (height, width) layout, as PGM stores it; the keyframe scores
-compute in float64, and ``features.select_keyframes`` converts each frame
+compute in float64, and ``features.keyframe_indices`` converts each frame
 once before scoring it. A mask is a 2-D bool array of the same shape; a
 distance field is float64 with +inf meaning "no foreground anywhere".
 Coordinates are pixel centers, x = column and y = row.

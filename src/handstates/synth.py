@@ -72,14 +72,6 @@ PHASE_LABELS = {
 }
 
 
-def phase_script(durations: PhaseDurations) -> list[tuple[str, int, ClassLabel]]:
-    """(phase name, frame count, label) triples in scripted order."""
-    return [
-        (name, count, PHASE_LABELS[name])
-        for name, count in durations.as_dict().items()
-    ]
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, kinematics and noise for one scripted scenario."""

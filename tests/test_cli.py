@@ -1,5 +1,6 @@
 """Subcommand behaviour: determinism, validation errors, config precedence."""
 
+import collections
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import run_cli
 
-from handstates import cli, manifest, pgm
+from handstates import cli, features, manifest, pgm
 from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
 from handstates.nn import search
 
@@ -80,6 +81,29 @@ class TestSynth:
         out = capsys.readouterr().out
         for label in ClassLabel:
             assert label.name.lower() in out
+        # synth counts window labels without extracting: same counts as extract
+        printed = {
+            name: int(count)
+            for name, _, count in (
+                line.strip().partition(": ") for line in out.splitlines()[2:]
+            )
+        }
+        assert list(printed) == [label.name.lower() for label in ClassLabel]
+        assert run_cli("extract", "--manifest-dir", tmp_path / "h", "--out", tmp_path / "x") == 0
+        with open(tmp_path / "x" / "features.csv", newline="") as fh:
+            extracted = collections.Counter(row["label"] for row in csv.DictReader(fh))
+        assert sum(printed.values()) > 0
+        assert printed == {name: extracted[name] for name in printed}
+
+    def test_counts_labels_without_keyframe_signals(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("synth computed keyframe signals or descriptors")
+
+        for name in ("select_keyframes", "mask_distance", "mask_centroid",
+                     "window_feature_vector"):
+            monkeypatch.setattr(features, name, forbidden)
+        monkeypatch.setattr(cli, "build_dataset", forbidden)
+        assert run_cli("synth", "--out", tmp_path / "h", *SMALL_SYNTH) == 0
 
     def test_infeasible_scenario_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(
@@ -297,6 +321,21 @@ class TestTrainEval:
             )
         assert exc.value.code == 2
         assert "--patience" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("xval", "--dropout", "1.5"),
+        ("train", "--lr", "0"),
+        ("train", "--lr", "nan"),
+        ("train", "--l2", "-1"),
+        ("xval", "--k", "1"),
+    ])
+    def test_config_rejected_flag_is_usage_error(
+        self, tmp_path, small_features, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--features", small_features, "--out", tmp_path / "o", flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_missing_class_in_training_split_fails(self, tmp_path, small_features, capsys):
         # push the lone sample of a rare class entirely into the test split

@@ -13,7 +13,6 @@ from handstates.features import (
     KeyframeEntry,
     KeyframeSeries,
     PipelineConfig,
-    PredictiveWindow,
 )
 from handstates.raster import Point2
 
@@ -42,17 +41,23 @@ def make_episode(frames, hand_masks=None, object_masks=None, labels=None, eid="e
     return Episode(eid, list(frames), hand_masks, object_masks, list(labels))
 
 
+def kept(ep, cfg):
+    """The keyframe indices, which select_keyframes's entries carry in order."""
+    indices = F.keyframe_indices(ep, cfg)
+    assert [e.index for e in F.select_keyframes(ep, cfg).entries] == indices
+    return indices
+
+
 class TestSelectKeyframes:
     def test_vacuous_thresholds_keep_everything(self, rng):
         ep = make_episode([textured(rng) for _ in range(6)])
         cfg = PipelineConfig(sharpness_threshold=0.0, diff_threshold=0.0)
-        series = F.select_keyframes(ep, cfg)
-        assert series.indices == list(range(6))
+        assert kept(ep, cfg) == list(range(6))
 
     def test_infinite_diff_threshold_keeps_only_frame_zero(self, rng):
         ep = make_episode([textured(rng) for _ in range(5)])
         cfg = PipelineConfig(diff_threshold=float("inf"))
-        assert F.select_keyframes(ep, cfg).indices == [0]
+        assert kept(ep, cfg) == [0]
 
     def test_static_prefix_dropped_against_per_frame_oracle(self, rng):
         base = textured(rng)
@@ -60,7 +65,7 @@ class TestSelectKeyframes:
         frames = [base, base.copy(), base.copy()] + moving
         ep = make_episode(frames)
         cfg = PipelineConfig(sharpness_threshold=1.0, diff_threshold=0.5)
-        series = F.select_keyframes(ep, cfg)
+        indices = kept(ep, cfg)
 
         from handstates.raster import frame_diff_energy, laplacian_variance
 
@@ -71,14 +76,14 @@ class TestSelectKeyframes:
                 and frame_diff_energy(frames[i - 1], frames[i]) >= cfg.diff_threshold
             ):
                 expected.append(i)
-        assert series.indices == expected
-        assert 1 not in series.indices and 2 not in series.indices
+        assert indices == expected
+        assert 1 not in indices and 2 not in indices
 
     def test_monotone_in_thresholds(self, rng):
         ep = make_episode([textured(rng) for _ in range(10)])
-        base = set(F.select_keyframes(ep, PipelineConfig(1.0, 0.5)).indices)
+        base = set(kept(ep, PipelineConfig(1.0, 0.5)))
         for tau_s, tau_d in [(2.0, 0.5), (1.0, 2.0), (5.0, 5.0)]:
-            tighter = set(F.select_keyframes(ep, PipelineConfig(tau_s, tau_d)).indices)
+            tighter = set(kept(ep, PipelineConfig(tau_s, tau_d)))
             assert tighter <= base
 
     def test_uint8_and_float64_frames_give_identical_entries(self):
@@ -115,14 +120,6 @@ class TestSelectKeyframes:
         assert series.entries[2].centroid == Point2(3.0, 2.0)
 
 
-def series_of(n, eid="ep"):
-    entries = [
-        KeyframeEntry(index=i, centroid=Point2(float(i), 0.0), distance=50.0, contact=False)
-        for i in range(n)
-    ]
-    return KeyframeSeries(episode_id=eid, entries=entries)
-
-
 def episode_with_labels(n, shape=(6, 8)):
     frames = [np.zeros(shape) for _ in range(n)]
     labels = [ClassLabel(i % 5) for i in range(n)]
@@ -131,103 +128,150 @@ def episode_with_labels(n, shape=(6, 8)):
 
 class TestSlideWindows:
     def test_eleven_keyframes_one_window(self):
-        ep = episode_with_labels(11)
-        wins = F.slide_windows(series_of(11), PipelineConfig(), ep)
-        assert len(wins) == 1
-        assert wins[0].target_index == 10
+        assert list(F.slide_windows(11, PipelineConfig())) == [10]
 
     def test_fifteen_keyframes_five_windows(self):
-        ep = episode_with_labels(15)
-        wins = F.slide_windows(series_of(15), PipelineConfig(), ep)
-        assert len(wins) == 5
-        assert [w.target_index for w in wins] == [10, 11, 12, 13, 14]
-        assert [w.target_label for w in wins] == [ClassLabel(i % 5) for i in range(10, 15)]
+        assert list(F.slide_windows(15, PipelineConfig())) == [10, 11, 12, 13, 14]
+        # flat frames at zero thresholds: every frame is a keyframe
+        ds = F.build_dataset([episode_with_labels(15)], PipelineConfig(0.0, 0.0))
+        assert [t for _, t in ds.provenance] == [10, 11, 12, 13, 14]
+        assert list(ds.labels) == [ClassLabel(i % 5) for i in range(10, 15)]
 
     def test_ten_keyframes_no_window(self):
-        ep = episode_with_labels(10)
-        assert F.slide_windows(series_of(10), PipelineConfig(), ep) == []
+        assert not F.slide_windows(10, PipelineConfig())
 
     @pytest.mark.parametrize("k,stride", [(23, 2), (30, 3), (11, 5)])
     def test_counting_formula_with_stride(self, k, stride):
-        ep = episode_with_labels(k)
         cfg = PipelineConfig(stride=stride)
-        wins = F.slide_windows(series_of(k), cfg, ep)
         n = cfg.window_length
         expected = (k - n - 1) // stride + 1 if k >= n + 1 else 0
-        assert len(wins) == expected
+        assert len(F.slide_windows(k, cfg)) == expected
+
+
+def series_from_signals(dists, centroids, contacts):
+    return KeyframeSeries("ep", [
+        KeyframeEntry(index=i, centroid=Point2(*c), distance=d, contact=bool(f))
+        for i, (d, c, f) in enumerate(zip(dists, centroids, contacts))
+    ])
+
+
+def descriptor(dists, centroids=None, contacts=None):
+    """The descriptor of the one window whose context is the given signals."""
+    n = len(dists)
+    centroids = [(5.0, 5.0)] * n if centroids is None else centroids
+    contacts = [False] * n if contacts is None else contacts
+    # the target keyframe is never read; it only makes the window whole
+    series = series_from_signals(
+        list(dists) + [0.0], list(centroids) + [(0.0, 0.0)], list(contacts) + [False]
+    )
+    block = F.window_feature_vector(series, range(n, n + 1), n)
+    assert block.shape == (1, F.FEATURE_DIM)
+    return block[0]
+
+
+def contact_metrics(flags):
+    count, duration = descriptor([50.0] * len(flags), contacts=flags)[6:]
+    return count, duration
 
 
 class TestContactMetrics:
     def test_mixed_flags(self):
         flags = [True, True, False, True, True, True, False, False, False, False]
-        assert F.contact_metrics(flags) == (5, 3)
+        assert contact_metrics(flags) == (5, 3)
 
     def test_all_false(self):
-        assert F.contact_metrics([False] * 10) == (0, 0)
+        assert contact_metrics([False] * 10) == (0, 0)
 
     def test_all_true(self):
-        assert F.contact_metrics([True] * 10) == (10, 10)
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError, match="10"):
-            F.contact_metrics([True] * 9)
+        assert contact_metrics([True] * 10) == (10, 10)
 
     def test_matches_linear_scan_oracle(self, rng):
-        for _ in range(50):
-            flags = list(rng.random(10) < 0.5)
-            count, duration = F.contact_metrics(flags)
-            assert count == sum(flags)
+        # 50 windows of one block, each against a scan of its own flags
+        flags = list(rng.random(59) < 0.5)
+        series = series_from_signals([50.0] * 59, [(0.0, 0.0)] * 59, flags)
+        targets = range(10, 59)
+        block = F.window_feature_vector(series, targets, 10)
+        for t, (count, duration) in zip(targets, block[:, 6:]):
+            window = flags[t - 10 : t]
+            assert count == sum(window)
             best = run = 0
-            for f in flags:
+            for f in window:
                 run = run + 1 if f else 0
                 best = max(best, run)
             assert duration == best
 
 
+def linear_trend(values):
+    """Slope of ``values`` as the distance trend of one window."""
+    return descriptor(values)[2]
+
+
 class TestLinearTrend:
     def test_constant_series(self):
-        assert F.linear_trend([4.2] * 7) == 0.0
+        assert linear_trend([4.2] * 7) == 0.0
 
     def test_unit_slope(self):
-        assert F.linear_trend([0, 1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
+        assert linear_trend([0, 1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_points(self):
-        assert F.linear_trend([3.0, 1.0]) == pytest.approx(-2.0, abs=1e-12)
+        # three keyframes give two speeds, 3 then 1
+        vec = descriptor([50.0] * 3, centroids=[(0.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
+        assert vec[5] == pytest.approx(-2.0, abs=1e-12)
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            F.linear_trend([1.0])
+        # two keyframes give one speed, too few for its trend
+        with pytest.raises(ValueError, match=">= 3"):
+            PipelineConfig(window_length=2)
 
     def test_matches_closed_form(self, rng):
         v = rng.random(10) * 100
         t = np.arange(10.0)
         slope = ((t - t.mean()) * (v - v.mean())).sum() / ((t - t.mean()) ** 2).sum()
-        assert F.linear_trend(v) == pytest.approx(slope, abs=1e-12)
+        assert linear_trend(v) == pytest.approx(slope, abs=1e-12)
 
 
-def window_from_signals(dists, centroids, contacts, label=ClassLabel.HOLDING):
-    entries = [
-        KeyframeEntry(index=i, centroid=Point2(*c), distance=d, contact=bool(f))
-        for i, (d, c, f) in enumerate(zip(dists, centroids, contacts))
+def independent_descriptor(dists, centroids, contacts):
+    """The 8 descriptors of one window, from the standard library alone."""
+    speeds = [
+        ((centroids[i][0] - centroids[i - 1][0]) ** 2
+         + (centroids[i][1] - centroids[i - 1][1]) ** 2) ** 0.5
+        for i in range(1, len(centroids))
     ]
-    return PredictiveWindow(
-        context=entries, target_label=label, episode_id="ep", target_index=10
-    )
+
+    def ols(vals):
+        t = list(range(len(vals)))
+        tm = statistics.fmean(t)
+        vm = statistics.fmean(vals)
+        return sum((a - tm) * (b - vm) for a, b in zip(t, vals)) / sum(
+            (a - tm) ** 2 for a in t
+        )
+
+    run = best = 0
+    for f in contacts:
+        run = run + 1 if f else 0
+        best = max(best, run)
+    return [
+        statistics.fmean(dists),
+        statistics.pstdev(dists),
+        ols(dists),
+        statistics.fmean(speeds),
+        statistics.pstdev(speeds),
+        ols(speeds),
+        float(sum(contacts)),
+        float(best),
+    ]
 
 
 class TestWindowFeatureVector:
     def test_stationary_far_hand(self):
-        win = window_from_signals(
-            [50.0] * 10, [(5.0, 5.0)] * 10, [False] * 10
-        )
-        vec = F.window_feature_vector(win)
+        vec = descriptor([50.0] * 10, [(5.0, 5.0)] * 10, [False] * 10)
         assert np.allclose(vec, [50, 0, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_linear_approach_closed_form(self):
         dists = [45.0 - 5 * i for i in range(10)]  # 45 .. 0
         centroids = [(float(i), 0.0) for i in range(10)]  # unit steps
         contacts = [d <= 10.0 for d in dists]
-        vec = F.window_feature_vector(window_from_signals(dists, centroids, contacts))
+        vec = descriptor(dists, centroids, contacts)
         assert vec[0] == pytest.approx(np.mean(dists))
         assert vec[2] == pytest.approx(-5.0, abs=1e-12)  # trend per keyframe step
         assert vec[3] == pytest.approx(1.0, abs=1e-12)  # mean speed = step length
@@ -236,40 +280,20 @@ class TestWindowFeatureVector:
         assert vec[7] == 3.0
 
     def test_matches_independent_recomputation(self, rng):
-        dists = list(rng.random(10) * 80)
-        centroids = [tuple(p) for p in rng.random((10, 2)) * 30]
-        contacts = list(rng.random(10) < 0.4)
-        vec = F.window_feature_vector(window_from_signals(dists, centroids, contacts))
-
-        speeds = [
-            ((centroids[i][0] - centroids[i - 1][0]) ** 2
-             + (centroids[i][1] - centroids[i - 1][1]) ** 2) ** 0.5
-            for i in range(1, 10)
-        ]
-
-        def ols(vals):
-            t = list(range(len(vals)))
-            tm = statistics.fmean(t)
-            vm = statistics.fmean(vals)
-            return sum((a - tm) * (b - vm) for a, b in zip(t, vals)) / sum(
-                (a - tm) ** 2 for a in t
+        # every window of one block, strided, against its own recomputation
+        dists = list(rng.random(40) * 80)
+        centroids = [tuple(p) for p in rng.random((40, 2)) * 30]
+        contacts = list(rng.random(40) < 0.4)
+        series = series_from_signals(dists, centroids, contacts)
+        targets = range(10, 40, 3)
+        block = F.window_feature_vector(series, targets, 10)
+        assert block.shape == (len(targets), F.FEATURE_DIM)
+        for t, vec in zip(targets, block):
+            context = slice(t - 10, t)
+            expected = independent_descriptor(
+                dists[context], centroids[context], contacts[context]
             )
-
-        run = best = 0
-        for f in contacts:
-            run = run + 1 if f else 0
-            best = max(best, run)
-        expected = [
-            statistics.fmean(dists),
-            statistics.pstdev(dists),
-            ols(dists),
-            statistics.fmean(speeds),
-            statistics.pstdev(speeds),
-            ols(speeds),
-            float(sum(contacts)),
-            float(best),
-        ]
-        assert np.allclose(vec, expected, atol=1e-9)
+            assert np.allclose(vec, expected, atol=1e-9)
 
 
 def tiny_corpus(rng, n_episodes=3, frames_per=14):
@@ -298,8 +322,7 @@ class TestBuildDataset:
         cfg = PipelineConfig(0.0, 0.0)
         ds = F.build_dataset(episodes, cfg)
         expected = sum(
-            len(F.slide_windows(F.select_keyframes(ep, cfg), cfg, ep))
-            for ep in episodes
+            len(F.slide_windows(len(F.keyframe_indices(ep, cfg)), cfg)) for ep in episodes
         )
         assert len(ds) == expected
 
@@ -332,6 +355,42 @@ class TestBuildDataset:
     def test_all_features_finite(self, rng):
         ds = F.build_dataset(tiny_corpus(rng), PipelineConfig(0.0, 0.0))
         assert np.isfinite(ds.features).all()
+
+    def test_strided_windows_match_per_window_formulas(self):
+        from handstates.synth import ScenarioConfig, generate_episode
+
+        ep = generate_episode(ScenarioConfig(seed=13))
+        cfg = PipelineConfig(window_length=4, stride=3)
+        ds = F.build_dataset([ep], cfg)
+        entries = F.select_keyframes(ep, cfg).entries
+
+        def trend(v):
+            t = np.arange(v.size, dtype=np.float64)
+            t -= t.mean()
+            return np.dot(t, v - v.mean()) / np.dot(t, t)
+
+        rows, labels, provenance = [], [], []
+        offset = 0
+        while offset + 4 < len(entries):  # one window at a time
+            context = entries[offset : offset + 4]
+            dist = np.array([e.distance for e in context])
+            cx = np.array([e.centroid.x for e in context])
+            cy = np.array([e.centroid.y for e in context])
+            speed = np.hypot(np.diff(cx), np.diff(cy))
+            run = best = 0
+            for e in context:
+                run = run + 1 if e.contact else 0
+                best = max(best, run)
+            rows.append([dist.mean(), dist.std(), trend(dist),
+                         speed.mean(), speed.std(), trend(speed),
+                         sum(e.contact for e in context), best])
+            labels.append(ep.labels[entries[offset + 4].index])
+            provenance.append((ep.episode_id, offset + 4))
+            offset += 3
+        assert len(rows) > 10
+        assert ds.provenance == provenance
+        assert list(ds.labels) == labels
+        assert np.allclose(ds.features, rows, rtol=0.0, atol=1e-12)
 
 
 def labels_with_counts(counts):
@@ -412,6 +471,7 @@ class TestInvariants:
     def test_pipeline_config_validation(self):
         for kwargs in (
             {"window_length": 1},
+            {"window_length": 2},
             {"stride": 0},
             {"contact_epsilon": 0.0},
             {"sharpness_threshold": -1.0},
@@ -430,15 +490,16 @@ class TestInvariants:
 
         ep = generate_episode(ScenarioConfig(seed=13))
         cfg = PipelineConfig()
+        n = cfg.window_length
         series = F.select_keyframes(ep, cfg)
-        windows = F.slide_windows(series, cfg, ep)
-        assert windows
-        for win in windows:
-            vec = F.window_feature_vector(win)
+        targets = F.slide_windows(len(series), cfg)
+        assert targets
+        block = F.window_feature_vector(series, targets, n)
+        for t, vec in zip(targets, block):
             count, duration = vec[6], vec[7]
-            min_dist = min(e.distance for e in win.context)
+            min_dist = min(e.distance for e in series.entries[t - n : t])
             assert (count > 0) == (min_dist <= cfg.contact_epsilon)
-            assert duration <= count <= cfg.window_length
+            assert duration <= count <= n
 
 
 class TestSequenceDataset:

@@ -27,8 +27,7 @@ def clean_episode():
 
 
 def test_phase_script_label_mapping_is_fixed():
-    script = synth.phase_script(PhaseDurations())
-    assert [(name, label) for name, _, label in script] == [
+    assert list(synth.PHASE_LABELS.items()) == [
         ("idle", ClassLabel.UNKNOWN),
         ("approach", ClassLabel.APPROACHING),
         ("grab", ClassLabel.GRABBING),
@@ -36,7 +35,8 @@ def test_phase_script_label_mapping_is_fixed():
         ("release", ClassLabel.RELEASING),
         ("retreat", ClassLabel.UNKNOWN),
     ]
-    assert sum(count for _, count, _ in script) == PhaseDurations().total()
+    # phases are scripted in the order of their durations
+    assert list(synth.PHASE_LABELS) == list(PhaseDurations().as_dict())
 
 
 def test_episodes_match_phase_script(clean_episode):
@@ -165,7 +165,7 @@ def test_duration_jitter_within_30_percent():
 def test_default_corpus_covers_all_classes_with_grabbing_rarest():
     corpus = generate_corpus(ScenarioConfig(), 6, seed=7)
     ds = build_dataset(corpus, PipelineConfig())
-    counts = ds.class_counts()
+    counts = np.bincount(ds.labels, minlength=len(ClassLabel))
     assert (counts > 0).all()
     assert counts[ClassLabel.GRABBING] == counts.min()
     assert counts[ClassLabel.HOLDING] == counts.max()
