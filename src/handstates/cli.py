@@ -16,7 +16,9 @@ returns the files it wrote, hashes the inputs the subcommand names
 out) -> ((accuracy, weighted F1, grabbing F1), files written)``. Each
 ladder row is one call of its protocol's step into ``model_N/``, so a row
 writes what its subcommand writes and the ladder's manifest lists the
-files of every row.
+files of every row. ``ladder --seeds N`` runs the whole plan at N seeds,
+each into ``seed_S/``, and sums them up as the mean and std of each row's
+scores in ``ladder_seeds.csv``.
 
 Flag precedence: explicit flags > ``--config`` file > built-in defaults. A
 config line ``key=value`` is the flag ``--key=value`` and a bare ``key`` is
@@ -473,9 +475,31 @@ LADDER_PLAN = (
 )
 
 
-def cmd_ladder(args: argparse.Namespace, out: Path):
-    ds = _load_features(args.features)
+LADDER_COLUMNS = ["model", "description", "architecture", "seq_len"]
+SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
 
+
+def _write_rows(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _ladder_row(number: int, description: str, spec: ModelSpec) -> dict:
+    return {
+        "model": number,
+        "description": description,
+        "architecture": spec.kind,
+        "seq_len": spec.seq_length if spec.kind != "mlp" else "n/a",
+    }
+
+
+def _run_ladder(args: argparse.Namespace, ds: LabeledDataset, out: Path):
+    """Every ``LADDER_PLAN`` row at ``args.seed`` into ``out/model_N/``, then
+    ``out/ladder_summary.csv``; returns each row's scores (None where the row
+    failed), the files written and the failures."""
+    scores: list[tuple[float, float, float] | None] = []
     rows: list[dict] = []
     outputs: list[Path] = []
     failures: list[str] = []
@@ -483,45 +507,70 @@ def cmd_ladder(args: argparse.Namespace, out: Path):
         model_out = out / f"model_{number}"
         model_out.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
-        row = {
-            "model": number,
-            "description": description,
-            "architecture": spec.kind,
-            "seq_len": spec.seq_length if spec.kind != "mlp" else "n/a",
-        }
+        row = _ladder_row(number, description, spec)
         try:
             cfg = _train_cfg(args, seed=args.seed + 10 * number, class_weighting=class_weighting)
-            (accuracy, weighted_f1, grabbing_f1), files = step(args, spec, cfg, ds, model_out)
+            row_scores, files = step(args, spec, cfg, ds, model_out)
             outputs += files
-            row.update(
-                accuracy=f"{accuracy:.6f}",
-                weighted_f1=f"{weighted_f1:.6f}",
-                grabbing_f1=f"{grabbing_f1:.6f}",
-            )
+            scores.append(row_scores)
+            row.update((key, f"{value:.6f}") for key, value in zip(SCORES, row_scores))
+            accuracy, weighted_f1, grabbing_f1 = row_scores
             print(
                 f"model {number} ({description}): acc={accuracy:.4f} "
                 f"wF1={weighted_f1:.4f} grabF1={grabbing_f1:.4f} "
                 f"[{time.time() - t0:.1f}s]"
             )
         except Exception as exc:  # summary still written, with markers
-            row.update(accuracy="failed", weighted_f1="failed", grabbing_f1="failed")
+            scores.append(None)
+            row.update((key, "failed") for key in SCORES)
             failures.append(f"model {number}: {exc}")
             print(f"model {number} ({description}): FAILED ({exc})", file=sys.stderr)
         rows.append(row)
 
     summary_path = out / "ladder_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "model", "description", "architecture", "seq_len",
-                "accuracy", "weighted_f1", "grabbing_f1",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_rows(summary_path, LADDER_COLUMNS + list(SCORES), rows)
     print(f"ladder summary -> {summary_path}")
-    return [summary_path] + outputs, failures
+    return scores, [summary_path] + outputs, failures
+
+
+def cmd_ladder(args: argparse.Namespace, out: Path):
+    """One ladder into ``out``; with ``--seeds N`` > 1, one into
+    ``out/seed_S/`` for each seed S from ``--seed`` on, and the mean and std
+    of each row's scores over the seeds it did not fail at in
+    ``ladder_seeds.csv``."""
+    ds = _load_features(args.features)
+    if args.seeds == 1:
+        _, outputs, failures = _run_ladder(args, ds, out)
+        return outputs, failures
+
+    runs, outputs, failures = [], [], []
+    for seed in range(args.seed, args.seed + args.seeds):
+        scores, files, failed = _run_ladder(
+            argparse.Namespace(**{**vars(args), "seed": seed}), ds, out / f"seed_{seed}"
+        )
+        runs.append(scores)
+        outputs += files
+        failures += [f"seed {seed} {failure}" for failure in failed]
+
+    rows = []
+    for k, (number, description, spec, _, _) in enumerate(LADDER_PLAN):
+        done = np.array([run[k] for run in runs if run[k] is not None]).reshape(-1, len(SCORES))
+        row = _ladder_row(number, description, spec)
+        row["seeds"] = len(done)
+        for key, values in zip(SCORES, done.T):
+            row[f"{key}_mean"] = f"{values.mean():.6f}" if len(done) else "failed"
+            row[f"{key}_std"] = f"{values.std():.6f}" if len(done) else "failed"
+        rows.append(row)
+        print(
+            f"model {number} ({description}) over {len(done)} of {args.seeds} seeds: "
+            + " ".join(f"{short}={row[key + '_mean']}+/-{row[key + '_std']}"
+                       for short, key in zip(("acc", "wF1", "grabF1"), SCORES))
+        )
+    seeds_path = out / "ladder_seeds.csv"
+    columns = [f"{key}_{stat}" for key in SCORES for stat in ("mean", "std")]
+    _write_rows(seeds_path, LADDER_COLUMNS + ["seeds"] + columns, rows)
+    print(f"ladder seeds summary -> {seeds_path}")
+    return [seeds_path] + outputs, failures
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=6,
                    help="search budget for the final (searched) model")
+    p.add_argument("--seeds", type=_positive_int, default=1,
+                   help="run the ladder at this many seeds from --seed on, "
+                        "each into seed_S/, and write ladder_seeds.csv")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_ladder)
 

@@ -4,6 +4,7 @@ import collections
 import csv
 import hashlib
 import json
+import statistics
 import weakref
 from pathlib import Path
 
@@ -508,3 +509,32 @@ class TestLadderOutputs:
             mean = rows[5]
             for score in ("accuracy", "weighted_f1", "grabbing_f1"):
                 assert f"{float(mean[score]):.6f}" == summary[number][score]
+
+    def test_default_is_one_seed_in_the_top_directory(self, ladder_run):
+        names = sorted(p.name for p in ladder_run.iterdir())
+        assert names == ["ladder_summary.csv"] + [f"model_{k}" for k in range(1, 9)] + [
+            "run_manifest.json"]
+
+    def test_seeds_run_the_ladder_at_each_seed_and_average_it(self, ladder_run):
+        out = ladder_run.parent / "seeds"
+        assert run_cli(
+            "ladder", "--features", ladder_run.parent / "data" / "features.csv", "--out", out,
+            "--epochs", 1, "--budget", 1, "--patience", 0, "--seeds", 2,
+        ) == 0
+        # the first seed is the default --seed 7, so its tree is the one-seed run's
+        assert tree_digest(out / "seed_7") == tree_digest(ladder_run)
+        runs = []
+        for seed in (7, 8):
+            with open(out / f"seed_{seed}" / "ladder_summary.csv", newline="") as fh:
+                runs.append(list(csv.DictReader(fh)))
+        with open(out / "ladder_seeds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["model"] for row in rows] == [str(k) for k in range(1, 9)]
+        for k, row in enumerate(rows):
+            assert row["seeds"] == "2"
+            for score in ("accuracy", "weighted_f1", "grabbing_f1"):
+                values = [float(run[k][score]) for run in runs]
+                # the summaries round each seed's score to 6 decimals
+                assert abs(float(row[f"{score}_mean"]) - statistics.fmean(values)) <= 1e-6
+                assert abs(float(row[f"{score}_std"]) - statistics.pstdev(values)) <= 1e-6
+        assert_manifest_lists_every_file(out)
