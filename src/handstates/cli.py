@@ -92,10 +92,12 @@ def _checked(convert, ok, requirement: str):
 _positive_int = _checked(int, lambda v: v >= 1, "be a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "be a non-negative integer")
 _fold_count = _checked(int, lambda v: v >= 2, "be an integer >= 2")
+_window = _checked(int, lambda v: v >= 3, "be an integer >= 3")
 _positive_float = _checked(float, lambda v: v > 0.0, "be > 0")
 _non_negative_float = _checked(float, lambda v: v >= 0.0, "be >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")
 _dropout = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_flip_prob = _checked(float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -628,24 +630,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object-rect", type=_rect, default=(86, 40, 22, 22),
                    help="x0,y0,width,height")
     p.add_argument("--hand-radius", type=_positive_int, default=7)
-    p.add_argument("--approach-speed", type=float, default=3.0)
-    p.add_argument("--jitter", type=float, default=0.3)
-    p.add_argument("--mask-noise", type=float, default=0.003)
-    p.add_argument("--epsilon", type=float, default=10.0)
+    p.add_argument("--approach-speed", type=_positive_float, default=3.0)
+    p.add_argument("--jitter", type=_non_negative_float, default=0.3)
+    p.add_argument("--mask-noise", type=_flip_prob, default=0.003)
+    p.add_argument("--epsilon", type=_positive_float, default=10.0)
     for phase, frames in (("idle", 12), ("approach", 16), ("grab", 4),
                           ("hold", 45), ("release", 8), ("retreat", 12)):
-        p.add_argument(f"--{phase}", type=int, default=frames,
+        p.add_argument(f"--{phase}", type=_non_negative_int, default=frames,
                        help=f"{phase} phase frames")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract feature vectors from manifests")
     _add_common(p)
     p.add_argument("--manifest-dir", required=True)
-    p.add_argument("--tau-sharp", type=float, default=10.0)
-    p.add_argument("--tau-diff", type=float, default=1.0)
-    p.add_argument("--window", type=_positive_int, default=10)
+    p.add_argument("--tau-sharp", type=_non_negative_float, default=10.0)
+    p.add_argument("--tau-diff", type=_non_negative_float, default=1.0)
+    p.add_argument("--window", type=_window, default=10,
+                   help="keyframes of context; the speed trend needs at least 3")
     p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--epsilon", type=float, default=10.0)
+    p.add_argument("--epsilon", type=_positive_float, default=10.0)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one model and report on the test split")

@@ -2,8 +2,9 @@
 
 Central finite differences (h = 1e-5) of the full training loss (data term
 plus L2 penalty) are compared against the backpropagated gradients for
-every parameter element. Dropout must be disabled in the spec: a stochastic
-mask has no consistent finite-difference limit.
+every parameter element, on a float64 classifier: a float32 loss would
+bury a difference quotient at h = 1e-5 in rounding. Dropout must be disabled
+in the spec: a stochastic mask has no consistent finite-difference limit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def gradient_check(
     if x.shape[0] > 8:
         raise ValueError("use a small batch (<= 8) for gradient checking")
     weights = np.ones(spec.num_classes)
-    clf = Classifier(spec, np.random.default_rng(seed))
+    clf = Classifier(spec, np.random.default_rng(seed), dtype=np.float64)
 
     def loss_only() -> float:
         logits = clf.forward(x, train=True)

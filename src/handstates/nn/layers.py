@@ -4,7 +4,12 @@ Every layer keeps the ``Layer`` interface: ``forward(x, train, rng)`` caches
 what ``backward(dy)`` needs, and ``backward`` accumulates the layer's own
 parameter gradients, its L2 term included, and returns dL/dx. Parameters and
 gradients are exposed through ``params()`` / ``grads()`` dictionaries so the
-optimizer can address them by name. All math is float64.
+optimizer can address them by name. A layer computes in the dtype of its
+parameters, which ``create`` takes (float64 unless given); a parameter-free
+layer computes in the dtype of its input. Every array a layer allocates, its
+caches, masks and running statistics included, has that dtype, so a
+float32 model stays float32 from input to logits and back. An L2 penalty is
+summed in float64, as the loss it is reported with.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape,
+                   dtype=np.float64) -> np.ndarray:
+    # drawn in float64 and then cast, so every dtype takes the same draws
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 class Layer:
@@ -62,9 +69,10 @@ class Dense(Layer):
         self._x: np.ndarray | None = None
 
     @classmethod
-    def create(cls, rng, n_in: int, n_out: int, l2: float = 0.0, name: str = "dense"):
-        w = glorot_uniform(rng, n_in, n_out, (n_in, n_out))
-        return cls(w, np.zeros(n_out), l2=l2, name=name)
+    def create(cls, rng, n_in: int, n_out: int, l2: float = 0.0, name: str = "dense",
+               dtype=np.float64):
+        w = glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype)
+        return cls(w, np.zeros(n_out, dtype), l2=l2, name=name)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if x.shape[1] != self.w.shape[0]:
@@ -83,7 +91,7 @@ class Dense(Layer):
         return dy @ self.w.T
 
     def penalty(self) -> float:
-        return self.l2 * float((self.w * self.w).sum()) if self.l2 > 0.0 else 0.0
+        return self.l2 * float((self.w * self.w).sum(dtype=np.float64)) if self.l2 > 0.0 else 0.0
 
     def params(self):
         return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
@@ -128,8 +136,8 @@ class BatchNorm(Layer):
         self._cache = None
 
     @classmethod
-    def create(cls, dim: int, name: str = "bn"):
-        return cls(np.ones(dim), np.zeros(dim), name=name)
+    def create(cls, dim: int, name: str = "bn", dtype=np.float64):
+        return cls(np.ones(dim, dtype), np.zeros(dim, dtype), name=name)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if train:
@@ -173,8 +181,8 @@ class BatchNorm(Layer):
         self.dbeta[:] = 0.0
 
     def set_running_stats(self, mean: np.ndarray, var: np.ndarray):
-        self.running_mean = np.asarray(mean, dtype=np.float64)
-        self.running_var = np.asarray(var, dtype=np.float64)
+        self.running_mean = np.asarray(mean, dtype=self.gamma.dtype)
+        self.running_var = np.asarray(var, dtype=self.gamma.dtype)
 
 
 class Dropout(Layer):
@@ -192,7 +200,8 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise ValueError("train-mode dropout needs an RNG")
-        self._mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        # the draws are float64 whatever x's dtype; the mask takes x's
+        self._mask = np.divide(rng.random(x.shape) >= self.p, 1.0 - self.p, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

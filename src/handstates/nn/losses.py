@@ -1,4 +1,8 @@
-"""Class-weighted softmax cross-entropy and the balanced weighting scheme."""
+"""Class-weighted softmax cross-entropy and the balanced weighting scheme.
+
+Both work on a float64 copy of the logits, whatever their dtype, so a loss
+and a probability are float64; the loss gradient has the logits' dtype.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import numpy as np
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
+    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -32,7 +37,7 @@ def softmax_cross_entropy(
     grad = np.exp(logp)
     grad[np.arange(n), targets] -= 1.0
     grad *= w[:, None] / n
-    return loss, grad
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 def balanced_class_weights(counts: np.ndarray) -> np.ndarray:

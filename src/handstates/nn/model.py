@@ -9,6 +9,11 @@ through optional batch-norm and dropout into a linear softmax head. At
 ``seq_length=1`` each recurrent layer is the static encoder it then is: a
 ``Dense`` layer into 3 * width gate pre-activations and a ``ZeroStateGate``,
 width being 2 * rnn_units for ``birnn`` and rnn_units for ``lstm``.
+
+A classifier computes in one dtype, float32 by default: parameters,
+gradients, activations and the optimizer's moments. Inputs are cast to it
+as they come in, and the loss and probabilities are taken in float64 from
+the logits. Gradient checks build a float64 classifier.
 """
 
 from __future__ import annotations
@@ -82,15 +87,17 @@ class Classifier:
     loop reversed.
     """
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         self.spec = spec
+        self.dtype = np.dtype(dtype)
         layers: list[Layer] = []
         n_in = spec.input_dim
         if spec.kind == "mlp":
             for i, width in enumerate(spec.hidden):
-                layers.append(Dense.create(rng, n_in, width, l2=spec.l2_lambda, name=f"dense{i}"))
+                layers.append(Dense.create(rng, n_in, width, l2=spec.l2_lambda, name=f"dense{i}",
+                                           dtype=dtype))
                 if spec.use_batchnorm:
-                    layers.append(BatchNorm.create(width, name=f"bn{i}"))
+                    layers.append(BatchNorm.create(width, name=f"bn{i}", dtype=dtype))
                 layers.append(ReLU())
                 if spec.dropout_p > 0:
                     layers.append(Dropout(spec.dropout_p))
@@ -101,16 +108,18 @@ class Classifier:
             for i in range(spec.rnn_layers):
                 if spec.seq_length == 1:
                     layers += [Dense.create(rng, n_in, 3 * width, l2=spec.l2_lambda,
-                                            name=f"rnn{i}"), ZeroStateGate()]
+                                            name=f"rnn{i}", dtype=dtype), ZeroStateGate()]
                 else:
                     layers.append(cell.create(rng, n_in, spec.rnn_units, l2=spec.l2_lambda,
-                                              name=f"rnn{i}", top=i == spec.rnn_layers - 1))
+                                              name=f"rnn{i}", top=i == spec.rnn_layers - 1,
+                                              dtype=dtype))
                 n_in = width
             if spec.use_batchnorm:
-                layers.append(BatchNorm.create(n_in, name="enc_bn"))
+                layers.append(BatchNorm.create(n_in, name="enc_bn", dtype=dtype))
             if spec.dropout_p > 0:
                 layers.append(Dropout(spec.dropout_p))
-        layers.append(Dense.create(rng, n_in, spec.num_classes, l2=spec.l2_lambda, name="head"))
+        layers.append(Dense.create(rng, n_in, spec.num_classes, l2=spec.l2_lambda, name="head",
+                                   dtype=dtype))
         self.layers = layers
 
     # -- parameter plumbing ------------------------------------------------
@@ -137,7 +146,7 @@ class Classifier:
             missing = set(own) ^ set(values)
             raise ValueError(f"parameter names do not match spec: {sorted(missing)}")
         for name, arr in own.items():
-            incoming = np.asarray(values[name], dtype=np.float64)
+            incoming = np.asarray(values[name])
             if incoming.shape != arr.shape:
                 raise ValueError(
                     f"{name}: shape {incoming.shape} != expected {arr.shape}"
@@ -153,7 +162,7 @@ class Classifier:
         # An MLP and a length-1 model run on (batch, input_dim); the latter
         # also takes (batch, 1, input_dim).
         spec = self.spec
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if spec.kind == "mlp" or spec.seq_length == 1:
             if spec.kind != "mlp" and x.ndim == 3 and x.shape[1] == 1:
                 x = x[:, 0, :]
@@ -213,4 +222,5 @@ class Classifier:
         return np.concatenate([self.forward(block) for block in blocks])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities in float64, whatever the model's dtype."""
         return softmax(self.logits(x))

@@ -6,6 +6,13 @@ import numpy as np
 
 
 class Adam:
+    """Adam over named parameters, in each parameter's own dtype.
+
+    A step allocates nothing: each parameter has two scratch buffers, and the
+    update is computed in them in the order of the textbook expression
+    ``p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``.
+    """
+
     def __init__(
         self,
         params: dict[str, np.ndarray],
@@ -22,6 +29,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -31,8 +39,18 @@ class Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            s, r = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            np.divide(m, b1t, out=s)
+            s *= self.lr
+            np.divide(v, b2t, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s

@@ -90,7 +90,7 @@ def _cell_backward(dh, dc_in, c_prev, gates):
     """dL/da and dL/dc of one cell given dL/dh and the incoming dL/dc."""
     i, f, g, o, tc = gates
     u = dh.shape[1]
-    da = np.empty((dh.shape[0], 4 * u))
+    da = np.empty((dh.shape[0], 4 * u), dh.dtype)
     dc = _zero_state_cell_backward(dh, dc_in, (i, g, o, tc), _igo(da))
     da_f = da[:, u : 2 * u]
     np.multiply(dc, c_prev, out=da_f)
@@ -132,7 +132,7 @@ class ZeroStateGate(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         w = dy.shape[1]
-        dx = np.empty((dy.shape[0], 3 * w))
+        dx = np.empty((dy.shape[0], 3 * w), dy.dtype)
         _zero_state_cell_backward(dy, 0.0, self._gates,
                                   (dx[:, :w], dx[:, w : 2 * w], dx[:, 2 * w :]))
         return dx
@@ -156,10 +156,10 @@ class LSTMLayer(Layer):
 
     @classmethod
     def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
-               top: bool = False):
-        wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units))
-        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units))
-        b = np.zeros(4 * units)
+               top: bool = False, dtype=np.float64):
+        wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units), dtype)
+        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units), dtype)
+        b = np.zeros(4 * units, dtype)
         b[units : 2 * units] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b, l2=l2, name=name, top=top)
 
@@ -168,7 +168,7 @@ class LSTMLayer(Layer):
         if x.ndim != 3 or x.shape[1] < 1:
             raise ValueError(f"{self.name}: expected non-empty (batch, length, features) input")
         batch, length, _ = x.shape
-        outputs = np.empty((batch, length, self.units))
+        outputs = np.empty((batch, length, self.units), self.b.dtype)
         a = x[:, 0, :] @ self.wx + self.b
         h, c, gates = _zero_state_cell(*_igo(a))
         outputs[:, 0, :] = h
@@ -183,14 +183,15 @@ class LSTMLayer(Layer):
         """BPTT given dL/d(output of forward); adds the L2 gradient."""
         caches = self._caches
         batch, length = dy.shape[0], len(caches)
-        d_outputs = np.zeros((batch, length, self.units))
+        dtype = self.b.dtype
+        d_outputs = np.zeros((batch, length, self.units), dtype)
         if self.top:
             d_outputs[:, -1, :] += dy
         else:
             d_outputs += dy
-        dx = np.empty((batch, length, self.wx.shape[0]))
-        dh_next = np.zeros((batch, self.units))
-        dc_next = np.zeros((batch, self.units))
+        dx = np.empty((batch, length, self.wx.shape[0]), dtype)
+        dh_next = np.zeros((batch, self.units), dtype)
+        dc_next = np.zeros((batch, self.units), dtype)
         for t in range(length - 1, 0, -1):
             dx[:, t, :], dh_next, dc_next, dwx, dwh, db = lstm_step_backward(
                 d_outputs[:, t, :] + dh_next, dc_next, caches[t], self.wx, self.wh
@@ -200,7 +201,7 @@ class LSTMLayer(Layer):
             self.db += db
         x0, gates = caches[0]
         dh = d_outputs[:, 0, :] + dh_next
-        da = np.zeros((batch, 4 * self.units))
+        da = np.zeros((batch, 4 * self.units), dtype)
         _zero_state_cell_backward(dh, dc_next, gates, _igo(da))
         dx[:, 0, :] = da @ self.wx.T
         self.dwx += x0.T @ da
@@ -213,7 +214,8 @@ class LSTMLayer(Layer):
     def penalty(self) -> float:
         if self.l2 <= 0.0:
             return 0.0
-        return self.l2 * float((self.wx * self.wx).sum() + (self.wh * self.wh).sum())
+        return self.l2 * float((self.wx * self.wx).sum(dtype=np.float64)
+                               + (self.wh * self.wh).sum(dtype=np.float64))
 
     def params(self):
         return {f"{self.name}.wx": self.wx, f"{self.name}.wh": self.wh, f"{self.name}.b": self.b}
@@ -243,9 +245,9 @@ class BidirectionalLSTM(Layer):
 
     @classmethod
     def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "bilstm",
-               top: bool = False):
-        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd", top=top)
-        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd", top=top)
+               top: bool = False, dtype=np.float64):
+        fwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.fwd", top=top, dtype=dtype)
+        bwd = LSTMLayer.create(rng, n_in, units, l2=l2, name=f"{name}.bwd", top=top, dtype=dtype)
         return cls(fwd, bwd)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:

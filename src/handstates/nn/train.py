@@ -2,9 +2,10 @@
 early stopping on validation loss and deterministic seeding.
 
 ``train`` consumes (features, labels) array pairs; features are 2-D for the
-MLP and (batch, seq_length, dim) for recurrent models. The checkpoint
-returned holds the trained classifier, restored to the epoch with the
-lowest validation loss.
+MLP and (batch, seq_length, dim) for recurrent models. Features are
+standardized in float64; the classifier, float32, casts each batch as it
+comes in, and losses are float64. The checkpoint returned holds the trained
+classifier, restored to the epoch with the lowest validation loss.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import importlib
+from functools import partial
+
 import numpy as np
 import pytest
 
 from handstates.cli import main as cli_main
+from handstates.nn.model import Classifier
 
 
 @pytest.fixture
@@ -19,3 +23,17 @@ def run_cli(*argv) -> int:
 @pytest.fixture
 def cli():
     return run_cli
+
+
+@pytest.fixture
+def float64_training(monkeypatch):
+    """``train`` builds float64 classifiers, for cases that pin where
+    float64 arithmetic overflows."""
+    train_module = importlib.import_module("handstates.nn.train")
+    monkeypatch.setattr(train_module, "Classifier", partial(Classifier, dtype=np.float64))
+
+
+def bits(a):
+    """The bit patterns of a float array, for exact comparison."""
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])

@@ -106,6 +106,17 @@ class TestSynth:
         monkeypatch.setattr(cli, "build_dataset", forbidden)
         assert run_cli("synth", "--out", tmp_path / "h", *SMALL_SYNTH) == 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--epsilon", "0"), ("--approach-speed", "nan"), ("--jitter", "-0.1"),
+        ("--mask-noise", "0.5"), ("--idle", "-1"),
+    ])
+    def test_rejected_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--out", tmp_path / "o", flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_scenario_fails_cleanly(self, tmp_path, capsys):
         code = run_cli(
             "synth", "--out", tmp_path / "bad", "--episodes", 1,
@@ -179,6 +190,17 @@ class TestExtract:
         ) == 0
         rows = (out / "features.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + exactly one window
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--window", "2"), ("--tau-sharp", "-1"), ("--tau-diff", "nan"), ("--epsilon", "0"),
+    ])
+    def test_rejected_flag_is_usage_error(self, tmp_path, small_corpus, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("extract", "--manifest-dir", small_corpus, "--out", tmp_path / "o",
+                    flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, tmp_path, small_corpus):
         a, b = tmp_path / "a", tmp_path / "b"

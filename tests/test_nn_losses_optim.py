@@ -1,9 +1,12 @@
 """Weighted cross-entropy, balanced class weights and the Adam optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import bits
 
 from handstates.nn.losses import balanced_class_weights, softmax_cross_entropy
 from handstates.nn.optim import Adam
@@ -117,3 +120,39 @@ class TestAdam:
             return p["w"]
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_step_is_the_textbook_expression_bit_for_bit(self, rng, dtype):
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.003
+        shapes = {"w": (7, 5), "b": (5,)}
+        p = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        ref_p = {k: v.copy() for k, v in p.items()}
+        m = {k: np.zeros_like(v) for k, v in p.items()}
+        v = {k: np.zeros_like(w) for k, w in p.items()}
+        opt = Adam(p, lr=lr)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+            opt.step(grads)
+            b1t, b2t = 1.0 - beta1**t, 1.0 - beta2**t
+            for k, g in grads.items():
+                m[k] = beta1 * m[k] + (1.0 - beta1) * g
+                v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+                ref_p[k] -= lr * (m[k] / b1t) / (np.sqrt(v[k] / b2t) + eps)
+        for k in shapes:
+            assert opt.m[k].dtype == opt.v[k].dtype == p[k].dtype == dtype
+            assert np.array_equal(bits(p[k]), bits(ref_p[k]))
+            assert np.array_equal(bits(opt.m[k]), bits(m[k]))
+            assert np.array_equal(bits(opt.v[k]), bits(v[k]))
+
+    def test_step_allocates_no_arrays(self, rng):
+        p = {"w": np.zeros((64, 32), np.float32)}
+        opt = Adam(p, lr=0.01)
+        grads = {"w": rng.normal(size=(64, 32)).astype(np.float32)}
+        opt.step(grads)  # any lazy first-call set-up
+        tracemalloc.start()
+        try:
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p["w"].nbytes

@@ -5,6 +5,8 @@ form, to rounding."""
 import numpy as np
 import pytest
 
+from conftest import bits
+
 from handstates.nn.layers import Dense
 from handstates.nn.model import Classifier, ModelSpec
 from handstates.nn.recurrent import (
@@ -34,23 +36,33 @@ def masked_sigmoid(z):
 
 
 class TestSigmoid:
+    DTYPE = np.float64
+    # the smallest subnormals, and arguments around exp's overflow and
+    # underflow to 0 (709.8 and 745.1)
     EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0,
              745.0, -745.0, 745.2, -745.2, np.inf, -np.inf, np.nan, -np.nan]
 
     def test_bit_identical_to_masked_form(self, rng):
-        z = np.concatenate([self.EDGES, rng.normal(scale=8.0, size=4000)])
+        z = np.concatenate([self.EDGES, rng.normal(scale=8.0, size=4000)]).astype(self.DTYPE)
         with np.errstate(all="ignore"):
-            assert np.array_equal(_sigmoid(z).view(np.uint64),
-                                  masked_sigmoid(z).view(np.uint64))
+            assert _sigmoid(z).dtype == self.DTYPE
+            assert np.array_equal(bits(_sigmoid(z)), bits(masked_sigmoid(z)))
 
     def test_gate_block_view(self, rng):
         # the cell passes column slices of the fused pre-activations
-        a = rng.normal(scale=8.0, size=(64, 4 * 32))
+        a = rng.normal(scale=8.0, size=(64, 4 * 32)).astype(self.DTYPE)
         a[0, :len(self.EDGES)] = self.EDGES
         block = a[:, :32]
         with np.errstate(all="ignore"):
-            assert np.array_equal(_sigmoid(block).view(np.uint64),
-                                  masked_sigmoid(block).view(np.uint64))
+            assert np.array_equal(bits(_sigmoid(block)), bits(masked_sigmoid(block)))
+
+
+class TestSigmoidFloat32(TestSigmoid):
+    DTYPE = np.float32
+    # float32's exp overflows past 88.72 and underflows to 0 past -103.97
+    EDGES = [0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 40.0, -40.0,
+             88.7, -88.7, 88.8, -88.8, 103.9, -103.9, 104.0, -104.0,
+             np.inf, -np.inf, np.nan, -np.nan]
 
 
 def concatenated_cell_backward(dh, dc_in, c_prev, gates):
@@ -61,18 +73,23 @@ def concatenated_cell_backward(dh, dc_in, c_prev, gates):
                            dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1), dc
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 class TestCellBits:
+    DTYPE = np.float64
+
+    def normal(self, rng, size, scale=1.0):
+        return rng.normal(scale=scale, size=size).astype(self.DTYPE)
+
+    def uniform_gates(self, rng, b, u):
+        return tuple(rng.uniform(-1.0, 1.0, size=(b, u)).astype(self.DTYPE) for _ in range(5))
+
     def test_cell_matches_separate_gate_calls(self, rng):
-        a = rng.normal(scale=4.0, size=(16, 4 * 5))
-        c_prev = rng.normal(size=(16, 5))
+        a = self.normal(rng, (16, 4 * 5), scale=4.0)
+        c_prev = self.normal(rng, (16, 5))
         i, f, o = (_sigmoid(a[:, k * 5 : (k + 1) * 5]) for k in (0, 1, 3))
         g = np.tanh(a[:, 10:15])
         c = f * c_prev + i * g
         h, c_new, _ = _cell(a, c_prev)
+        assert h.dtype == c_new.dtype == self.DTYPE
         assert np.array_equal(bits(c_new), bits(c))
         assert np.array_equal(bits(h), bits(o * np.tanh(c)))
 
@@ -80,33 +97,38 @@ class TestCellBits:
     def assert_same_bits(dh, dc_in, c_prev, gates):
         da, dc = _cell_backward(dh, dc_in, c_prev, gates)
         ref_da, ref_dc = concatenated_cell_backward(dh, dc_in, c_prev, gates)
+        assert da.dtype == dc.dtype == dh.dtype
         assert np.array_equal(bits(da), bits(ref_da))
         assert np.array_equal(bits(dc), bits(ref_dc))
 
     def test_random_blocks(self, rng):
         b, u = 9, 7
-        gates = tuple(rng.uniform(-1.0, 1.0, size=(b, u)) for _ in range(5))
-        self.assert_same_bits(rng.normal(size=(b, u)), rng.normal(size=(b, u)),
-                              rng.normal(size=(b, u)), gates)
+        gates = self.uniform_gates(rng, b, u)
+        self.assert_same_bits(self.normal(rng, (b, u)), self.normal(rng, (b, u)),
+                              self.normal(rng, (b, u)), gates)
 
     def test_strided_gate_blocks(self, rng):
         # gates as the cell makes them: column views of fused arrays
         b, u = 12, 6
-        _, _, gates = _cell(rng.normal(scale=3.0, size=(b, 4 * u)), rng.normal(size=(b, u)))
-        dh = rng.normal(size=(b, 2 * u))[:, ::2]
-        c_prev = rng.normal(size=(b, 3 * u))[:, u : 2 * u]
-        self.assert_same_bits(dh, rng.normal(size=(b, u)), c_prev, gates)
+        _, _, gates = _cell(self.normal(rng, (b, 4 * u), scale=3.0), self.normal(rng, (b, u)))
+        dh = self.normal(rng, (b, 2 * u))[:, ::2]
+        c_prev = self.normal(rng, (b, 3 * u))[:, u : 2 * u]
+        self.assert_same_bits(dh, self.normal(rng, (b, u)), c_prev, gates)
 
     def test_signed_zeros_in_incoming_cell_gradient(self, rng):
         b, u = 8, 4
-        gates = tuple(rng.uniform(-1.0, 1.0, size=(b, u)) for _ in range(5))
-        dh = rng.normal(size=(b, u))
+        gates = self.uniform_gates(rng, b, u)
+        dh = self.normal(rng, (b, u))
         dh[:4] = 0.0
         dh[:2] *= -1.0  # -0.0
-        dc_in = np.zeros((b, u))
+        dc_in = np.zeros((b, u), self.DTYPE)
         dc_in[::2] = -0.0
-        self.assert_same_bits(dh, dc_in, rng.normal(size=(b, u)), gates)
-        self.assert_same_bits(-dh, dc_in, np.zeros((b, u)), gates)
+        self.assert_same_bits(dh, dc_in, self.normal(rng, (b, u)), gates)
+        self.assert_same_bits(-dh, dc_in, np.zeros((b, u), self.DTYPE), gates)
+
+
+class TestCellBitsFloat32(TestCellBits):
+    DTYPE = np.float32
 
 
 class TestLstmStep:

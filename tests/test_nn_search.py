@@ -231,7 +231,9 @@ class TestNoTrainingSetPass:
 
 class TestDivergenceWithoutHistory:
     """A diverging fold or trial is reported as it was when every epoch also
-    checked the training-set loss."""
+    checked the training-set loss. Those epochs were measured on float64
+    classifiers, so the cases that pin them train in float64; their float32
+    twins pin the epochs of the default classifier."""
 
     SPEC = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
                      use_batchnorm=False)
@@ -250,7 +252,14 @@ class TestDivergenceWithoutHistory:
                            early_stop_patience=None)
 
     @pytest.mark.parametrize("lr, epoch", [(6e152, 0), (7e152, 5), (1e200, 0)])
-    def test_fold_fails_with_its_epoch(self, monkeypatch, lr, epoch):
+    def test_fold_fails_with_its_epoch(self, monkeypatch, float64_training, lr, epoch):
+        self.assert_fold_fails_at(monkeypatch, lr, epoch)
+
+    @pytest.mark.parametrize("lr, epoch", [(1.2e18, 5), (1.9e18, 1), (1e200, 0)])
+    def test_fold_fails_with_its_epoch_in_float32(self, monkeypatch, lr, epoch):
+        self.assert_fold_fails_at(monkeypatch, lr, epoch)
+
+    def assert_fold_fails_at(self, monkeypatch, lr, epoch):
         monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
         x, y = self.two_blobs()
         with np.errstate(all="ignore"):
@@ -259,7 +268,7 @@ class TestDivergenceWithoutHistory:
         assert str(err.value) == f"training diverged (non-finite loss) at epoch {epoch}"
 
     @pytest.mark.parametrize("lr", [6e152, 7e152, 1e200])
-    def test_trials_are_recorded_diverged(self, monkeypatch, lr):
+    def test_trials_are_recorded_diverged(self, monkeypatch, float64_training, lr):
         monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
         x, y = self.two_blobs()
         space = SearchSpace(learning_rate=(lr, lr), dropout_p=(0.0, 0.0), batch_sizes=(16,))

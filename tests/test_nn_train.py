@@ -7,6 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import bits
+
 from handstates.nn import optim
 from handstates.nn import (
     Classifier,
@@ -84,10 +86,20 @@ class TestTrainLoop:
         assert err.value.epoch == 0
 
     @pytest.mark.parametrize("lr, epoch", [(6e152, 3), (7e152, 2), (1e200, 0)])
-    def test_exploding_learning_rate_raises_at_its_epoch(self, rng, lr, epoch):
-        # The L2 penalty overflows first: in a batch, where it is no longer
-        # summed, then in the epoch's validation loss, which still sums it.
-        # The epochs are those at which the per-batch sum raised.
+    def test_exploding_learning_rate_raises_at_its_epoch(self, rng, float64_training, lr,
+                                                         epoch):
+        # In float64 the L2 penalty overflows first: in a batch, where it is
+        # no longer summed, then in the epoch's validation loss, which still
+        # sums it. The epochs are those at which the per-batch sum raised.
+        self.assert_diverges_at(rng, lr, epoch)
+
+    @pytest.mark.parametrize("lr, epoch", [(1.1e18, 3), (1.2e18, 2), (1e200, 0)])
+    def test_exploding_learning_rate_raises_at_its_epoch_in_float32(self, rng, lr, epoch):
+        # float32 overflows at far smaller weights; 1e200 is inf as a float32
+        self.assert_diverges_at(rng, lr, epoch)
+
+    @staticmethod
+    def assert_diverges_at(rng, lr, epoch):
         x, y = two_blob_data(rng)
         spec = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
                          use_batchnorm=False)
@@ -167,7 +179,9 @@ class TestHistory:
 
 
 class TestLogits:
-    """``Classifier.logits`` runs ``forward`` in blocks and keeps its bits."""
+    """``Classifier.logits`` runs ``forward`` in blocks: in float64 it keeps
+    its bits, in float32 it matches it to rounding, because BLAS's single
+    precision kernels sum a block's tail rows in another order."""
 
     SPECS = {
         "mlp-bn": (ModelSpec(kind="mlp", hidden=(16, 8), use_batchnorm=True), None),
@@ -180,14 +194,24 @@ class TestLogits:
     @pytest.mark.parametrize("name", list(SPECS))
     @pytest.mark.parametrize("n", [1, 2, 513, 1537])
     def test_equals_one_forward_bit_for_bit(self, rng, name, n):
+        whole, blocked = self.whole_and_blocked(rng, name, n, np.float64)
+        assert np.array_equal(bits(blocked), bits(whole))
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    @pytest.mark.parametrize("n", [1, 2, 513, 1537])
+    def test_float32_equals_one_forward_to_rounding(self, rng, name, n):
+        whole, blocked = self.whole_and_blocked(rng, name, n, np.float32)
+        assert blocked.dtype == np.float32
+        np.testing.assert_allclose(blocked, whole, rtol=1e-5, atol=1e-6)
+
+    def whole_and_blocked(self, rng, name, n, dtype):
         spec, seq_length = self.SPECS[name]
-        clf = Classifier(spec, rng)
+        clf = Classifier(spec, rng, dtype=dtype)
         shape = (n, 8) if seq_length is None else (n, seq_length, 8)
         x = rng.normal(size=shape)
-        whole = clf.forward(x)
         blocked = clf.logits(x)
         assert blocked.shape == (n, spec.num_classes)
-        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+        return clf.forward(x), blocked
 
     def test_no_block_holds_one_row(self, rng, monkeypatch):
         clf = Classifier(SMALL_MLP, rng)
@@ -253,6 +277,14 @@ class TestPredictAndCheckpoint:
         ckpt_mod.save(ckpt, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_save_refuses_a_float64_model(self, trained, tmp_path):
+        ckpt, _ = trained
+        wide = ckpt_mod.Checkpoint(Classifier(ckpt.spec, np.random.default_rng(0), np.float64),
+                                   ckpt.feature_mean, ckpt.feature_std)
+        with pytest.raises(ValueError, match="float32"):
+            ckpt_mod.save(wide, tmp_path / "ckpt.json")
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_batch_composition_invariance(self, trained):
         # row-independent math; BLAS may pick different kernels per batch
         # shape, so equality holds to rounding, not bit for bit
@@ -298,11 +330,14 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc.pop("params"), "no key 'params'"),
             (lambda doc: doc.update(schema_version=1), "schema_version 1 .*retrain"),
             (lambda doc: doc.update(schema_version=2), "schema_version 2 .*retrain"),
+            (lambda doc: doc.update(schema_version=3), "schema_version 3 .*retrain"),
             (lambda doc: doc["label_order"].reverse(), "label_order"),
             (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
             (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
             (lambda doc: doc["params"]["head.w"]["data"].__setitem__(0, float("nan")),
              "head.w has non-finite values"),
+            (lambda doc: doc["params"]["head.w"]["data"].__setitem__(1, 1e39),
+             "head.w has non-finite values"),  # past float32's range
             (lambda doc: doc["batchnorm"]["bn0"]["mean"].__setitem__(1, float("inf")),
              "bn0.mean has non-finite values"),
             (lambda doc: doc["batchnorm"]["bn1"]["var"].__setitem__(0, float("nan")),
@@ -316,8 +351,9 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc["standardization"]["std"].__setitem__(4, 0.0),
              r"standardization std must be > 0"),
         ],
-        ids=["invalid-json", "missing-key", "old-schema", "schema-2", "label-order",
-             "spec-mismatch", "short-standardization", "nan-param", "inf-bn-mean", "nan-bn-var",
+        ids=["invalid-json", "missing-key", "old-schema", "schema-2", "schema-3", "label-order",
+             "spec-mismatch", "short-standardization", "nan-param", "float32-overflow-param",
+             "inf-bn-mean", "nan-bn-var",
              "negative-bn-var", "inf-standardization-mean", "nan-standardization-std",
              "zero-standardization-std"],
     )
@@ -330,6 +366,54 @@ class TestPredictAndCheckpoint:
         with pytest.raises(ValueError, match=message) as err:
             ckpt_mod.load(path)
         assert str(path) in str(err.value)
+
+
+class TestFloat32Flow:
+    """A default classifier is float32 from its input to its logits and back:
+    a single float64 array, such as a dropout mask, would silently upcast
+    every array computed after it."""
+
+    SPECS = {
+        "mlp-bn-dropout": (ModelSpec(kind="mlp", hidden=(16, 8), use_batchnorm=True,
+                                     dropout_p=0.3), None),
+        "static-encoder": (ModelSpec(rnn_units=8), None),
+        "lstm-seq3": (ModelSpec(kind="lstm", rnn_units=6, seq_length=3), 3),
+        "birnn-2layer": (ModelSpec(kind="birnn", rnn_units=5, rnn_layers=2, seq_length=3), 3),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_every_array_is_float32(self, rng, name):
+        spec, seq_length = self.SPECS[name]
+        clf = Classifier(spec, rng)
+        returned = []
+
+        def recording(layer, method):
+            def call(*args):
+                out = method(*args)
+                returned.append((type(layer).__name__, method.__name__, out.dtype))
+                return out
+            return call
+
+        for layer in clf.layers:
+            layer.forward = recording(layer, layer.forward)
+            layer.backward = recording(layer, layer.backward)
+        x = rng.normal(size=(32, 8) if seq_length is None else (32, seq_length, 8))
+        optimizer = optim.Adam(clf.params(), lr=1e-3)
+        loss, _ = clf.loss_and_grads(x, rng.integers(0, 5, 32), np.ones(5), rng=rng)
+        optimizer.step(clf.grads())
+
+        assert isinstance(loss, float)
+        # every layer's output and dL/d(input), the first layer's dx included
+        assert len(returned) == 2 * len(clf.layers)
+        assert [r for r in returned if r[2] != np.float32] == []
+        arrays = {**clf.params(), **{f"grad {k}": g for k, g in clf.grads().items()},
+                  **{f"m {k}": m for k, m in optimizer.m.items()},
+                  **{f"v {k}": v for k, v in optimizer.v.items()}}
+        for bn in clf.batchnorm_layers():
+            arrays.update({f"{bn.name} mean": bn.running_mean, f"{bn.name} var": bn.running_var})
+        assert {k: a.dtype for k, a in arrays.items() if a.dtype != np.float32} == {}
+        assert clf.logits(x).dtype == np.float32
+        assert clf.predict_proba(x).dtype == np.float64
 
 
 class TestGradientCheckHarness:
