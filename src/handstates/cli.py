@@ -7,9 +7,10 @@ eight-model comparison). Every subcommand is reproducible from its inputs,
 flags and seed.
 
 ``main`` owns every run: it creates ``--out``, runs the subcommand, which
-returns the files it wrote, hashes the inputs the subcommand names
-(``--manifest-dir``, ``--features``, ``--checkpoint``) and writes one atomic
-``run_manifest.json``.
+returns the files it wrote, hashes the input files the subcommand names
+(``--features``, ``--checkpoint``) and writes one atomic
+``run_manifest.json``. ``extract`` hashes its ``--manifest-dir`` corpus
+itself, as it reads it.
 
 ``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
 ``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
@@ -46,6 +47,7 @@ from . import __version__, manifest, metrics, synth
 from .features import (
     CLASS_NAMES,
     NUM_CLASSES,
+    Episode,
     LabeledDataset,
     PipelineConfig,
     build_dataset,
@@ -122,7 +124,7 @@ def _canvas(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"canvas must look like 128x96, got {text!r}")
 
 
-def sha256_file(path: Path) -> str:
+def sha256_file(path: str | os.PathLike) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -130,28 +132,56 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _walk_files(directory: Path) -> Iterator[Path]:
-    """Files under ``directory``, depth first with each directory's entries
-    sorted by name: the order of ``sorted(directory.rglob("*"))``, without
-    holding every path at once. Symlinked directories are not entered."""
+def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """(path, ``prefix`` + path below ``directory``) of each file under
+    ``directory``, depth first with each directory's entries sorted by name:
+    the order of ``sorted(Path(directory).rglob("*"))``, without holding
+    every path at once. Symlinked directories are not entered."""
     with os.scandir(directory) as it:
         entries = sorted(it, key=lambda entry: entry.name)
     for entry in entries:
         if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(Path(entry.path))
+            yield from _walk_files(entry.path, f"{prefix}{entry.name}/")
         elif entry.is_file():
-            yield Path(entry.path)
+            yield entry.path, prefix + entry.name
 
 
-def sha256_tree(root: Path) -> str:
-    """Combined digest of every file under ``root`` (sorted relative paths),
-    bar run manifests, which hold a wall time and an output path."""
-    digest = hashlib.sha256()
-    for path in _walk_files(root):
-        if path.name != RUN_MANIFEST:
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(sha256_file(path).encode())
-    return digest.hexdigest()
+def read_corpus(root, digest) -> Iterator[Episode]:
+    """The episodes of the corpus at ``root``, read one at a time as they
+    are consumed; a corpus without manifests raises at call time.
+
+    When they run out, ``digest`` (a hashlib object) has taken in the
+    corpus's input digest: for each file under ``root`` in ``_walk_files``
+    order, bar run manifests (they hold a wall time and an output path), its
+    relative path and the hex sha256 of its bytes. The files an episode was
+    read from keep the digests their reader took, so only the files no
+    episode names are read here. Digests are taken in one episode at a time.
+    """
+    root = Path(root)
+    return _read_and_hash(root, manifest.find_manifests(root), digest)
+
+
+def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
+    # An episode directory is the corpus root ("") or one of its
+    # directories. Each episode is read once the walk reaches its directory,
+    # so episodes come in manifest order and the walk finds the digests of
+    # the episode's files ready.
+    pending = collections.deque(
+        ("" if path.parent == root else path.parent.name, path) for path in manifests
+    )
+    known, prefix = {}, ""
+    for path, rel in _walk_files(os.fspath(root)):
+        while pending and pending[0][0] <= rel.partition("/")[0]:
+            name, manifest_path = pending.popleft()
+            episode = manifest.read_episode(manifest_path)
+            known, prefix = episode.file_digests, f"{name}/" if name else ""
+            yield episode
+        if os.path.basename(rel) != RUN_MANIFEST:
+            below = rel[len(prefix):] if rel.startswith(prefix) else None
+            digest.update(rel.encode())
+            digest.update((known.get(below) or sha256_file(path)).encode())
+    for _, manifest_path in pending:  # symlinked directories, which the walk skips
+        yield manifest.read_episode(manifest_path)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -225,8 +255,8 @@ def _split_meta(args: argparse.Namespace) -> dict:
 def _split_for_training(x: np.ndarray, y: np.ndarray, args: argparse.Namespace):
     """(train, val, test) arrays via nested stratified splits."""
     train_idx, test_idx = stratified_split_indices(y, args.test_fraction, args.seed)
-    dataset_classes = set(np.unique(y).tolist())
-    train_classes = set(np.unique(y[train_idx]).tolist())
+    dataset_classes = set(np.flatnonzero(np.bincount(y)).tolist())
+    train_classes = set(np.flatnonzero(np.bincount(y[train_idx])).tolist())
     missing = dataset_classes - train_classes
     if missing:
         names = ", ".join(CLASS_NAMES[c] for c in sorted(missing))
@@ -281,10 +311,12 @@ def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[tuple[float, float, floa
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (args, out) and returns (files written, failures)
+# subcommands: each takes (args, out, inputs) and returns (files written,
+# failures); one that hashes an input as it reads it records the digest in
+# ``inputs``
 
 
-def cmd_synth(args: argparse.Namespace, out: Path):
+def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     durations = synth.PhaseDurations(
         idle=args.idle,
         approach=args.approach,
@@ -321,7 +353,7 @@ def cmd_synth(args: argparse.Namespace, out: Path):
     return manifest_paths, []
 
 
-def cmd_extract(args: argparse.Namespace, out: Path):
+def cmd_extract(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     cfg = PipelineConfig(
         sharpness_threshold=args.tau_sharp,
         diff_threshold=args.tau_diff,
@@ -329,7 +361,9 @@ def cmd_extract(args: argparse.Namespace, out: Path):
         stride=args.stride,
         contact_epsilon=args.epsilon,
     )
-    dataset = build_dataset(manifest.read_corpus(args.manifest_dir), cfg)
+    corpus = hashlib.sha256()
+    dataset = build_dataset(read_corpus(args.manifest_dir, corpus), cfg)
+    inputs[args.manifest_dir] = "sha256:" + corpus.hexdigest()
     features_path = out / "features.csv"
     save_dataset_csv(dataset, features_path)
     print(f"extracted {len(dataset)} feature rows -> {features_path}")
@@ -348,7 +382,7 @@ def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Labele
     return scores, [out / "checkpoint.json", out / "history.csv"] + files
 
 
-def cmd_train(args: argparse.Namespace, out: Path):
+def cmd_train(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ds = _load_features(args.features)
     scores, outputs = _fit(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out)
     print((out / "report.txt").read_text())
@@ -361,7 +395,7 @@ def cmd_train(args: argparse.Namespace, out: Path):
     return outputs, []
 
 
-def cmd_eval(args: argparse.Namespace, out: Path):
+def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ckpt = ckpt_mod.load(args.checkpoint)
     ds = _load_features(args.features)
     x, y = _model_arrays(ds, ckpt.spec)
@@ -415,7 +449,7 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
 STATIC_ENCODER = ModelSpec(kind="birnn", seq_length=1)
 
 
-def cmd_search(args: argparse.Namespace, out: Path):
+def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ds = _load_features(args.features)
     (accuracy, _, _), outputs = _search(args, STATIC_ENCODER, _train_cfg(args), ds, out)
     print(f"test accuracy {accuracy:.4f}")
@@ -454,7 +488,7 @@ def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Label
     return scores, [xval_path]
 
 
-def cmd_xval(args: argparse.Namespace, out: Path):
+def cmd_xval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ds = _load_features(args.features)
     _, outputs = _xval(args, _spec_from_args(args), _train_cfg_from_args(args), ds, out, args.k)
     return outputs, []
@@ -535,7 +569,7 @@ def _run_ladder(args: argparse.Namespace, ds: LabeledDataset, out: Path):
     return scores, [summary_path] + outputs, failures
 
 
-def cmd_ladder(args: argparse.Namespace, out: Path):
+def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     """One ladder into ``out``; with ``--seeds N`` > 1, one into
     ``out/seed_S/`` for each seed S from ``--seed`` on, and the mean and std
     of each row's scores over the seeds it did not fail at in
@@ -723,12 +757,11 @@ def main(argv: list[str] | None = None) -> int:
         started = time.time()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs, failures = args.func(args, out)
-        inputs = {
-            path: "sha256:" + (sha256_tree if name == "manifest_dir" else sha256_file)(Path(path))
-            for name in ("manifest_dir", "features", "checkpoint")
-            if (path := getattr(args, name, None))
-        }
+        inputs: dict[str, str] = {}
+        outputs, failures = args.func(args, out, inputs)
+        for name in ("features", "checkpoint"):
+            if path := getattr(args, name, None):
+                inputs[path] = "sha256:" + sha256_file(path)
         write_run_manifest(out, args, inputs, outputs, started)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

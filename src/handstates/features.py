@@ -76,7 +76,9 @@ class Episode:
     """Frame sequence with per-frame hand/object masks and state labels.
 
     Frames are 2-D intensity arrays, uint8 as read from PGM or rendered by
-    ``synth``; the keyframe scores convert each to float64 once.
+    ``synth``. An episode read from disk keeps the sha256 hex digest of each
+    file it was read from in ``file_digests``, keyed by the path its
+    manifest gives for it, relative to the manifest's directory.
     """
 
     episode_id: str
@@ -84,6 +86,7 @@ class Episode:
     hand_masks: list[np.ndarray]
     object_masks: list[np.ndarray]
     labels: list[ClassLabel]
+    file_digests: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = len(self.frames)
@@ -163,18 +166,16 @@ def keyframe_indices(episode: Episode, cfg: PipelineConfig) -> list[int]:
     Frame 0 is always kept; frame i > 0 is kept iff its Laplacian variance
     reaches the sharpness threshold and its difference energy against the
     previous original frame reaches the motion threshold. Both scores are
-    computed for every frame i > 0. Each frame is converted to float64 once;
-    only the previous frame's copy is kept.
+    computed for every frame i > 0, on the frames as stored: the scores
+    widen uint8 frames to int32 themselves and are exact on them.
     """
+    frames = episode.frames
     kept = [0]
-    previous = np.asarray(episode.frames[0], dtype=np.float64)
-    for i in range(1, len(episode)):
-        frame = np.asarray(episode.frames[i], dtype=np.float64)
-        sharp = laplacian_variance(frame)
-        moving = frame_diff_energy(previous, frame)
+    for i in range(1, len(frames)):
+        sharp = laplacian_variance(frames[i])
+        moving = frame_diff_energy(frames[i - 1], frames[i])
         if sharp >= cfg.sharpness_threshold and moving >= cfg.diff_threshold:
             kept.append(i)
-        previous = frame
     return kept
 
 

@@ -3,14 +3,15 @@
 The manifest has header ``frame,hand_mask,object_mask,label`` with paths
 relative to the manifest file and labels as lowercase class names. A corpus
 directory holds one episode subdirectory per episode, each with its own
-``manifest.csv``.
+``manifest.csv``; ``cli.read_corpus`` reads one.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import os
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -48,50 +49,60 @@ def write_episode(episode: Episode, out_dir) -> Path:
 def read_episode(manifest_path) -> Episode:
     """Load an episode from its manifest; the directory name is its id.
 
-    Frames stay the uint8 arrays the PGM reader returns; the keyframe scores
-    convert each to float64 as they reach it.
+    Frames stay the uint8 arrays the PGM reader returns. Every file read is
+    hashed from the bytes already in memory, into ``Episode.file_digests``.
     """
     path = Path(manifest_path)
-    base = path.parent
+    base = os.path.dirname(path)
 
     def fail(lineno: int, message: str):
         raise ManifestError(f"{path}:{lineno}: {message}")
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digests = {path.name: hashlib.sha256(data).hexdigest()}
+
+    def read(rel: str) -> np.ndarray:
+        img = pgm.read_pgm(os.path.join(base, rel))
+        digests[rel] = hashlib.sha256(pgm.file_bytes(img)).hexdigest()
+        return img
 
     frames: list[np.ndarray] = []
     hand_masks: list[np.ndarray] = []
     object_masks: list[np.ndarray] = []
     labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != MANIFEST_HEADER:
-            fail(1, f"bad manifest header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                fail(lineno, f"expected 4 columns, got {len(row)}")
-            frame_rel, hand_rel, obj_rel, label_name = row
-            try:
-                frame = pgm.read_pgm(base / frame_rel)
-                hand = pgm.gray_to_mask(pgm.read_pgm(base / hand_rel))
-                obj = pgm.gray_to_mask(pgm.read_pgm(base / obj_rel))
-            except (OSError, ValueError) as exc:
-                fail(lineno, str(exc))
-            try:
-                label = parse_label(label_name)
-            except ValueError as exc:
-                fail(lineno, str(exc))
-            frames.append(frame)
-            hand_masks.append(hand)
-            object_masks.append(obj)
-            labels.append(label)
+    # decoded as open(path, newline="") would, without reading the file again
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != MANIFEST_HEADER:
+        fail(1, f"bad manifest header {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 4:
+            fail(lineno, f"expected 4 columns, got {len(row)}")
+        frame_rel, hand_rel, obj_rel, label_name = row
+        try:
+            frame = read(frame_rel)
+            hand = pgm.gray_to_mask(read(hand_rel))
+            obj = pgm.gray_to_mask(read(obj_rel))
+        except (OSError, ValueError) as exc:
+            fail(lineno, str(exc))
+        try:
+            label = parse_label(label_name)
+        except ValueError as exc:
+            fail(lineno, str(exc))
+        frames.append(frame)
+        hand_masks.append(hand)
+        object_masks.append(obj)
+        labels.append(label)
     if not frames:
         raise ManifestError(f"{path}: manifest lists no frames")
     return Episode(
-        episode_id=base.name,
+        episode_id=path.parent.name,
         frames=frames,
         hand_masks=hand_masks,
         object_masks=object_masks,
         labels=labels,
+        file_digests=digests,
     )
 
 
@@ -109,9 +120,3 @@ def find_manifests(root) -> list[Path]:
     if not found:
         raise FileNotFoundError(f"no {MANIFEST_NAME} found under {os.fspath(root)}")
     return found
-
-
-def read_corpus(root) -> Iterator[Episode]:
-    """Episodes of a corpus, read one at a time as they are consumed; a
-    corpus without manifests raises at call time."""
-    return (read_episode(p) for p in find_manifests(root))

@@ -7,6 +7,7 @@ convention value >= 128 -> foreground. Write followed by read is bit-exact.
 from __future__ import annotations
 
 import os
+import re
 from typing import Union
 
 import numpy as np
@@ -14,46 +15,50 @@ import numpy as np
 PathLike = Union[str, os.PathLike]
 
 
+# The header: magic, width, height and maxval, each token preceded by
+# whitespace and '#' comments that run to the end of their line. Every part
+# may match empty, so the pattern always matches and an empty token is a
+# truncated header.
+_GAP = rb"(?:\s|#[^\n]*\n?)*"
+_HEADER = re.compile((_GAP + rb"(\S*)") * 4)
+
+
 def read_pgm(path: PathLike) -> np.ndarray:
-    """Read a binary PGM file into a uint8 (height, width) array."""
+    """Read a binary PGM file into a uint8 (height, width) array.
+
+    The array is a writable view of the file's bytes, which ``file_bytes``
+    returns, so a reader can hash the file without reading it again.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                eol = data.find(b"\n", pos)
-                pos = len(data) if eol < 0 else eol + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
+        data = bytearray(fh.read())
+    header = _HEADER.match(data)
+    magic, *fields = header.groups()
+    if magic and magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
+    if not all(fields):
+        raise ValueError(f"{path}: truncated PGM header")
+    try:
+        width, height, maxval = (int(field) for field in fields)
+    except ValueError:
+        raise ValueError(f"{path}: bad PGM header {fields}") from None
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (want 255)")
-    pos += 1  # single whitespace byte separates header from raster
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
+    start = header.end() + 1  # one whitespace byte ends the header
+    if len(data) - start < width * height:
         raise ValueError(f"{path}: raster truncated")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(data, np.uint8, width * height, start).reshape(height, width)
+
+
+def file_bytes(img: np.ndarray) -> memoryview | bytearray:
+    """Every byte of the file ``read_pgm`` read ``img`` from, header included."""
+    base = img
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not isinstance(base, (memoryview, bytearray)):
+        raise ValueError("array was not read by read_pgm")
+    return base
 
 
 def write_pgm(path: PathLike, img: np.ndarray) -> None:

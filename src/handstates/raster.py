@@ -1,11 +1,13 @@
 """Deterministic image primitives used by the feature pipeline.
 
 Conventions: a frame ("raster") is a 2-D uint8 array of intensities in
-row-major (height, width) layout, as PGM stores it; the keyframe scores
-compute in float64, and ``features.keyframe_indices`` converts each frame
-once before scoring it. A mask is a 2-D bool array of the same shape; a
-distance field is float64 with +inf meaning "no foreground anywhere".
-Coordinates are pixel centers, x = column and y = row.
+row-major (height, width) layout, as PGM stores it. The keyframe scores
+widen 8-bit frames to int32, where every sum they take is an exact integer,
+so they return the bits the float64 formulas give; any other frame is
+scored in float64. A mask is a 2-D bool array of the same shape; the mask
+kernels work on the bounding box of its foreground. A distance field is
+float64 with +inf meaning "no foreground anywhere". Coordinates are pixel
+centers, x = column and y = row.
 
 All functions here are pure and safe to call from any number of workers.
 """
@@ -28,11 +30,26 @@ SQ_UNREACHABLE = 1e29
 PAIR_BLOCK = 1 << 20
 
 
+# (y0, y1, x0, x1): rows y0..y1-1 and columns x0..x1-1 of a canvas.
+Box = tuple[int, int, int, int]
+
+
 class Point2(NamedTuple):
     """Sub-pixel image coordinate (x = column, y = row)."""
 
     x: float
     y: float
+
+
+def _score_dtype(*frames: np.ndarray) -> type:
+    """int32 for 8-bit integer frames, float64 for anything else.
+
+    On 8-bit frames every partial sum of the scores is an integer below
+    2**53, so float64 holds it exactly whatever the summation order, and
+    the integer path returns the bits of the float64 one.
+    """
+    exact = all(f.dtype.kind in "biu" and f.dtype.itemsize == 1 for f in frames)
+    return np.int32 if exact else np.float64
 
 
 def laplacian_variance(img: np.ndarray) -> float:
@@ -42,28 +59,27 @@ def laplacian_variance(img: np.ndarray) -> float:
     narrower than 3 pixels in either dimension have no interior and are
     rejected.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img)
+    img = img.astype(_score_dtype(img), copy=False)
     h, w = img.shape
     if h < 3 or w < 3:
         raise ValueError("image too small for Laplacian (needs at least 3x3)")
-    lap = (
-        img[:-2, 1:-1]
-        + img[2:, 1:-1]
-        + img[1:-1, :-2]
-        + img[1:-1, 2:]
-        - 4.0 * img[1:-1, 1:-1]
-    )
+    lap = img[:-2, 1:-1] + img[2:, 1:-1]
+    lap += img[1:-1, :-2]
+    lap += img[1:-1, 2:]
+    lap -= 4 * img[1:-1, 1:-1]
     return float(np.var(lap))
 
 
 def frame_diff_energy(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared per-pixel intensity difference between two frames."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"frame dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.mean(d * d))
+    d = np.subtract(a, b, dtype=_score_dtype(a, b))
+    d *= d
+    return float(np.mean(d))
 
 
 def _as_mask(mask: np.ndarray) -> np.ndarray:
@@ -141,48 +157,78 @@ def euclidean_distance_transform(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bounding_box(fg: np.ndarray) -> Box | None:
+    """(y0, y1, x0, x1), the half-open box of the foreground; None if empty."""
+    rows = np.nonzero(fg.any(axis=1))[0]
+    if rows.size == 0:
+        return None
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.nonzero(fg[y0:y1].any(axis=0))[0]
+    return y0, y1, int(cols[0]), int(cols[-1]) + 1
+
+
 def mask_centroid(mask: np.ndarray) -> Point2:
-    """Arithmetic mean of foreground pixel coordinates."""
+    """Arithmetic mean of foreground pixel coordinates.
+
+    Each mean is (integer coordinate sum in the box + n * box offset) / n,
+    one correctly rounded division, so it is the float of the mean over
+    the whole canvas.
+    """
     fg = _as_mask(mask)
-    ys, xs = np.nonzero(fg)
-    if xs.size == 0:
+    box = _bounding_box(fg)
+    if box is None:
         raise ValueError("empty mask has no centroid")
-    return Point2(float(xs.mean()), float(ys.mean()))
+    y0, y1, x0, x1 = box
+    ys, xs = np.nonzero(fg[y0:y1, x0:x1])
+    n = xs.size
+    return Point2((int(xs.sum()) + n * x0) / n, (int(ys.sum()) + n * y0) / n)
 
 
-def _boundary_pixels(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_pixels(fg: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """(ys, xs) of the foreground pixels with a 4-neighbour in the background.
 
     Off-canvas neighbours count as foreground: stepping towards any other
-    pixel of the canvas never leaves it.
+    pixel of the canvas never leaves it. Only ``box``, grown by one pixel
+    wherever the canvas allows, is scanned: that margin is background, so
+    every neighbour a box pixel has on the canvas is inside the scan.
     """
-    inner = fg.copy()
-    inner[1:] &= fg[:-1]
-    inner[:-1] &= fg[1:]
-    inner[:, 1:] &= fg[:, :-1]
-    inner[:, :-1] &= fg[:, 1:]
-    return np.nonzero(fg & ~inner)
+    h, w = fg.shape
+    y0, y1, x0, x1 = box
+    y0, x0 = max(y0 - 1, 0), max(x0 - 1, 0)
+    crop = fg[y0:min(y1 + 1, h), x0:min(x1 + 1, w)]
+    inner = crop.copy()
+    inner[1:] &= crop[:-1]
+    inner[:-1] &= crop[1:]
+    inner[:, 1:] &= crop[:, :-1]
+    inner[:, :-1] &= crop[:, 1:]
+    ys, xs = np.nonzero(crop & ~inner)
+    return ys + y0, xs + x0
 
 
 def mask_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact minimum pixel-center distance between two non-empty masks.
 
-    0.0 when the masks overlap. Otherwise every closest pair lies on the two
-    4-connected boundaries: a pixel whose 4-neighbours are all in its own
-    mask has one strictly closer to the other mask. The minimum squared
-    distance over boundary pairs is exact in integers, so the one square
-    root at the end is the correctly rounded distance.
+    0.0 when the masks overlap, which they can only where their bounding
+    boxes do. Otherwise every closest pair lies on the two 4-connected
+    boundaries: a pixel whose 4-neighbours are all in its own mask has one
+    strictly closer to the other mask. The minimum squared distance over
+    boundary pairs is exact in integers, so the one square root at the end
+    is the correctly rounded distance.
     """
     fa = _as_mask(a)
     fb = _as_mask(b)
     if fa.shape != fb.shape:
         raise ValueError(f"mask dimension mismatch: {fa.shape} vs {fb.shape}")
-    if not fa.any() or not fb.any():
+    box_a = _bounding_box(fa)
+    box_b = _bounding_box(fb)
+    if box_a is None or box_b is None:
         raise ValueError("empty mask has no distance")
-    if (fa & fb).any():
+    y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
+    y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
+    if y0 < y1 and x0 < x1 and (fa[y0:y1, x0:x1] & fb[y0:y1, x0:x1]).any():
         return 0.0
-    ay, ax = _boundary_pixels(fa)
-    by, bx = _boundary_pixels(fb)
+    ay, ax = _boundary_pixels(fa, box_a)
+    by, bx = _boundary_pixels(fb, box_b)
     step_b = min(by.size, PAIR_BLOCK)
     step_a = max(1, PAIR_BLOCK // step_b)
     best = math.inf

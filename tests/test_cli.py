@@ -163,7 +163,7 @@ class TestEpisodeStreaming:
     def test_build_dataset_over_read_corpus(self, tmp_path, monkeypatch):
         assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
         live = LiveEpisodes(monkeypatch)
-        ds = build_dataset(manifest.read_corpus(tmp_path), PipelineConfig())
+        ds = build_dataset(cli.read_corpus(tmp_path, hashlib.sha256()), PipelineConfig())
         assert len(ds) > 0
         assert live.made == 4
         assert live.peak <= 2
@@ -246,15 +246,17 @@ class TestExtract:
 
     def test_corpus_is_read_one_episode_at_a_time(self, small_corpus, monkeypatch):
         read = []
-        monkeypatch.setattr(manifest, "read_episode", read.append)
-        episodes = manifest.read_corpus(small_corpus)
+        read_episode = manifest.read_episode
+        monkeypatch.setattr(manifest, "read_episode",
+                            lambda path: read.append(path) or read_episode(path))
+        episodes = cli.read_corpus(small_corpus, hashlib.sha256())
         assert read == []
         next(episodes)
         assert read == [small_corpus / "ep_000" / "manifest.csv"]
 
     def test_missing_corpus_raises_at_call_time(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no manifest.csv"):
-            manifest.read_corpus(tmp_path)
+            cli.read_corpus(tmp_path, hashlib.sha256())
 
     def test_frames_are_read_as_uint8(self, small_corpus):
         episode = manifest.read_episode(small_corpus / "ep_000" / "manifest.csv")
@@ -270,9 +272,16 @@ def rglob_tree_digest(root):
     return digest.hexdigest()
 
 
+def tiny_episode(n=2):
+    frames = [np.full((3, 4), 10 * i, np.uint8) for i in range(n)]
+    masks = [np.eye(3, 4, dtype=bool)] * n
+    return Episode("tiny", frames, masks, masks, [ClassLabel.HOLDING] * n)
+
+
 class TestInputDigest:
     @pytest.fixture
     def tree(self, tmp_path):
+        """Two episodes among files and directories that are not episodes."""
         root = tmp_path / "tree"
         for rel in ("a/x", "a/sub/y", "a/run_manifest.json", "a.txt", "a-b/z",
                     "a b", "A/w", ".hidden", "run_manifest.json"):
@@ -280,16 +289,68 @@ class TestInputDigest:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(rel)
         (root / "empty").mkdir()
+        for name in ("a", "a-b"):
+            manifest.write_episode(tiny_episode(), root / name)
         return root
 
     def test_walk_order_is_sorted_rglob_order(self, tree):
         files = sorted(p for p in tree.rglob("*") if p.is_file())
         # the tree tells path order from plain string order
         assert sorted(files, key=str) != files
-        assert list(cli._walk_files(tree)) == files
+        walked = list(cli._walk_files(str(tree)))
+        assert [Path(path) for path, _ in walked] == files
+        assert [rel for _, rel in walked] == [str(p.relative_to(tree)) for p in files]
 
     def test_digest_matches_sorted_rglob_formula(self, tree):
-        assert cli.sha256_tree(tree) == rglob_tree_digest(tree)
+        digest = hashlib.sha256()
+        episodes = [episode.episode_id for episode in cli.read_corpus(tree, digest)]
+        assert episodes == ["a", "a-b"]
+        assert digest.hexdigest() == rglob_tree_digest(tree)
+
+    def test_corpus_of_one_episode_at_its_root(self, tmp_path):
+        root = tmp_path / "one"
+        manifest.write_episode(tiny_episode(), root)
+        (root / "sub").mkdir()
+        (root / "sub" / "notes").write_text("not a frame")
+        digest = hashlib.sha256()
+        assert [len(e) for e in cli.read_corpus(root, digest)] == [2]
+        assert digest.hexdigest() == rglob_tree_digest(root)
+
+    def test_extract_opens_each_file_once(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert run_cli("synth", "--out", corpus, *SMALL_SYNTH) == 0
+        assert (corpus / "run_manifest.json").is_file()
+        (corpus / "notes.txt").write_text("a stray file")
+        (corpus / "extra" / "deeper").mkdir(parents=True)
+        (corpus / "extra" / "deeper" / "blob.bin").write_bytes(bytes(range(256)))
+        (corpus / "ep_000" / "README").write_text("a stray file in an episode")
+        # ep_001 names its first frame twice, so its second frame is a stray
+        listing = corpus / "ep_001" / "manifest.csv"
+        rows = listing.read_text().splitlines()
+        rows[2] = rows[2].replace("frame_0001.pgm", "frame_0000.pgm")
+        listing.write_text("\n".join(rows) + "\n")
+
+        opened = collections.Counter()
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                opened[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        monkeypatch.undo()
+
+        twice = (corpus / "ep_001" / "frame_0000.pgm").resolve()
+        files = {p.resolve() for p in corpus.rglob("*") if p.is_file()}
+        counts = {path: n for path, n in opened.items() if path in files}
+        assert counts.pop(twice) == 2
+        assert set(counts.values()) == {1}
+        assert set(counts) == files - {twice, (corpus / "run_manifest.json").resolve()}
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
 
 
 TRAIN_FAST = ("--epochs", 4, "--units", 8, "--patience", 0)
@@ -326,6 +387,20 @@ class TestTrainEval:
             ) == 0
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
+
+    def test_train_eval_xval_never_call_np_unique(self, tmp_path, small_features, monkeypatch):
+        # np.unique imports numpy.ma, about 15 ms of every process that calls it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--features", small_features, "--out", run_dir,
+                       *TRAIN_FAST) == 0
+        assert run_cli("eval", "--features", small_features, "--out", tmp_path / "eval",
+                       "--checkpoint", run_dir / "checkpoint.json") == 0
+        assert run_cli("xval", "--features", small_features, "--out", tmp_path / "xval",
+                       "--k", 2, *TRAIN_FAST) == 0
 
     @pytest.mark.parametrize("width", [0, -4])
     def test_hidden_width_below_one_fails(self, tmp_path, small_features, capsys, width):

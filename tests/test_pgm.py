@@ -40,13 +40,29 @@ def test_comments_and_whitespace_in_header(tmp_path):
         (b"P2\n2 2\n255\n1 2 3 4", "not a binary PGM"),
         (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
         (b"P5\n2 2\n255\n" + bytes(3), "truncated"),
+        (b"", "truncated PGM header"),
+        (b"P5\n2 2 # the maxval is missing", "truncated PGM header"),
+        (b"P5\n2 two\n255\n" + bytes(4), "bad PGM header"),
+        (b"P5\n0 2\n255\n", "invalid dimensions"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, raw, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         pgm.read_pgm(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_array_views_the_bytes_read(tmp_path, rng):
+    img = rng.integers(0, 256, (5, 7)).astype(np.uint8)
+    path = tmp_path / "v.pgm"
+    pgm.write_pgm(path, img)
+    back = pgm.read_pgm(path)
+    assert bytes(pgm.file_bytes(back)) == path.read_bytes()
+    back[0, 0] ^= 1  # writable, as a copy would be
+    with pytest.raises(ValueError, match="not read by read_pgm"):
+        pgm.file_bytes(img)
 
 
 def test_mask_convention_threshold_128():

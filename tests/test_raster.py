@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from handstates import raster
+from conftest import run_cli
+
+from handstates import features, raster
 
 
 def brute_force_laplacian_variance(img):
@@ -203,3 +205,142 @@ class TestMaskDistance:
             raster.mask_distance(np.zeros((3, 3), bool), full)
         with pytest.raises(ValueError, match="mismatch"):
             raster.mask_distance(full, np.ones((2, 3), bool))
+
+
+# ---------------------------------------------------------------------------
+# the kernels against their float64, full-canvas formulas
+
+
+def reference_laplacian_variance(img):
+    """The Laplacian variance in float64, as the kernel computed it on
+    float64 copies of the frames."""
+    img = np.asarray(img, dtype=np.float64)
+    lap = (img[:-2, 1:-1] + img[2:, 1:-1] + img[1:-1, :-2] + img[1:-1, 2:]
+           - 4.0 * img[1:-1, 1:-1])
+    return float(np.var(lap))
+
+
+def reference_frame_diff_energy(a, b):
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return float(np.mean(d * d))
+
+
+def reference_centroid(mask):
+    ys, xs = np.nonzero(mask)
+    return raster.Point2(float(xs.mean()), float(ys.mean()))
+
+
+def reference_distance(a, b):
+    """Minimum over boundary pairs found on the whole canvas."""
+    if (a & b).any():
+        return 0.0
+
+    def boundary(fg):
+        inner = fg.copy()
+        inner[1:] &= fg[:-1]
+        inner[:-1] &= fg[1:]
+        inner[:, 1:] &= fg[:, :-1]
+        inner[:, :-1] &= fg[:, 1:]
+        return np.nonzero(fg & ~inner)
+
+    (ay, ax), (by, bx) = boundary(a), boundary(b)
+    return math.sqrt(int(((ay[:, None] - by) ** 2 + (ax[:, None] - bx) ** 2).min()))
+
+
+@st.composite
+def frame_pairs(draw):
+    """Two uint8 frames of one shape, from 3x3 up to non-square sizes."""
+    shape = (draw(st.integers(3, 40)), draw(st.integers(3, 40)))
+    return draw(arrays(np.uint8, shape)), draw(arrays(np.uint8, shape))
+
+
+@st.composite
+def shaped_mask(draw, shape):
+    """A union of rectangles (single pixels among them) anywhere on the
+    canvas, edges and corners included, or plain noise."""
+    h, w = shape
+    if draw(st.booleans()):
+        return draw(arrays(np.bool_, shape))
+    mask = np.zeros(shape, bool)
+    for _ in range(draw(st.integers(1, 3))):
+        y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        mask[y:y + draw(st.integers(1, h)), x:x + draw(st.integers(1, w))] = True
+    return mask
+
+
+@st.composite
+def canvas_mask_pairs(draw):
+    shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    a, b = draw(shaped_mask(shape)), draw(shaped_mask(shape))
+    assume(a.any() and b.any())
+    return a, b
+
+
+def pixels(shape, *points):
+    mask = np.zeros(shape, bool)
+    for point in points:
+        mask[point] = True
+    return mask
+
+
+def l_shape_and_inner_pixel():
+    """Disjoint masks whose bounding boxes overlap."""
+    a = np.zeros((6, 6), bool)
+    a[0, :] = a[:, 0] = True
+    b = np.zeros((6, 6), bool)
+    b[3, 3] = True
+    return a, b
+
+
+class TestKernelsMatchReference:
+    @given(frame_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_scores_are_the_float64_bits(self, pair):
+        a, b = pair
+        assert raster.laplacian_variance(b) == reference_laplacian_variance(b)
+        assert raster.frame_diff_energy(a, b) == reference_frame_diff_energy(a, b)
+
+    @pytest.mark.parametrize("shape", [(96, 128), (97, 131), (480, 640)])
+    def test_integer_scores_on_canvas_sized_frames(self, rng, shape):
+        a, b = (rng.integers(0, 256, shape).astype(np.uint8) for _ in range(2))
+        b[: shape[0] // 2] = 255  # extreme values: the largest squares and sums
+        a[: shape[0] // 2] = 0
+        assert raster.laplacian_variance(b) == reference_laplacian_variance(b)
+        assert raster.frame_diff_energy(a, b) == reference_frame_diff_energy(a, b)
+
+    @given(canvas_mask_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_cropped_mask_kernels_match_full_canvas(self, pair):
+        a, b = pair
+        assert raster.mask_centroid(a) == reference_centroid(a)
+        assert raster.mask_distance(a, b) == reference_distance(a, b)
+
+    @pytest.mark.parametrize("pair", [
+        l_shape_and_inner_pixel(),
+        l_shape_and_inner_pixel()[::-1],
+        # touching masks on the canvas edges: distance 1.0
+        (pixels((1, 5), (0, 0)), pixels((1, 5), (0, 1))),
+        (pixels((5, 1), (3, 0), (4, 0)), pixels((5, 1), (2, 0))),
+        # single pixels in opposite corners
+        (pixels((4, 7), (3, 0)), pixels((4, 7), (0, 6))),
+    ])
+    def test_edge_cases_match_full_canvas(self, pair):
+        a, b = pair
+        assert raster.mask_centroid(a) == reference_centroid(a)
+        assert raster.mask_distance(a, b) == reference_distance(a, b)
+
+    def test_extract_writes_the_reference_kernels_bytes(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert run_cli("synth", "--out", corpus, "--episodes", 2, "--seed", 3) == 0
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", tmp_path / "new") == 0
+        for name, reference in (
+            ("laplacian_variance", reference_laplacian_variance),
+            ("frame_diff_energy", reference_frame_diff_energy),
+            ("mask_centroid", reference_centroid),
+            ("mask_distance", reference_distance),
+        ):
+            monkeypatch.setattr(features, name, reference)
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", tmp_path / "ref") == 0
+        new = (tmp_path / "new" / "features.csv").read_bytes()
+        assert new.count(b"\n") > 100
+        assert new == (tmp_path / "ref" / "features.csv").read_bytes()
