@@ -21,6 +21,11 @@ files of every row. ``ladder --seeds N`` runs the whole plan at N seeds,
 each into ``seed_S/``, and sums them up as the mean and std of each row's
 scores in ``ladder_seeds.csv``.
 
+Scores are the triple ``SCORES``. Every table the CLI writes,
+``history.csv``, ``trials.csv``, ``xval.csv`` and the two ladder
+summaries, goes through ``_write_rows``; the folds of ``xval.csv`` and the
+seeds of ``ladder_seeds.csv`` are summed up by ``_mean_std``.
+
 Flag precedence: explicit flags > ``--config`` file > built-in defaults. A
 config line ``key=value`` is the flag ``--key=value`` and a bare ``key`` is
 the switch ``--key``; they are parsed with the subcommand's own flags, ahead
@@ -47,6 +52,7 @@ from . import __version__, manifest, metrics, synth
 from .features import (
     CLASS_NAMES,
     NUM_CLASSES,
+    ClassLabel,
     Episode,
     LabeledDataset,
     PipelineConfig,
@@ -67,9 +73,7 @@ from .nn import (
     train,
 )
 from .nn import checkpoint as ckpt_mod
-from .nn.train import history_to_csv
 
-GRABBING = 1  # class index reported as the hard transitional state
 RUN_MANIFEST = "run_manifest.json"
 
 
@@ -148,7 +152,8 @@ def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
 
 def read_corpus(root, digest) -> Iterator[Episode]:
     """The episodes of the corpus at ``root``, read one at a time as they
-    are consumed; a corpus without manifests raises at call time.
+    are consumed; a corpus without manifests, or with a symlinked episode
+    directory, raises at call time.
 
     When they run out, ``digest`` (a hashlib object) has taken in the
     corpus's input digest: for each file under ``root`` in ``_walk_files``
@@ -158,7 +163,14 @@ def read_corpus(root, digest) -> Iterator[Episode]:
     episode names are read here. Digests are taken in one episode at a time.
     """
     root = Path(root)
-    return _read_and_hash(root, manifest.find_manifests(root), digest)
+    manifests = manifest.find_manifests(root)
+    for path in manifests:
+        # the walk does not enter symlinked directories, so their files
+        # would be read without reaching the digest
+        if path.parent != root and path.parent.is_symlink():
+            raise ValueError(f"{path.parent}: symlinked episode directories are not read; "
+                             "copy the episode into the corpus")
+    return _read_and_hash(root, manifests, digest)
 
 
 def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
@@ -180,8 +192,29 @@ def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episod
             below = rel[len(prefix):] if rel.startswith(prefix) else None
             digest.update(rel.encode())
             digest.update((known.get(below) or sha256_file(path)).encode())
-    for _, manifest_path in pending:  # symlinked directories, which the walk skips
-        yield manifest.read_episode(manifest_path)
+
+
+SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
+HISTORY_COLUMNS = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+TRIAL_COLUMNS = ["trial", "status", "rnn_units", "rnn_layers", "dropout_p",
+                 "learning_rate", "batch_size", "val_acc", "val_loss"]
+
+
+def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` as a CSV table with a ``columns`` header. Each value is
+    written as its ``str``, which for a Python float is its ``repr``: the
+    shortest text that reads back as the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _mean_std(score_rows) -> tuple[list[float], list[float]]:
+    """The per-column means and population stds of rows of scores, in
+    ``SCORES`` order, as Python floats."""
+    columns = [np.array(column) for column in zip(*score_rows)]
+    return [float(c.mean()) for c in columns], [float(c.std()) for c in columns]
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -306,7 +339,7 @@ def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[tuple[float, float, floa
     report = metrics.classification_report(cm)
     files = metrics.write_report_files(report, list(CLASS_NAMES), out)
     metrics.write_confusion_csv(cm, list(CLASS_NAMES), out / "confusion.csv")
-    scores = report.accuracy, report.weighted_f1, float(report.f1[GRABBING])
+    scores = report.accuracy, report.weighted_f1, float(report.f1[ClassLabel.GRABBING])
     return scores, files + [out / "confusion.csv"]
 
 
@@ -377,7 +410,7 @@ def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Labele
     train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
     ckpt, history = train(spec, train_ds, val_ds, cfg, meta={"split": _split_meta(args)})
     ckpt_mod.save(ckpt, out / "checkpoint.json")
-    history_to_csv(history, out / "history.csv")
+    _write_rows(out / "history.csv", HISTORY_COLUMNS, history)
     scores, files = _evaluate(ckpt, x_test, y_test, out)
     return scores, [out / "checkpoint.json", out / "history.csv"] + files
 
@@ -409,21 +442,6 @@ def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     return outputs, []
 
 
-def _write_trials_csv(path: Path, trials) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial", "status", "rnn_units", "rnn_layers", "dropout_p",
-             "learning_rate", "batch_size", "val_acc", "val_loss"]
-        )
-        for t in trials:
-            writer.writerow(
-                [t.index, t.status, t.spec.rnn_units, t.spec.rnn_layers,
-                 repr(t.spec.dropout_p), repr(t.cfg.learning_rate),
-                 t.cfg.batch_size, repr(t.val_acc), repr(t.val_loss)]
-            )
-
-
 def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
             out: Path):
     """Random search around ``spec`` and ``cfg``; the winner is scored on the
@@ -433,7 +451,12 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
     winner, trials = random_search(
         SearchSpace(), args.budget, train_ds, val_ds, args.seed, spec, cfg
     )
-    _write_trials_csv(out / "trials.csv", trials)
+    _write_rows(out / "trials.csv", TRIAL_COLUMNS, [
+        dict(zip(TRIAL_COLUMNS, (t.index, t.status, t.spec.rnn_units, t.spec.rnn_layers,
+                                 t.spec.dropout_p, t.cfg.learning_rate, t.cfg.batch_size,
+                                 t.val_acc, t.val_loss)))
+        for t in trials
+    ])
     winner.checkpoint.meta.update(split=_split_meta(args), trial_index=winner.index)
     ckpt_mod.save(winner.checkpoint, out / "checkpoint.json")
     scores, files = _evaluate(winner.checkpoint, x_test, y_test, out)
@@ -460,32 +483,17 @@ def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Label
           out: Path, k: int):
     """Stratified k-fold validation, scored by the means over the folds."""
     x, y = _model_arrays(ds, spec)
-    rows, summary = kfold_validate(spec, cfg, x, y, k, args.seed, focus_class=GRABBING)
-
+    rows = kfold_validate(spec, cfg, x, y, k, args.seed)
+    mean, std = (dict(zip(SCORES, stat))
+                 for stat in _mean_std([[row[key] for key in SCORES] for row in rows]))
     xval_path = out / "xval.csv"
-    with open(xval_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "accuracy", "weighted_f1", "grabbing_f1"])
-        for row in rows:
-            writer.writerow(
-                [row["fold"], repr(row["accuracy"]), repr(row["weighted_f1"]),
-                 repr(row["focus_f1"])]
-            )
-        writer.writerow(
-            ["mean", repr(summary["accuracy_mean"]), repr(summary["weighted_f1_mean"]),
-             repr(summary["focus_f1_mean"])]
-        )
-        writer.writerow(
-            ["std", repr(summary["accuracy_std"]), repr(summary["weighted_f1_std"]),
-             repr(summary["focus_f1_std"])]
-        )
+    _write_rows(xval_path, ["fold", *SCORES],
+                rows + [{"fold": "mean", **mean}, {"fold": "std", **std}])
     print(
-        f"{k}-fold: accuracy {summary['accuracy_mean']:.4f} "
-        f"+/- {summary['accuracy_std']:.4f}, "
-        f"grabbing F1 {summary['focus_f1_mean']:.4f}"
+        f"{k}-fold: accuracy {mean['accuracy']:.4f} +/- {std['accuracy']:.4f}, "
+        f"grabbing F1 {mean['grabbing_f1']:.4f}"
     )
-    scores = summary["accuracy_mean"], summary["weighted_f1_mean"], summary["focus_f1_mean"]
-    return scores, [xval_path]
+    return tuple(mean.values()), [xval_path]
 
 
 def cmd_xval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
@@ -512,14 +520,6 @@ LADDER_PLAN = (
 
 
 LADDER_COLUMNS = ["model", "description", "architecture", "seq_len"]
-SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
-
-
-def _write_rows(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _ladder_row(number: int, description: str, spec: ModelSpec) -> dict:
@@ -588,14 +588,17 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
         outputs += files
         failures += [f"seed {seed} {failure}" for failure in failed]
 
+    columns = [f"{key}_{stat}" for key in SCORES for stat in ("mean", "std")]
     rows = []
     for k, (number, description, spec, _, _) in enumerate(LADDER_PLAN):
-        done = np.array([run[k] for run in runs if run[k] is not None]).reshape(-1, len(SCORES))
+        done = [run[k] for run in runs if run[k] is not None]
         row = _ladder_row(number, description, spec)
         row["seeds"] = len(done)
-        for key, values in zip(SCORES, done.T):
-            row[f"{key}_mean"] = f"{values.mean():.6f}" if len(done) else "failed"
-            row[f"{key}_std"] = f"{values.std():.6f}" if len(done) else "failed"
+        if done:
+            for key, mean, std in zip(SCORES, *_mean_std(done)):
+                row[f"{key}_mean"], row[f"{key}_std"] = f"{mean:.6f}", f"{std:.6f}"
+        else:
+            row.update((column, "failed") for column in columns)
         rows.append(row)
         print(
             f"model {number} ({description}) over {len(done)} of {args.seeds} seeds: "
@@ -603,7 +606,6 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
                        for short, key in zip(("acc", "wF1", "grabF1"), SCORES))
         )
     seeds_path = out / "ladder_seeds.csv"
-    columns = [f"{key}_{stat}" for key in SCORES for stat in ("mean", "std")]
     _write_rows(seeds_path, LADDER_COLUMNS + ["seeds"] + columns, rows)
     print(f"ladder seeds summary -> {seeds_path}")
     return [seeds_path] + outputs, failures

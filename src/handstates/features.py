@@ -123,9 +123,9 @@ class PipelineConfig:
             raise ValueError("window_length must be >= 3")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.contact_epsilon <= 0:
+        if not self.contact_epsilon > 0:
             raise ValueError("contact_epsilon must be > 0")
-        if self.sharpness_threshold < 0 or self.diff_threshold < 0:
+        if not (self.sharpness_threshold >= 0 and self.diff_threshold >= 0):
             raise ValueError("thresholds must be >= 0")
 
 

@@ -61,7 +61,7 @@ class ModelSpec:
             raise ValueError("seq_length must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        if self.l2_lambda < 0.0:
+        if not self.l2_lambda >= 0.0:
             raise ValueError("l2_lambda must be >= 0")
         if self.use_batchnorm is None:
             object.__setattr__(self, "use_batchnorm", self.kind == "mlp")

@@ -6,6 +6,9 @@ validation accuracy, breaking ties by lower validation loss and then by
 earlier trial index. Diverged trials are recorded, not fatal, unless every
 trial diverges.
 
+``random_search`` returns its trials and ``kfold_validate`` its fold rows;
+the CLI writes them as ``trials.csv`` and ``xval.csv`` and sums up the folds.
+
 Folds and trials are seeded one by one (``cfg.seed + fold``, ``seed + 1000 *
 (trial + 1)``), so ``map_tasks`` may train them in parallel worker processes
 without changing a bit of any result.
@@ -19,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..features import ClassLabel
 from ..metrics import classification_report, confusion_matrix
 from . import checkpoint as ckpt_mod
 from .model import ModelSpec
@@ -159,7 +163,7 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.nonzero(assignment == fold)[0] for fold in range(k)]
 
 
-def _run_fold(fold_idx, val_idx, spec, cfg, x, y, focus_class) -> dict:
+def _run_fold(fold_idx, val_idx, spec, cfg, x, y) -> dict:
     """Train on every row outside ``val_idx``, score on it; returns the fold row.
 
     The fold's model is dropped on return, before the next fold trains.
@@ -175,7 +179,7 @@ def _run_fold(fold_idx, val_idx, spec, cfg, x, y, focus_class) -> dict:
         "fold": fold_idx,
         "accuracy": report.accuracy,
         "weighted_f1": report.weighted_f1,
-        "focus_f1": float(report.f1[focus_class]),
+        "grabbing_f1": float(report.f1[ClassLabel.GRABBING]),
     }
 
 
@@ -186,24 +190,18 @@ def kfold_validate(
     y: np.ndarray,
     k: int,
     seed: int,
-    focus_class: int = 1,
-) -> tuple[list[dict], dict]:
-    """Stratified k-fold metrics; each row validates in exactly one fold.
+) -> list[dict]:
+    """Stratified k-fold scores; each row validates in exactly one fold.
 
     The held-out fold doubles as the early-stopping validation set for its
-    training run. Returns per-fold rows plus mean/std aggregates of
-    accuracy, weighted F1 and the focus class's F1 (grabbing by default).
+    training run. Returns one row per fold, in fold order: ``fold`` and the
+    fold's ``accuracy``, ``weighted_f1`` and ``grabbing_f1``, as Python
+    floats.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     folds = stratified_folds(y, k, seed)
-    rows = map_tasks(_run_fold, [
-        (fold_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y, focus_class)
+    return map_tasks(_run_fold, [
+        (fold_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y)
         for fold_idx, val_idx in enumerate(folds)
     ])
-    summary = {}
-    for key in ("accuracy", "weighted_f1", "focus_f1"):
-        values = np.array([r[key] for r in rows])
-        summary[f"{key}_mean"] = float(values.mean())
-        summary[f"{key}_std"] = float(values.std())
-    return rows, summary

@@ -5,12 +5,13 @@ early stopping on validation loss and deterministic seeding.
 MLP and (batch, seq_length, dim) for recurrent models. Features are
 standardized in float64; the classifier, float32, casts each batch as it
 comes in, and losses are float64. The checkpoint returned holds the trained
-classifier, restored to the epoch with the lowest validation loss.
+classifier, restored to the epoch with the lowest validation loss; the
+history returned is one row of Python numbers per epoch, which the CLI
+writes as ``history.csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,7 +45,7 @@ class TrainConfig:
     early_stop_patience: Optional[int] = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -87,13 +88,13 @@ def train(
 
     Each epoch trains on one shuffle of the training rows, then runs one
     validation pass, which picks the best epoch and drives early stopping,
-    and appends one history row: epoch, train_loss, train_acc, val_loss and
-    val_acc. The train columns describe the epoch's batches as they were
-    trained, in train mode: the row-weighted mean of their losses and the
-    share of their rows predicted right. Reported losses use the training
-    class weights and add the L2 penalty at the end of the epoch. Raises
-    TrainingDivergedError as soon as a batch's cross-entropy or an epoch's
-    validation loss is non-finite.
+    and appends one history row: a dict of epoch, train_loss, train_acc,
+    val_loss and val_acc, an int and four Python floats. The train columns
+    describe the epoch's batches as they were trained, in train mode: the
+    row-weighted mean of their losses and the share of their rows predicted
+    right. Reported losses use the training class weights and add the L2
+    penalty at the end of the epoch. Raises TrainingDivergedError as soon as
+    a batch's cross-entropy or an epoch's validation loss is non-finite.
     """
     x_train, y_train = _dataset(train_ds)
     x_val, y_val = _dataset(val_ds)
@@ -184,19 +185,3 @@ def train(
     }
     full_meta.update(meta or {})
     return ckpt_mod.Checkpoint(clf, mean, std, full_meta), rows
-
-
-def history_to_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for row in history:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(row["train_loss"]),
-                    repr(row["train_acc"]),
-                    repr(row["val_loss"]),
-                    repr(row["val_acc"]),
-                ]
-            )

@@ -87,15 +87,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.approach_speed <= 0:
+        if not self.approach_speed > 0:
             raise ValueError("approach_speed must be > 0")
         if not 0.0 <= self.noise_flip_prob < 0.5:
             raise ValueError("noise_flip_prob must be in [0, 0.5)")
-        if self.jitter_sigma < 0:
+        if not self.jitter_sigma >= 0:
             raise ValueError("jitter_sigma must be >= 0")
         if self.hand_radius < 1:
             raise ValueError("hand_radius must be >= 1")
-        if self.contact_epsilon <= 0:
+        if not self.contact_epsilon > 0:
             raise ValueError("contact_epsilon must be > 0")
 
 

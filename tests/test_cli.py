@@ -3,7 +3,9 @@
 import collections
 import csv
 import hashlib
+import io
 import json
+import shutil
 import statistics
 import weakref
 from pathlib import Path
@@ -15,7 +17,8 @@ from conftest import run_cli
 
 from handstates import cli, features, manifest, pgm
 from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
-from handstates.nn import search
+from handstates.nn import ModelSpec, TrainConfig, search
+from handstates.synth import ScenarioConfig
 
 
 def tree_digest(root, skip_names=("run_manifest.json",)):
@@ -257,6 +260,28 @@ class TestExtract:
     def test_missing_corpus_raises_at_call_time(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no manifest.csv"):
             cli.read_corpus(tmp_path, hashlib.sha256())
+
+    def test_symlinked_episode_directory_is_refused(self, tmp_path, small_corpus, capsys):
+        # the walk that hashes the corpus does not enter symlinked
+        # directories, so such an episode would be read but not hashed
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        (corpus / "ep_zzz").symlink_to(small_corpus / "ep_000", target_is_directory=True)
+        with pytest.raises(ValueError, match="ep_zzz"):
+            cli.read_corpus(corpus, hashlib.sha256())
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert f"{corpus / 'ep_zzz'}: symlinked episode" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_symlinked_corpus_root_is_read(self, tmp_path):
+        root = tmp_path / "one"
+        manifest.write_episode(tiny_episode(), root)
+        link = tmp_path / "link"
+        link.symlink_to(root, target_is_directory=True)
+        digest = hashlib.sha256()
+        assert [len(e) for e in cli.read_corpus(link, digest)] == [2]
+        assert digest.hexdigest() == rglob_tree_digest(root)
 
     def test_frames_are_read_as_uint8(self, small_corpus):
         episode = manifest.read_episode(small_corpus / "ep_000" / "manifest.csv")
@@ -501,6 +526,108 @@ class TestTrainEval:
         )
         assert code == 1
         assert "warp_speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,field", [
+    (PipelineConfig, "sharpness_threshold"),
+    (PipelineConfig, "diff_threshold"),
+    (PipelineConfig, "contact_epsilon"),
+    (ScenarioConfig, "approach_speed"),
+    (ScenarioConfig, "jitter_sigma"),
+    (ScenarioConfig, "contact_epsilon"),
+    (ScenarioConfig, "noise_flip_prob"),
+    (TrainConfig, "learning_rate"),
+    (ModelSpec, "l2_lambda"),
+    (ModelSpec, "dropout_p"),
+])
+def test_config_field_refuses_nan(config, field):
+    # NaN fails every comparison, so each bound must be written to fail
+    # when its comparison does, as the ``_checked`` flag types are
+    config()
+    with pytest.raises(ValueError):
+        config(**{field: float("nan")})
+
+
+def history_csv_as_first_written(history):
+    """``history.csv`` as its first writer in ``nn.train`` wrote it."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
+    for row in history:
+        writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["train_acc"]),
+                         repr(row["val_loss"]), repr(row["val_acc"])])
+    return fh.getvalue().encode()
+
+
+def trials_csv_as_first_written(trials):
+    """``trials.csv`` as its first writer in ``cli`` wrote it."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["trial", "status", "rnn_units", "rnn_layers", "dropout_p",
+                     "learning_rate", "batch_size", "val_acc", "val_loss"])
+    for t in trials:
+        writer.writerow([t.index, t.status, t.spec.rnn_units, t.spec.rnn_layers,
+                         repr(t.spec.dropout_p), repr(t.cfg.learning_rate),
+                         t.cfg.batch_size, repr(t.val_acc), repr(t.val_loss)])
+    return fh.getvalue().encode()
+
+
+def xval_csv_as_first_written(rows):
+    """``xval.csv`` as ``cli._xval`` wrote it, with the mean and std that
+    ``kfold_validate`` summed the folds up with."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    scores = ("accuracy", "weighted_f1", "grabbing_f1")
+    writer.writerow(["fold", *scores])
+    for row in rows:
+        writer.writerow([row["fold"]] + [repr(row[key]) for key in scores])
+    for stat in ("mean", "std"):
+        writer.writerow(
+            [stat] + [repr(float(getattr(np.array([r[key] for r in rows]), stat)()))
+                      for key in scores]
+        )
+    return fh.getvalue().encode()
+
+
+class TestTableBytes:
+    """Every table ``_write_rows`` writes has the bytes of the writer it
+    replaced, computed here from the rows the writer was given."""
+
+    @staticmethod
+    def capture(monkeypatch, name):
+        results = []
+        original = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, name, recording)
+        return results
+
+    def test_history_csv(self, tmp_path, small_features, monkeypatch):
+        runs = self.capture(monkeypatch, "train")
+        out = tmp_path / "train"
+        assert run_cli("train", "--features", small_features, "--out", out, *TRAIN_FAST) == 0
+        [(_, history)] = runs
+        assert (out / "history.csv").read_bytes() == history_csv_as_first_written(history)
+
+    def test_trials_csv(self, tmp_path, small_features, monkeypatch):
+        searches = self.capture(monkeypatch, "random_search")
+        out = tmp_path / "search"
+        assert run_cli("search", "--features", small_features, "--out", out,
+                       "--budget", 2, "--epochs", 3, "--patience", 0) == 0
+        [(_, trials)] = searches
+        assert (out / "trials.csv").read_bytes() == trials_csv_as_first_written(trials)
+
+    def test_xval_csv(self, tmp_path, small_features, monkeypatch):
+        validations = self.capture(monkeypatch, "kfold_validate")
+        out = tmp_path / "xval"
+        assert run_cli("xval", "--features", small_features, "--out", out,
+                       "--arch", "mlp", "--k", 2, *TRAIN_FAST) == 0
+        [rows] = validations
+        assert [row["fold"] for row in rows] == [0, 1]
+        assert (out / "xval.csv").read_bytes() == xval_csv_as_first_written(rows)
 
 
 class TestSearchCli:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from handstates.cli import SCORES, _mean_std
 from handstates.nn import ModelSpec, SearchSpace, TrainConfig, TrainingDivergedError
 from handstates.nn import search
 from handstates.nn.search import kfold_validate, pool_size, random_search, stratified_folds
@@ -103,13 +104,15 @@ class TestStratifiedFolds:
 class TestKfoldValidate:
     def test_metrics_and_mean_bounds(self, rng):
         x, y = blob_data(rng, n_per=25)
-        rows, summary = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=1)
+        rows = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=1)
         assert len(rows) == 3
+        assert [r["fold"] for r in rows] == [0, 1, 2]
         accs = [r["accuracy"] for r in rows]
-        assert min(accs) <= summary["accuracy_mean"] <= max(accs)
+        (accuracy_mean, _, _), _ = _mean_std([[r[key] for key in SCORES] for r in rows])
+        assert min(accs) <= accuracy_mean <= max(accs)
         for r in rows:
             assert 0.0 <= r["weighted_f1"] <= 1.0
-            assert 0.0 <= r["focus_f1"] <= 1.0
+            assert 0.0 <= r["grabbing_f1"] <= 1.0
 
     def test_deterministic(self, rng):
         x, y = blob_data(rng, n_per=15)
