@@ -177,7 +177,8 @@ def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episod
     # An episode directory is the corpus root ("") or one of its
     # directories. Each episode is read once the walk reaches its directory,
     # so episodes come in manifest order and the walk finds the digests of
-    # the episode's files ready.
+    # the episode's files ready. An episode is dropped once it is consumed,
+    # before the next one is read.
     pending = collections.deque(
         ("" if path.parent == root else path.parent.name, path) for path in manifests
     )
@@ -188,6 +189,7 @@ def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episod
             episode = manifest.read_episode(manifest_path)
             known, prefix = episode.file_digests, f"{name}/" if name else ""
             yield episode
+            del episode
         if os.path.basename(rel) != RUN_MANIFEST:
             below = rel[len(prefix):] if rel.startswith(prefix) else None
             digest.update(rel.encode())
@@ -315,9 +317,8 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
 
 
 def _train_cfg(args: argparse.Namespace, **overrides) -> TrainConfig:
-    """The fit flags as a TrainConfig; ``--patience 0`` disables early stopping."""
-    patience = args.patience if args.patience > 0 else None
-    return TrainConfig(epochs=args.epochs, early_stop_patience=patience, **overrides)
+    """The fit flags as a TrainConfig."""
+    return TrainConfig(epochs=args.epochs, early_stop_patience=args.patience, **overrides)
 
 
 def _train_cfg_from_args(args: argparse.Namespace) -> TrainConfig:
@@ -371,14 +372,16 @@ def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     pipeline = PipelineConfig()
     manifest_paths = []
     histogram = collections.Counter()
-    # each episode is written and counted as it is made, then dropped; a
-    # window's label needs only the keyframe indices, not their signals
+    # each episode is written and counted as it is made, then dropped before
+    # the next one is rendered; a window's label needs only the keyframe
+    # indices, not their signals
     for episode in synth.generate_corpus(cfg, args.episodes, args.seed):
         manifest_paths.append(manifest.write_episode(episode, out / episode.episode_id))
         keyframes = keyframe_indices(episode, pipeline)
         histogram.update(
             episode.labels[keyframes[t]] for t in slide_windows(len(keyframes), pipeline)
         )
+        del episode
     print(f"wrote {len(manifest_paths)} episodes to {out}")
     print("window-label histogram:")
     for c, name in enumerate(CLASS_NAMES):
@@ -408,7 +411,8 @@ def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Labele
     """Split, train, evaluate on the held-out test set, write artifacts."""
     x, y = _model_arrays(ds, spec)
     train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
-    ckpt, history = train(spec, train_ds, val_ds, cfg, meta={"split": _split_meta(args)})
+    ckpt, history = train(spec, train_ds, val_ds, cfg)
+    ckpt.meta["split"] = _split_meta(args)
     ckpt_mod.save(ckpt, out / "checkpoint.json")
     _write_rows(out / "history.csv", HISTORY_COLUMNS, history)
     scores, files = _evaluate(ckpt, x_test, y_test, out)

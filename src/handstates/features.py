@@ -259,25 +259,28 @@ def window_feature_vector(series: KeyframeSeries, targets: range, n: int) -> np.
 def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDataset:
     """Run the full pipeline over episodes, concatenating rows in order.
 
-    Episodes are consumed one at a time; each leaves one feature block.
+    Episodes are consumed one at a time; each leaves one feature block, and
+    is dropped before the next one is drawn from ``episodes``.
     """
     blocks: list[np.ndarray] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
     for episode in episodes:
         series = select_keyframes(episode, cfg)
+        frame_labels = episode.labels
+        del episode
         targets = slide_windows(len(series), cfg)
         if not targets:
             log.warning(
                 "episode %s yields no windows (%d keyframes, window %d); skipped",
-                episode.episode_id,
+                series.episode_id,
                 len(series),
                 cfg.window_length,
             )
             continue
         blocks.append(window_feature_vector(series, targets, cfg.window_length))
-        labels.extend(int(episode.labels[series.entries[t].index]) for t in targets)
-        provenance.extend((episode.episode_id, t) for t in targets)
+        labels.extend(int(frame_labels[series.entries[t].index]) for t in targets)
+        provenance.extend((series.episode_id, t) for t in targets)
     if blocks:
         features = np.concatenate(blocks)
     else:
@@ -334,7 +337,11 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    """Read a dataset CSV produced by :func:`save_dataset_csv`."""
+    """Read a dataset CSV produced by :func:`save_dataset_csv`.
+
+    A row that does not parse, or whose feature values are not all finite,
+    raises a ValueError naming ``path`` and its line.
+    """
     rows: list[list[float]] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
@@ -346,14 +353,21 @@ def load_dataset_csv(path) -> LabeledDataset:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
-            rows.append([float(x) for x in row[:FEATURE_DIM]])
-            labels.append(int(parse_label(row[FEATURE_DIM])))
-            provenance.append((row[FEATURE_DIM + 1], int(row[FEATURE_DIM + 2])))
+            try:
+                rows.append([float(x) for x in row[:FEATURE_DIM]])
+                labels.append(int(parse_label(row[FEATURE_DIM])))
+                provenance.append((row[FEATURE_DIM + 1], int(row[FEATURE_DIM + 2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     features = (
         np.asarray(rows, dtype=np.float64)
         if rows
         else np.empty((0, FEATURE_DIM), dtype=np.float64)
     )
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}:{i + 2}: {FEATURE_NAMES[j]} is {rows[i][j]}, not finite")
     return LabeledDataset(
         features=features,
         labels=np.asarray(labels, dtype=np.int64),
@@ -364,9 +378,11 @@ def load_dataset_csv(path) -> LabeledDataset:
 def sequence_dataset(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, np.ndarray]:
     """Group consecutive rows of one episode into fixed-length sequences.
 
-    Rows are consumed in dataset order (ascending target index per episode);
-    sequences never span episodes and take the label of their last element.
-    seq_length=1 is a plain per-row reshape.
+    Rows are consumed in dataset order; sequences never span episodes and
+    take the label of their last element. For seq_length > 1 the rows of
+    each episode must be one run of strictly increasing target index, or a
+    ValueError names the episode and the index. seq_length=1 is a plain
+    per-row reshape, in any row order.
     """
     if seq_length < 1:
         raise ValueError("seq_length must be >= 1")
@@ -376,10 +392,20 @@ def sequence_dataset(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, n
     ys: list[int] = []
     start = 0
     n = len(ds)
+    seen: set[str] = set()
     while start < n:
-        episode_id = ds.provenance[start][0]
-        end = start
+        episode_id, last = ds.provenance[start]
+        if episode_id in seen:
+            raise ValueError(f"episode {episode_id}: target_index {last} is apart from the "
+                             "episode's earlier rows; sequences need one run per episode")
+        seen.add(episode_id)
+        end = start + 1
         while end < n and ds.provenance[end][0] == episode_id:
+            index = ds.provenance[end][1]
+            if index <= last:
+                raise ValueError(f"episode {episode_id}: target_index {index} follows {last}; "
+                                 "sequences need strictly increasing target_index")
+            last = index
             end += 1
         for i in range(start, end - seq_length + 1):
             xs.append(ds.features[i : i + seq_length])

@@ -51,6 +51,8 @@ def read_episode(manifest_path) -> Episode:
 
     Frames stay the uint8 arrays the PGM reader returns. Every file read is
     hashed from the bytes already in memory, into ``Episode.file_digests``.
+    A frame or mask of another size than the first frame raises a
+    ManifestError naming both files.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -86,6 +88,12 @@ def read_episode(manifest_path) -> Episode:
             obj = pgm.gray_to_mask(read(obj_rel))
         except (OSError, ValueError) as exc:
             fail(lineno, str(exc))
+        if not frames:
+            first_rel, first_shape = frame_rel, frame.shape
+        for rel, img in ((frame_rel, frame), (hand_rel, hand), (obj_rel, obj)):
+            if img.shape != first_shape:
+                fail(lineno, f"{rel} is {img.shape[1]}x{img.shape[0]}, "
+                             f"{first_rel} is {first_shape[1]}x{first_shape[0]}")
         try:
             label = parse_label(label_name)
         except ValueError as exc:

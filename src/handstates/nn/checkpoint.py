@@ -1,21 +1,21 @@
-"""Checkpoints: a trained ``Classifier`` with its feature standardization and
-metadata, persisted as a single JSON document holding the model spec, named
-row-major parameter tensors, batch-norm running statistics, the
+"""Checkpoints: a trained ``Classifier`` and its metadata, persisted as a
+single JSON document holding the model spec, named row-major parameter
+tensors, batch-norm running statistics, the classifier's feature
 standardization vectors and the label order.
 
 Schema 4 stores the float32 parameters and batch-norm statistics of a
-float32 ``Classifier``, and the float64 standardization vectors. Floats are
+float32 ``Classifier``, and its float64 standardization vectors. Floats are
 serialized with their shortest round-tripping decimal representation (a
 float32 value through ``tolist``, as the float64 it equals exactly), so
 save -> load -> predict is bit-identical to predicting with the in-memory
 model. Only the parameters that reach a logit are stored: a length-1
 recurrent layer is a ``Dense`` layer of input, candidate and output gate
 columns, with no forget gate and no recurrent matrix ``wh``. ``load`` builds
-the classifier once, from the stored spec, and keeps it. Files of any other
-schema are refused, not migrated, and so are files whose parameters,
-batch-norm layers or standardization vectors do not fit their spec or are
-not finite (parameters and statistics as float32), whose batch-norm
-variance is negative, or whose standardization std is not > 0.
+the classifier once, from the stored spec, restores its ``state`` and keeps
+it. Files of any other schema are refused, not migrated, and so are files
+whose parameters, batch-norm layers or standardization vectors do not fit
+their spec or are not finite (parameters and statistics as float32), whose
+batch-norm variance is negative, or whose standardization std is not > 0.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ PARAM_DTYPE = np.float32  # of the stored parameters and batch-norm statistics
 
 @dataclass
 class Checkpoint:
-    """A trained classifier with its feature standardization and metadata."""
+    """A trained classifier with its metadata."""
 
     model: Classifier
-    feature_mean: np.ndarray | None
-    feature_std: np.ndarray | None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -46,15 +44,10 @@ class Checkpoint:
         return self.model.spec
 
 
-def to_classifier(spec: ModelSpec, params: dict, batchnorm: dict) -> Classifier:
-    """Build the stored model; parameters overwrite the random init."""
+def to_classifier(spec: ModelSpec, state: dict) -> Classifier:
+    """Build the stored model; ``state`` overwrites the random init."""
     clf = Classifier(spec, np.random.default_rng(0), dtype=PARAM_DTYPE)
-    clf.set_params(params)
-    bn_layers = {bn.name: bn for bn in clf.batchnorm_layers()}
-    if set(bn_layers) != set(batchnorm):
-        raise ValueError("checkpoint batch-norm layers do not match the model spec")
-    for name, stats in batchnorm.items():
-        bn_layers[name].set_running_stats(stats["mean"], stats["var"])
+    clf.load_state(state)
     return clf
 
 
@@ -74,8 +67,8 @@ def save(ckpt: Checkpoint, path) -> None:
             for bn in clf.batchnorm_layers()
         },
         "standardization": None
-        if ckpt.feature_mean is None
-        else {"mean": ckpt.feature_mean.tolist(), "std": ckpt.feature_std.tolist()},
+        if clf.feature_mean is None
+        else {"mean": clf.feature_mean.tolist(), "std": clf.feature_std.tolist()},
         "label_order": list(CLASS_NAMES),
         "meta": ckpt.meta,
     }
@@ -103,17 +96,14 @@ def load(path) -> Checkpoint:
                 f"checkpoint schema_version {version} is not {SCHEMA_VERSION}; "
                 "retrain the model to write a current checkpoint"
             )
-        params = {
+        state = {
             name: _finite(name, entry["data"], PARAM_DTYPE).reshape(entry["shape"])
             for name, entry in doc["params"].items()
         }
-        batchnorm = {
-            name: {key: _finite(f"{name}.{key}", stats[key], PARAM_DTYPE)
-                   for key in ("mean", "var")}
-            for name, stats in doc.get("batchnorm", {}).items()
-        }
-        for name, stats in batchnorm.items():
-            if (stats["var"] < 0).any():
+        for name, stats in doc.get("batchnorm", {}).items():
+            for key in ("mean", "var"):
+                state[f"{name}.{key}"] = _finite(f"{name}.{key}", stats[key], PARAM_DTYPE)
+            if (state[f"{name}.var"] < 0).any():
                 raise ValueError(f"{name}.var has negative values")
         label_order = list(doc["label_order"])
         if label_order != list(CLASS_NAMES):
@@ -131,8 +121,9 @@ def load(path) -> Checkpoint:
             if not (std > 0).all():
                 raise ValueError("standardization std must be > 0")
         # the build checks that the parameters and batch-norm layers fit the spec
-        return Checkpoint(to_classifier(spec, params, batchnorm), mean, std,
-                          dict(doc.get("meta", {})))
+        clf = to_classifier(spec, state)
+        clf.feature_mean, clf.feature_std = mean, std
+        return Checkpoint(clf, dict(doc.get("meta", {})))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     except KeyError as exc:
@@ -141,14 +132,9 @@ def load(path) -> Checkpoint:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def standardize(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:
-    if ckpt.feature_mean is None:
-        return np.asarray(x, dtype=np.float64)
-    return (np.asarray(x, dtype=np.float64) - ckpt.feature_mean) / ckpt.feature_std
-
-
 def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and argmax labels for raw (unstandardized) features.
+    """Probabilities and argmax labels for raw feature rows, which the model
+    standardizes itself.
 
     Inference is deterministic: dropout is off and batch-norm uses the stored
     running statistics, and the same rows give the same bits. Rows go through
@@ -162,5 +148,5 @@ def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     expected = ckpt.spec.input_dim
     if x.shape[-1] != expected:
         raise ValueError(f"feature dim {x.shape[-1]} != checkpoint input_dim {expected}")
-    probs = ckpt.model.predict_proba(standardize(ckpt, x))
+    probs = ckpt.model.predict_proba(x)
     return probs, probs.argmax(axis=1)

@@ -180,10 +180,6 @@ class BatchNorm(Layer):
         self.dgamma[:] = 0.0
         self.dbeta[:] = 0.0
 
-    def set_running_stats(self, mean: np.ndarray, var: np.ndarray):
-        self.running_mean = np.asarray(mean, dtype=self.gamma.dtype)
-        self.running_var = np.asarray(var, dtype=self.gamma.dtype)
-
 
 class Dropout(Layer):
     """Inverted dropout: kept units are scaled by 1/(1-p) at train time."""

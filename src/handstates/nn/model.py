@@ -10,10 +10,15 @@ through optional batch-norm and dropout into a linear softmax head. At
 ``Dense`` layer into 3 * width gate pre-activations and a ``ZeroStateGate``,
 width being 2 * rnn_units for ``birnn`` and rnn_units for ``lstm``.
 
-A classifier computes in one dtype, float32 by default: parameters,
-gradients, activations and the optimizer's moments. Inputs are cast to it
-as they come in, and the loss and probabilities are taken in float64 from
-the logits. Gradient checks build a float64 classifier.
+A classifier owns everything between raw feature rows and logits. With
+``feature_mean`` and ``feature_std`` set (``train`` sets them unless told
+not to standardize), each input is standardized in float64 as it comes in.
+It computes in one dtype, float32 by default: parameters, gradients,
+activations and the optimizer's moments. Inputs are cast to it after
+standardization, and the loss and probabilities are taken in float64 from
+the logits. Gradient checks build a float64 classifier. ``state`` and
+``load_state`` copy and restore everything training changes: parameters
+and batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -84,12 +89,15 @@ class Classifier:
 
     Every layer maps ``forward(x, train, rng)`` and ``backward(dy)``, so the
     forward pass is one loop over the stack and the backward pass the same
-    loop reversed.
+    loop reversed. ``feature_mean`` and ``feature_std``, float64 vectors of
+    ``input_dim`` values or both ``None``, standardize every input.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
+        self.feature_mean: np.ndarray | None = None
+        self.feature_std: np.ndarray | None = None
         layers: list[Layer] = []
         n_in = spec.input_dim
         if spec.kind == "mlp":
@@ -140,21 +148,32 @@ class Classifier:
         for layer in self.layers:
             layer.zero_grads()
 
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        if set(own) != set(values):
-            missing = set(own) ^ set(values)
-            raise ValueError(f"parameter names do not match spec: {sorted(missing)}")
-        for name, arr in own.items():
-            incoming = np.asarray(values[name])
-            if incoming.shape != arr.shape:
-                raise ValueError(
-                    f"{name}: shape {incoming.shape} != expected {arr.shape}"
-                )
-            arr[:] = incoming
-
     def batchnorm_layers(self) -> list[BatchNorm]:
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
+
+    def _state_arrays(self) -> dict[str, np.ndarray]:
+        arrays = self.params()
+        for bn in self.batchnorm_layers():
+            arrays[f"{bn.name}.mean"] = bn.running_mean
+            arrays[f"{bn.name}.var"] = bn.running_var
+        return arrays
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Copies of the parameters and batch-norm running statistics
+        (``<bn>.mean``, ``<bn>.var``), by name."""
+        return {name: arr.copy() for name, arr in self._state_arrays().items()}
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Overwrite what ``state`` names, cast to the model's dtype; the
+        names and shapes must be those of ``state()``."""
+        own = self._state_arrays()
+        if set(own) != set(state):
+            raise ValueError(f"state names do not match spec: {sorted(set(own) ^ set(state))}")
+        for name, arr in own.items():
+            incoming = np.asarray(state[name])
+            if incoming.shape != arr.shape:
+                raise ValueError(f"{name}: shape {incoming.shape} != expected {arr.shape}")
+            arr[:] = incoming
 
     # -- forward / backward -------------------------------------------------
 
@@ -162,6 +181,8 @@ class Classifier:
         # An MLP and a length-1 model run on (batch, input_dim); the latter
         # also takes (batch, 1, input_dim).
         spec = self.spec
+        if self.feature_mean is not None:
+            x = (np.asarray(x, dtype=np.float64) - self.feature_mean) / self.feature_std
         x = np.asarray(x, dtype=self.dtype)
         if spec.kind == "mlp" or spec.seq_length == 1:
             if spec.kind != "mlp" and x.ndim == 3 and x.shape[1] == 1:

@@ -2,18 +2,18 @@
 early stopping on validation loss and deterministic seeding.
 
 ``train`` consumes (features, labels) array pairs; features are 2-D for the
-MLP and (batch, seq_length, dim) for recurrent models. Features are
-standardized in float64; the classifier, float32, casts each batch as it
-comes in, and losses are float64. The checkpoint returned holds the trained
-classifier, restored to the epoch with the lowest validation loss; the
-history returned is one row of Python numbers per epoch, which the CLI
-writes as ``history.csv``.
+MLP and (batch, seq_length, dim) for recurrent models. It fits the
+classifier's feature standardization on the training rows, and the
+classifier, float32, standardizes each batch in float64 and casts it as it
+comes in; losses are float64. The checkpoint returned holds the trained
+classifier, restored to its ``state`` at the epoch with the lowest
+validation loss; the history returned is one row of Python numbers per
+epoch, which the CLI writes as ``history.csv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class TrainConfig:
     seed: int = 0
     class_weighting: str = "balanced"  # or "none"
     standardize_features: bool = True
-    early_stop_patience: Optional[int] = 10
+    early_stop_patience: int = 10  # 0 disables early stopping
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.early_stop_patience < 0:
+            raise ValueError("early_stop_patience must be >= 0")
         if self.class_weighting not in ("balanced", "none"):
             raise ValueError("class_weighting must be 'balanced' or 'none'")
 
@@ -70,19 +72,16 @@ def _dataset(ds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(clf: Classifier, x, y, weights) -> tuple[float, float]:
+    """Weighted cross-entropy, without the L2 penalty, and accuracy of one
+    inference pass."""
     logits = clf.logits(x)
     loss, _ = softmax_cross_entropy(logits, y, weights)
-    loss += clf.penalty()
     acc = float((logits.argmax(axis=1) == y).mean())
     return loss, acc
 
 
 def train(
-    spec: ModelSpec,
-    train_ds,
-    val_ds,
-    cfg: TrainConfig,
-    meta: dict | None = None,
+    spec: ModelSpec, train_ds, val_ds, cfg: TrainConfig
 ) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
     """Train a model and return (best-validation checkpoint, history).
 
@@ -101,13 +100,6 @@ def train(
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("train and validation sets must be non-empty")
 
-    if cfg.standardize_features:
-        mean, std = fit_standardizer(x_train)
-        x_train = (x_train - mean) / std
-        x_val = (x_val - mean) / std
-    else:
-        mean = std = None
-
     counts = np.bincount(y_train, minlength=spec.num_classes)
     if cfg.class_weighting == "balanced":
         weights = balanced_class_weights(counts)
@@ -116,14 +108,13 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     clf = Classifier(spec, rng)
+    if cfg.standardize_features:
+        clf.feature_mean, clf.feature_std = fit_standardizer(x_train)
     optimizer = Adam(clf.params(), lr=cfg.learning_rate)
 
     n = x_train.shape[0]
     rows: list[dict] = []
-    best_val = np.inf
-    best_state: dict | None = None
-    best_epoch = -1
-    since_best = 0
+    best_epoch, best_state = 0, None
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -144,44 +135,26 @@ def train(
             correct += int((logits.argmax(axis=1) == y_batch).sum())
 
         val_loss, val_acc = _evaluate(clf, x_val, y_val, weights)
+        penalty = clf.penalty()
+        val_loss += penalty
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(epoch)
         rows.append(
             {
                 "epoch": epoch,
-                "train_loss": loss_sum / order.size + clf.penalty(),
+                "train_loss": loss_sum / order.size + penalty,
                 "train_acc": correct / order.size,
                 "val_loss": val_loss,
                 "val_acc": val_acc,
             }
         )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            since_best = 0
-            best_state = {
-                "params": {k: v.copy() for k, v in clf.params().items()},
-                "bn": {
-                    bn.name: {"mean": bn.running_mean.copy(), "var": bn.running_var.copy()}
-                    for bn in clf.batchnorm_layers()
-                },
-                "val_acc": val_acc,
-                "val_loss": val_loss,
-            }
-        else:
-            since_best += 1
-            if cfg.early_stop_patience is not None and since_best >= cfg.early_stop_patience:
-                break
+        if best_state is None or val_loss < rows[best_epoch]["val_loss"]:
+            best_epoch, best_state = epoch, clf.state()
+        elif cfg.early_stop_patience and epoch - best_epoch >= cfg.early_stop_patience:
+            break
 
-    clf.set_params(best_state["params"])
-    for bn in clf.batchnorm_layers():
-        bn.set_running_stats(best_state["bn"][bn.name]["mean"], best_state["bn"][bn.name]["var"])
-
-    full_meta = {
-        "best_epoch": best_epoch,
-        "val_loss": best_state["val_loss"],
-        "val_acc": best_state["val_acc"],
-        "epochs_run": epoch + 1,
-    }
-    full_meta.update(meta or {})
-    return ckpt_mod.Checkpoint(clf, mean, std, full_meta), rows
+    clf.load_state(best_state)
+    best = rows[best_epoch]
+    meta = {"best_epoch": best_epoch, "val_loss": best["val_loss"], "val_acc": best["val_acc"],
+            "epochs_run": len(rows)}
+    return ckpt_mod.Checkpoint(clf, meta), rows

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import run_cli
 
-from handstates import cli, features, manifest, pgm
+from handstates import cli, features, manifest, pgm, synth
 from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
 from handstates.nn import ModelSpec, TrainConfig, search
 from handstates.synth import ScenarioConfig
@@ -153,15 +153,32 @@ class LiveEpisodes:
 FOUR_EPISODES = ("--episodes", 4) + SMALL_SYNTH[2:]
 
 
+class EarlierEpisodes:
+    """Wraps ``owner.name``, a function that makes an episode, to count at
+    each call the episodes its earlier calls made that are still alive."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.refs, self.alive_at_call = [], []
+        make = getattr(owner, name)
+
+        def checked(*args, **kwargs):
+            self.alive_at_call.append(sum(ref() is not None for ref in self.refs))
+            episode = make(*args, **kwargs)
+            self.refs.append(weakref.ref(episode))
+            return episode
+
+        monkeypatch.setattr(owner, name, checked)
+
+
 class TestEpisodeStreaming:
-    """At most two episodes are alive at once: the one in use and the one
-    being made or read."""
+    """One episode is alive at a time: each is dropped before the next one
+    is made or read."""
 
     def test_synth(self, tmp_path, monkeypatch):
         live = LiveEpisodes(monkeypatch)
         assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
         assert live.made == 4
-        assert live.peak <= 2
+        assert live.peak == 1
 
     def test_build_dataset_over_read_corpus(self, tmp_path, monkeypatch):
         assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
@@ -169,7 +186,19 @@ class TestEpisodeStreaming:
         ds = build_dataset(cli.read_corpus(tmp_path, hashlib.sha256()), PipelineConfig())
         assert len(ds) > 0
         assert live.made == 4
-        assert live.peak <= 2
+        assert live.peak == 1
+
+    def test_synth_renders_each_episode_after_the_last_is_dropped(self, tmp_path, monkeypatch):
+        calls = EarlierEpisodes(monkeypatch, synth, "generate_episode")
+        assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
+        assert calls.alive_at_call == [0, 0, 0, 0]
+
+    def test_extract_reads_each_episode_after_the_last_is_dropped(self, tmp_path, monkeypatch):
+        assert run_cli("synth", "--out", tmp_path / "corpus", *FOUR_EPISODES) == 0
+        calls = EarlierEpisodes(monkeypatch, manifest, "read_episode")
+        assert run_cli("extract", "--manifest-dir", tmp_path / "corpus",
+                       "--out", tmp_path / "data") == 0
+        assert calls.alive_at_call == [0, 0, 0, 0]
 
 
 class TestExtract:
@@ -282,6 +311,21 @@ class TestExtract:
         digest = hashlib.sha256()
         assert [len(e) for e in cli.read_corpus(link, digest)] == [2]
         assert digest.hexdigest() == rglob_tree_digest(root)
+
+    @pytest.mark.parametrize("column, name", [(0, "frame_0003.pgm"), (1, "hand_0003.pgm"),
+                                              (2, "obj_0003.pgm")])
+    def test_mis_sized_pgm_names_its_file(self, tmp_path, small_corpus, capsys, column, name):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        image = pgm.read_pgm(corpus / "ep_001" / name)
+        pgm.write_pgm(corpus / "ep_001" / name, image[:-1, :])
+        h, w = image.shape
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        assert (f"{manifest_path}:5: {name} is {w}x{h - 1}, frame_0000.pgm is {w}x{h}"
+                in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
 
     def test_frames_are_read_as_uint8(self, small_corpus):
         episode = manifest.read_episode(small_corpus / "ep_000" / "manifest.csv")
@@ -649,6 +693,43 @@ class TestSearchCli:
         winner = json.loads((outs[0] / "checkpoint.json").read_text())
         assert winner["meta"]["val_acc"] == max(accs)
         assert_manifest_lists_every_file(outs[0])
+
+
+class TestMalformedFeatures:
+    """A feature CSV that does not parse or holds a non-finite value stops
+    the subcommand, naming the file and the line."""
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, "inf", "std_dist is inf, not finite"),
+            (0, "nan", "mean_dist is nan, not finite"),
+            (8, "flying", "unknown class label 'flying'"),
+        ],
+        ids=["inf", "nan", "label"],
+    )
+    def test_train_names_file_and_line(self, tmp_path, small_features, capsys, column, value,
+                                       message):
+        lines = small_features.read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[column] = value
+        lines[6] = ",".join(cells)
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("train", "--features", bad, "--out", tmp_path / "o", *TRAIN_FAST) == 1
+        assert f"error: {bad}:7: {message}" in capsys.readouterr().err
+
+    def test_sequences_refuse_reversed_rows(self, tmp_path, small_features, capsys):
+        lines = small_features.read_text().splitlines()
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        argv = ("--out", tmp_path / "o", "--arch", "lstm", "--seq-length", 3, "--k", 2,
+                *TRAIN_FAST)
+        assert run_cli("xval", "--features", reversed_csv, *argv) == 1
+        assert "episode ep_001: target_index" in capsys.readouterr().err
+        # a row model takes the rows in any order
+        assert run_cli("xval", "--features", reversed_csv, "--out", tmp_path / "rows",
+                       "--arch", "mlp", "--k", 2, *TRAIN_FAST) == 0
 
 
 class TestXvalCli:

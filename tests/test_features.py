@@ -456,6 +456,31 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             F.load_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, "abc", "could not convert string to float: 'abc'"),
+            (F.FEATURE_DIM, "flying", "unknown class label 'flying'"),
+            (F.FEATURE_DIM + 2, "x7", "invalid literal for int"),
+            (2, "inf", "trend_dist is inf, not finite"),
+            (5, "-inf", "trend_speed is -inf, not finite"),
+            (7, "nan", "contact_duration is nan, not finite"),
+        ],
+        ids=["float", "label", "target-index", "inf", "minus-inf", "nan"],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, rng, column, value, message):
+        path = tmp_path / "features.csv"
+        F.save_dataset_csv(dataset_with_counts([3, 2], rng), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")  # the third row, on line 4
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            F.load_dataset_csv(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+        assert message in str(err.value)
+
 
 class TestInvariants:
     def test_class_label_enumeration_frozen(self):
@@ -522,3 +547,20 @@ class TestSequenceDataset:
         assert np.array_equal(x[1], feats[1:4])
         assert np.array_equal(x[2], feats[4:7])
         assert list(y) == [int(labels[2]), int(labels[3]), int(labels[6])]
+
+    @pytest.mark.parametrize(
+        "prov, message",
+        [
+            ([("a", 3), ("a", 2), ("a", 1), ("b", 0)], "episode a: target_index 2 follows 3"),
+            ([("a", 0), ("a", 1), ("a", 1), ("b", 0)], "episode a: target_index 1 follows 1"),
+            ([("a", 0), ("b", 0), ("a", 1), ("a", 2)],
+             "episode a: target_index 1 is apart from the episode's earlier rows"),
+        ],
+        ids=["reversed", "repeated", "split"],
+    )
+    def test_rows_out_of_order_are_refused(self, rng, prov, message):
+        ds = F.LabeledDataset(rng.random((4, F.FEATURE_DIM)), np.zeros(4, np.int64), prov)
+        with pytest.raises(ValueError, match=message):
+            F.sequence_dataset(ds, 2)
+        x, _ = F.sequence_dataset(ds, 1)  # a row model takes any row order
+        assert np.array_equal(x[:, 0, :], ds.features)

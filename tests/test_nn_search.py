@@ -17,7 +17,7 @@ from handstates.nn.search import kfold_validate, pool_size, random_search, strat
 train_mod = importlib.import_module("handstates.nn.train")
 
 BASE_SPEC = ModelSpec(kind="birnn", rnn_units=8, seq_length=1, use_batchnorm=False)
-FAST_CFG = TrainConfig(epochs=3, batch_size=16, seed=0, early_stop_patience=None)
+FAST_CFG = TrainConfig(epochs=3, batch_size=16, seed=0, early_stop_patience=0)
 
 
 def blob_data(rng, n_per=30, classes=3):
@@ -252,7 +252,7 @@ class TestDivergenceWithoutHistory:
     @staticmethod
     def cfg(lr):
         return TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
-                           early_stop_patience=None)
+                           early_stop_patience=0)
 
     @pytest.mark.parametrize("lr, epoch", [(6e152, 0), (7e152, 5), (1e200, 0)])
     def test_fold_fails_with_its_epoch(self, monkeypatch, float64_training, lr, epoch):

@@ -48,7 +48,7 @@ class TestTrainLoop:
     def test_separable_toy_reaches_full_train_accuracy(self, rng):
         x, y = two_blob_data(rng)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=16, epochs=50, seed=0,
-                          early_stop_patience=None)
+                          early_stop_patience=0)
         _, history = train(SMALL_MLP, (x, y), (x, y), cfg)
         assert max(h["train_acc"] for h in history) == 1.0
 
@@ -104,7 +104,7 @@ class TestTrainLoop:
         spec = ModelSpec(kind="mlp", hidden=(16,), dropout_p=0.0, l2_lambda=1e-2,
                          use_batchnorm=False)
         cfg = TrainConfig(learning_rate=lr, batch_size=16, epochs=40, seed=0,
-                          early_stop_patience=None)
+                          early_stop_patience=0)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
                 train(spec, (x, y), (x, y), cfg)
@@ -142,7 +142,7 @@ class TestHistory:
         ],
         ids=["mlp", "lstm-seq3", "static-encoder"],
     )
-    @pytest.mark.parametrize("patience", [None, 2])
+    @pytest.mark.parametrize("patience", [0, 2])
     def test_train_columns_summarise_the_batches(self, rng, monkeypatch, spec, seq_length,
                                                  patience):
         x, y = two_blob_data(rng, n=50)
@@ -169,7 +169,7 @@ class TestHistory:
                           early_stop_patience=patience)
         ckpt, history = train(spec, (x[:35], y[:35]), (x[35:], y[35:]), cfg)
         assert len(history) == ckpt.meta["epochs_run"] == len(penalties)
-        if patience is not None and spec.kind != "lstm":
+        if patience and spec.kind != "lstm":
             assert len(history) < cfg.epochs
         for row, batches, penalty in zip(history, epochs, penalties):
             rows = sum(n for _, n, _ in batches)
@@ -245,8 +245,74 @@ class TestStandardization:
     def test_checkpoint_standardization_round_trips(self, rng, tmp_path):
         x, y = two_blob_data(rng)
         ckpt, _ = train(SMALL_MLP, (x, y), (x, y), TrainConfig(epochs=2, seed=3))
-        z = ckpt_mod.standardize(ckpt, x)
-        assert np.abs(z - (x - ckpt.feature_mean) / ckpt.feature_std).max() < 1e-12
+        mean, std = fit_standardizer(x)
+        assert np.array_equal(bits(ckpt.model.feature_mean), bits(mean))
+        assert np.array_equal(bits(ckpt.model.feature_std), bits(std))
+        ckpt_mod.save(ckpt, tmp_path / "ckpt.json")
+        loaded = ckpt_mod.load(tmp_path / "ckpt.json").model
+        assert np.array_equal(bits(loaded.feature_mean), bits(mean))
+        assert np.array_equal(bits(loaded.feature_std), bits(std))
+
+    def test_no_standardize_leaves_the_model_without_vectors(self, rng, tmp_path):
+        x, y = two_blob_data(rng)
+        cfg = TrainConfig(epochs=2, seed=3, standardize_features=False)
+        ckpt, _ = train(SMALL_MLP, (x, y), (x, y), cfg)
+        assert ckpt.model.feature_mean is None and ckpt.model.feature_std is None
+        ckpt_mod.save(ckpt, tmp_path / "ckpt.json")
+        assert json.loads((tmp_path / "ckpt.json").read_text())["standardization"] is None
+        assert ckpt_mod.load(tmp_path / "ckpt.json").model.feature_mean is None
+
+    @pytest.mark.parametrize("seq_length", [None, 1, 3])
+    def test_classifier_standardizes_in_float64_before_its_cast(self, rng, seq_length):
+        # the same operations on the same elements as standardizing the rows
+        # first and handing them to a model without vectors
+        spec = SMALL_MLP if seq_length is None else ModelSpec(rnn_units=4, seq_length=seq_length)
+        x = rng.normal(size=(20, 8) if seq_length is None else (20, seq_length, 8)) * 7.0 + 3.0
+        clf = Classifier(spec, rng)
+        clf.feature_mean, clf.feature_std = fit_standardizer(x)
+        plain = pickle.loads(pickle.dumps(clf))
+        plain.feature_mean = plain.feature_std = None
+        z = (x - clf.feature_mean) / clf.feature_std
+        assert np.array_equal(bits(clf.logits(x)), bits(plain.logits(z)))
+
+
+class TestState:
+    SPEC = ModelSpec(kind="mlp", hidden=(12, 6), dropout_p=0.2, use_batchnorm=True)
+
+    def test_names_are_the_parameters_and_batchnorm_statistics(self, rng):
+        clf = Classifier(self.SPEC, rng)
+        assert set(clf.state()) == set(clf.params()) | {
+            "bn0.mean", "bn0.var", "bn1.mean", "bn1.var"}
+
+    def test_state_is_a_copy_and_load_state_restores_it(self, rng):
+        x, y = two_blob_data(rng)
+        clf = Classifier(self.SPEC, rng)
+        before = clf.state()
+        logits_before = clf.logits(x)
+        clf.loss_and_grads(x, y, np.ones(5), rng=rng)  # moves the running statistics
+        optim.Adam(clf.params(), lr=1e-1).step(clf.grads())
+        assert not np.array_equal(clf.logits(x), logits_before)
+        assert not np.array_equal(clf.state()["bn0.mean"], before["bn0.mean"])
+        clf.load_state(before)
+        assert np.array_equal(bits(clf.logits(x)), bits(logits_before))
+        assert {k: v.dtype for k, v in clf.state().items()} == {k: np.float32 for k in before}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.pop("bn1.var"), r"do not match spec: \['bn1.var'\]"),
+            (lambda s: s.update(extra=np.zeros(1)), r"do not match spec: \['extra'\]"),
+            (lambda s: s.update({"dense1.w": np.zeros((6, 12))}),
+             r"dense1.w: shape \(6, 12\) != expected \(12, 6\)"),
+        ],
+        ids=["missing", "extra", "shape"],
+    )
+    def test_load_state_refuses_what_does_not_fit(self, rng, edit, message):
+        clf = Classifier(self.SPEC, rng)
+        state = clf.state()
+        edit(state)
+        with pytest.raises(ValueError, match=message):
+            clf.load_state(state)
 
 
 class TestPredictAndCheckpoint:
@@ -279,8 +345,9 @@ class TestPredictAndCheckpoint:
 
     def test_save_refuses_a_float64_model(self, trained, tmp_path):
         ckpt, _ = trained
-        wide = ckpt_mod.Checkpoint(Classifier(ckpt.spec, np.random.default_rng(0), np.float64),
-                                   ckpt.feature_mean, ckpt.feature_std)
+        wide = ckpt_mod.Checkpoint(Classifier(ckpt.spec, np.random.default_rng(0), np.float64))
+        wide.model.feature_mean = ckpt.model.feature_mean
+        wide.model.feature_std = ckpt.model.feature_std
         with pytest.raises(ValueError, match="float32"):
             ckpt_mod.save(wide, tmp_path / "ckpt.json")
         assert not (tmp_path / "ckpt.json").exists()
