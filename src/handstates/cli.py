@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -113,19 +114,29 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+_widths = _checked(_int_list, lambda v: len(v) >= 1 and min(v) >= 1,
+                   "be one or more integers >= 1")
+
+
 def _rect(text: str) -> tuple[int, int, int, int]:
     rect = _int_list(text)
     if len(rect) != 4:
         raise argparse.ArgumentTypeError(f"must look like x0,y0,width,height, got {text!r}")
+    x0, y0, w, h = rect
+    if min(x0, y0) < 0 or min(w, h) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must have x0, y0 >= 0 and width, height >= 1, got {text!r}")
     return rect
 
 
 def _canvas(text: str) -> tuple[int, int]:
     try:
         w, h = (int(p) for p in text.lower().split("x"))
-        return w, h
     except ValueError:
         raise argparse.ArgumentTypeError(f"canvas must look like 128x96, got {text!r}")
+    if min(w, h) < 1:
+        raise argparse.ArgumentTypeError(f"canvas must have width and height >= 1, got {text!r}")
+    return w, h
 
 
 def sha256_file(path: str | os.PathLike) -> str:
@@ -351,14 +362,8 @@ def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[tuple[float, float, floa
 
 
 def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
-    durations = synth.PhaseDurations(
-        idle=args.idle,
-        approach=args.approach,
-        grab=args.grab,
-        hold=args.hold,
-        release=args.release,
-        retreat=args.retreat,
-    )
+    phases = dataclasses.fields(synth.PhaseDurations)
+    durations = synth.PhaseDurations(**{phase.name: getattr(args, phase.name) for phase in phases})
     cfg = synth.ScenarioConfig(
         canvas=args.canvas,
         object_rect=tuple(args.object_rect),
@@ -616,40 +621,46 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: each flag that fills a dataclass field takes its default
+# from that field, so a ladder row built from the defaults matches the
+# subcommand run with its default flags
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="run seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=7, help="run seed")
     parser.add_argument("--config", help="key=value config file (flags override it)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arch", choices=("mlp", "birnn", "lstm"), default="birnn")
-    parser.add_argument("--hidden", type=_int_list, default=(128, 64, 32),
+    spec = ModelSpec()
+    parser.add_argument("--arch", choices=("mlp", "birnn", "lstm"), default=spec.kind)
+    parser.add_argument("--hidden", type=_widths, default=spec.hidden,
                         help="MLP hidden widths, e.g. 128,64,32")
-    parser.add_argument("--units", type=_positive_int, default=128)
-    parser.add_argument("--layers", type=_positive_int, default=1)
-    parser.add_argument("--seq-length", type=_positive_int, default=1)
-    parser.add_argument("--dropout", type=_dropout, default=0.3)
-    parser.add_argument("--l2", type=_non_negative_float, default=1e-4)
+    parser.add_argument("--units", type=_positive_int, default=spec.rnn_units)
+    parser.add_argument("--layers", type=_positive_int, default=spec.rnn_layers)
+    parser.add_argument("--seq-length", type=_positive_int, default=spec.seq_length)
+    parser.add_argument("--dropout", type=_dropout, default=spec.dropout_p)
+    parser.add_argument("--l2", type=_non_negative_float, default=spec.l2_lambda)
     parser.add_argument("--batchnorm", choices=("auto", "on", "off"), default="auto",
                         help="auto = on for MLP, off for recurrent models")
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_positive_int, default=60)
-    parser.add_argument("--patience", type=_non_negative_int, default=10,
+    cfg = TrainConfig()
+    parser.add_argument("--epochs", type=_positive_int, default=cfg.epochs)
+    parser.add_argument("--patience", type=_non_negative_int, default=cfg.early_stop_patience,
                         help="early-stop patience on validation loss; 0 disables")
     parser.add_argument("--test-fraction", type=_fraction, default=0.2)
     parser.add_argument("--val-fraction", type=_fraction, default=0.15)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=_positive_float, default=1e-3)
-    parser.add_argument("--batch-size", type=_positive_int, default=64)
-    parser.add_argument("--class-weight", choices=("balanced", "none"), default="balanced")
+    cfg = TrainConfig()
+    parser.add_argument("--lr", type=_positive_float, default=cfg.learning_rate)
+    parser.add_argument("--batch-size", type=_positive_int, default=cfg.batch_size)
+    parser.add_argument("--class-weight", choices=("balanced", "none"),
+                        default=cfg.class_weighting)
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip z-score feature standardization")
     _add_fit_flags(parser)
@@ -663,32 +674,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"handstates {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    scenario = synth.ScenarioConfig()
     p = sub.add_parser("synth", help="generate a scripted synthetic corpus")
     _add_common(p)
     p.add_argument("--episodes", type=_positive_int, default=20)
-    p.add_argument("--canvas", type=_canvas, default=(128, 96))
-    p.add_argument("--object-rect", type=_rect, default=(86, 40, 22, 22),
+    p.add_argument("--canvas", type=_canvas, default=scenario.canvas)
+    p.add_argument("--object-rect", type=_rect, default=scenario.object_rect,
                    help="x0,y0,width,height")
-    p.add_argument("--hand-radius", type=_positive_int, default=7)
-    p.add_argument("--approach-speed", type=_positive_float, default=3.0)
-    p.add_argument("--jitter", type=_non_negative_float, default=0.3)
-    p.add_argument("--mask-noise", type=_flip_prob, default=0.003)
-    p.add_argument("--epsilon", type=_positive_float, default=10.0)
-    for phase, frames in (("idle", 12), ("approach", 16), ("grab", 4),
-                          ("hold", 45), ("release", 8), ("retreat", 12)):
-        p.add_argument(f"--{phase}", type=_non_negative_int, default=frames,
-                       help=f"{phase} phase frames")
+    p.add_argument("--hand-radius", type=_positive_int, default=scenario.hand_radius)
+    p.add_argument("--approach-speed", type=_positive_float, default=scenario.approach_speed)
+    p.add_argument("--jitter", type=_non_negative_float, default=scenario.jitter_sigma)
+    p.add_argument("--mask-noise", type=_flip_prob, default=scenario.noise_flip_prob)
+    p.add_argument("--epsilon", type=_positive_float, default=scenario.contact_epsilon)
+    for phase in dataclasses.fields(synth.PhaseDurations):
+        p.add_argument(f"--{phase.name}", type=_non_negative_int, default=phase.default,
+                       help=f"{phase.name} phase frames")
     p.set_defaults(func=cmd_synth)
 
+    pipeline = PipelineConfig()
     p = sub.add_parser("extract", help="extract feature vectors from manifests")
     _add_common(p)
     p.add_argument("--manifest-dir", required=True)
-    p.add_argument("--tau-sharp", type=_non_negative_float, default=10.0)
-    p.add_argument("--tau-diff", type=_non_negative_float, default=1.0)
-    p.add_argument("--window", type=_window, default=10,
+    p.add_argument("--tau-sharp", type=_non_negative_float, default=pipeline.sharpness_threshold)
+    p.add_argument("--tau-diff", type=_non_negative_float, default=pipeline.diff_threshold)
+    p.add_argument("--window", type=_window, default=pipeline.window_length,
                    help="keyframes of context; the speed trend needs at least 3")
-    p.add_argument("--stride", type=_positive_int, default=1)
-    p.add_argument("--epsilon", type=_positive_float, default=10.0)
+    p.add_argument("--stride", type=_positive_int, default=pipeline.stride)
+    p.add_argument("--epsilon", type=_positive_float, default=pipeline.contact_epsilon)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one model and report on the test split")

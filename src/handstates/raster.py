@@ -19,12 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Finite "no foreground" sentinel of the distance transform's first pass.
-INF_DIST = 1e15
-
-# Squared values at or above this are "unreachable" and map to +inf.
-SQ_UNREACHABLE = 1e29
-
 # Largest number of (a, b) pixel pairs mask_distance holds at once; bounds
 # its scratch memory to a few MB however large and ragged the masks are.
 PAIR_BLOCK = 1 << 20
@@ -89,59 +83,17 @@ def _as_mask(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
-def squared_edt(mask: np.ndarray) -> np.ndarray:
-    """Exact squared distance to the nearest foreground pixel of ``mask``.
+def _min_plus_squares(f: np.ndarray) -> np.ndarray:
+    """``out[k, i] = min_j f[k, j] + (i - j)**2`` for each row ``k`` of ``f``.
 
-    Two-pass lower envelope of parabolas (Felzenszwalb & Huttenlocher,
-    Theory of Computing 8, 2012). The vertical pass is vectorised across
-    columns; the per-row envelope scan is a plain Python loop.
+    The exact 1-D squared distance transform of every row: one ``min`` per
+    row over the n x n table of squared offsets. A row of +inf stays +inf.
     """
-    fg = _as_mask(mask)
-    h, w = fg.shape
-    f = np.empty((h, w), dtype=np.float64)
-
-    # Pass 1: per-column distance (in rows) to the nearest foreground pixel.
-    run = np.full(w, INF_DIST)
-    for y in range(h):
-        run = np.where(fg[y], 0.0, run + 1.0)
-        f[y] = run
-    run = np.full(w, INF_DIST)
-    for y in range(h - 1, -1, -1):
-        run = np.where(fg[y], 0.0, run + 1.0)
-        np.minimum(f[y], run, out=f[y])
-    np.multiply(f, f, out=f)
-
-    # Pass 2: exact 1-D squared distance transform of every row via the
-    # lower envelope of parabolas rooted at (x, f[x]).
-    out = np.empty((h, w), dtype=np.float64)
-    v = [0] * w
-    z = [0.0] * (w + 1)
-    for y in range(h):
-        frow = f[y].tolist()
-        k = 0
-        v[0] = 0
-        z[0] = -math.inf
-        z[1] = math.inf
-        for q in range(1, w):
-            fq = frow[q] + q * q
-            vk = v[k]
-            s = (fq - (frow[vk] + vk * vk)) / (2.0 * (q - vk))
-            while s <= z[k]:
-                k -= 1
-                vk = v[k]
-                s = (fq - (frow[vk] + vk * vk)) / (2.0 * (q - vk))
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = math.inf
-        k = 0
-        res = [0.0] * w
-        for q in range(w):
-            while z[k + 1] < q:
-                k += 1
-            vk = v[k]
-            res[q] = (q - vk) * (q - vk) + frow[vk]
-        out[y] = res
+    offsets = np.arange(f.shape[1], dtype=np.float64)
+    table = np.square(offsets[:, None] - offsets)
+    out = np.empty_like(f)
+    for row, res in zip(f, out):
+        np.min(row + table, axis=1, initial=np.inf, out=res)
     return out
 
 
@@ -150,11 +102,12 @@ def euclidean_distance_transform(mask: np.ndarray) -> np.ndarray:
 
     Distances are pixel-center to pixel-center; an all-background mask
     yields +inf everywhere so callers can treat "object absent" uniformly.
+    The squared distance is separable: a min-plus pass along the columns,
+    then one along the rows. Every finite value is an integer, exact in
+    float64, so the one ``sqrt`` is correctly rounded.
     """
-    sq = squared_edt(mask)
-    out = np.sqrt(sq)
-    out[sq >= SQ_UNREACHABLE] = np.inf
-    return out
+    f = np.where(_as_mask(mask), 0.0, np.inf)
+    return np.sqrt(_min_plus_squares(_min_plus_squares(f.T).T))
 
 
 def _bounding_box(fg: np.ndarray) -> Box | None:

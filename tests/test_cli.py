@@ -111,7 +111,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag,value", [
         ("--epsilon", "0"), ("--approach-speed", "nan"), ("--jitter", "-0.1"),
-        ("--mask-noise", "0.5"), ("--idle", "-1"),
+        ("--mask-noise", "0.5"), ("--idle", "-1"), ("--seed", "-1"), ("--canvas", "64x0"),
+        ("--object-rect", "86,40,0,22"), ("--object-rect", "86,-1,22,22"),
     ])
     def test_rejected_flag_is_usage_error(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -471,15 +472,6 @@ class TestTrainEval:
         assert run_cli("xval", "--features", small_features, "--out", tmp_path / "xval",
                        "--k", 2, *TRAIN_FAST) == 0
 
-    @pytest.mark.parametrize("width", [0, -4])
-    def test_hidden_width_below_one_fails(self, tmp_path, small_features, capsys, width):
-        code = run_cli(
-            "train", "--features", small_features, "--out", tmp_path / "o",
-            "--arch", "mlp", "--hidden", width, *TRAIN_FAST,
-        )
-        assert code == 1
-        assert "hidden" in capsys.readouterr().err
-
     def test_negative_patience_is_usage_error(self, tmp_path, small_features, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -495,6 +487,12 @@ class TestTrainEval:
         ("train", "--lr", "nan"),
         ("train", "--l2", "-1"),
         ("xval", "--k", "1"),
+        ("train", "--seed", "-1"),
+        ("ladder", "--seed", "-1"),
+        ("train", "--hidden", "0"),
+        ("train", "--hidden", "-4"),
+        ("train", "--hidden", "0,5"),
+        ("xval", "--hidden", ",,"),
     ])
     def test_config_rejected_flag_is_usage_error(
         self, tmp_path, small_features, capsys, command, flag, value
@@ -503,6 +501,7 @@ class TestTrainEval:
             run_cli(command, "--features", small_features, "--out", tmp_path / "o", flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_class_in_training_split_fails(self, tmp_path, small_features, capsys):
         # push the lone sample of a rare class entirely into the test split

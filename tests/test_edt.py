@@ -34,8 +34,10 @@ class TestAgainstOracle:
         assert np.array_equal(d == 0.0, mask)
 
     def test_random_masks_match_brute_force(self, rng):
-        for _ in range(40):
-            h, w = rng.integers(1, 65, 2)
+        # long, thin canvases run each min-plus pass along more than 64 pixels
+        thin = [(rng.integers(1, 4), rng.integers(65, 301)) for _ in range(10)]
+        shapes = [rng.integers(1, 65, 2) for _ in range(40)] + thin + [s[::-1] for s in thin]
+        for h, w in shapes:
             density = rng.uniform(0.01, 0.9)
             mask = rng.random((h, w)) < density
             d = raster.euclidean_distance_transform(mask)
@@ -45,6 +47,11 @@ class TestAgainstOracle:
     def test_all_background_is_infinite(self):
         d = raster.euclidean_distance_transform(np.zeros((7, 5), bool))
         assert np.isinf(d).all()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_canvas_gives_empty_field(self, shape):
+        d = raster.euclidean_distance_transform(np.zeros(shape, bool))
+        assert d.shape == shape and d.dtype == np.float64
 
     def test_finite_values_bounded_by_diagonal(self, rng):
         mask = rng.random((31, 17)) < 0.02

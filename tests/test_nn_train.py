@@ -416,6 +416,7 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc.update(schema_version=3), "schema_version 3 .*retrain"),
             (lambda doc: doc["label_order"].reverse(), "label_order"),
             (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
+            (lambda doc: doc["spec"].update(hidden=[12, 0]), "hidden widths must be >= 1"),
             (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
             (lambda doc: doc["params"]["head.w"]["data"].__setitem__(0, float("nan")),
              "head.w has non-finite values"),
@@ -435,8 +436,8 @@ class TestPredictAndCheckpoint:
              r"standardization std must be > 0"),
         ],
         ids=["invalid-json", "missing-key", "old-schema", "schema-2", "schema-3", "label-order",
-             "spec-mismatch", "short-standardization", "nan-param", "float32-overflow-param",
-             "inf-bn-mean", "nan-bn-var",
+             "spec-mismatch", "zero-width-spec", "short-standardization", "nan-param",
+             "float32-overflow-param", "inf-bn-mean", "nan-bn-var",
              "negative-bn-var", "inf-standardization-mean", "nan-standardization-std",
              "zero-standardization-std"],
     )
