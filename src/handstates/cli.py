@@ -65,17 +65,15 @@ from .features import (
     slide_windows,
     stratified_split_indices,
 )
-from .nn import (
-    ModelSpec,
-    SearchSpace,
-    TrainConfig,
-    kfold_validate,
-    random_search,
-    train,
-)
 from .nn import checkpoint as ckpt_mod
+from .nn.model import KINDS, ModelSpec
+from .nn.search import SearchSpace, kfold_validate, random_search
+from .nn.train import CLASS_WEIGHTINGS, TrainConfig, train
 
 RUN_MANIFEST = "run_manifest.json"
+SEED = 7  # the --seed default, and eval's split seed for a checkpoint that records none
+TEST_FRACTION = 0.2  # the --test-fraction default, and eval's likewise
+FOLDS = 5  # xval's default --k and the ladder's k-fold rows
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +441,8 @@ def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     x, y = _model_arrays(ds, ckpt.spec)
 
     split = ckpt.meta.get("split", {})
-    test_fraction = args.test_fraction or split.get("test_fraction", 0.2)
-    seed = args.seed if args.seed is not None else split.get("seed", 7)
+    test_fraction = args.test_fraction or split.get("test_fraction", TEST_FRACTION)
+    seed = args.seed if args.seed is not None else split.get("seed", SEED)
     _, test_idx = stratified_split_indices(y, test_fraction, seed)
     _, outputs = _evaluate(ckpt, x[test_idx], y[test_idx], out)
     print((out / "report.txt").read_text())
@@ -511,18 +509,17 @@ def cmd_xval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     return outputs, []
 
 
-LADDER_FOLDS = 5
 LADDER_PLAN = (
     # (model number, description, spec, class weighting, step)
     (1, "plain MLP", ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False),
      "none", _fit),
     (2, "regularized MLP", ModelSpec(kind="mlp"), "balanced", _fit),
     (3, "regularized MLP, 5-fold", ModelSpec(kind="mlp"), "balanced",
-     partial(_xval, k=LADDER_FOLDS)),
+     partial(_xval, k=FOLDS)),
     (4, "unidirectional LSTM", ModelSpec(kind="lstm", seq_length=10), "balanced", _fit),
     (5, "bidirectional LSTM", ModelSpec(kind="birnn", seq_length=5), "balanced", _fit),
     (6, "bidirectional LSTM, 5-fold", ModelSpec(kind="birnn", seq_length=5), "balanced",
-     partial(_xval, k=LADDER_FOLDS)),
+     partial(_xval, k=FOLDS)),
     (7, "static-encoder bidirectional LSTM", STATIC_ENCODER, "balanced", _fit),
     (8, "searched static-encoder (champion)", STATIC_ENCODER, "balanced", _search),
 )
@@ -627,14 +624,14 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_non_negative_int, default=7, help="run seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=SEED, help="run seed")
     parser.add_argument("--config", help="key=value config file (flags override it)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     spec = ModelSpec()
-    parser.add_argument("--arch", choices=("mlp", "birnn", "lstm"), default=spec.kind)
+    parser.add_argument("--arch", choices=KINDS, default=spec.kind)
     parser.add_argument("--hidden", type=_widths, default=spec.hidden,
                         help="MLP hidden widths, e.g. 128,64,32")
     parser.add_argument("--units", type=_positive_int, default=spec.rnn_units)
@@ -651,7 +648,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=cfg.epochs)
     parser.add_argument("--patience", type=_non_negative_int, default=cfg.early_stop_patience,
                         help="early-stop patience on validation loss; 0 disables")
-    parser.add_argument("--test-fraction", type=_fraction, default=0.2)
+    parser.add_argument("--test-fraction", type=_fraction, default=TEST_FRACTION)
     parser.add_argument("--val-fraction", type=_fraction, default=0.15)
 
 
@@ -659,8 +656,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     cfg = TrainConfig()
     parser.add_argument("--lr", type=_positive_float, default=cfg.learning_rate)
     parser.add_argument("--batch-size", type=_positive_int, default=cfg.batch_size)
-    parser.add_argument("--class-weight", choices=("balanced", "none"),
-                        default=cfg.class_weighting)
+    parser.add_argument("--class-weight", choices=CLASS_WEIGHTINGS, default=cfg.class_weighting)
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip z-score feature standardization")
     _add_fit_flags(parser)
@@ -727,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xval", help="stratified k-fold validation of one model")
     _add_common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--k", type=_fold_count, default=5)
+    p.add_argument("--k", type=_fold_count, default=FOLDS)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_xval)

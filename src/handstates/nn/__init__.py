@@ -1,41 +1,18 @@
-"""From-scratch differentiable building blocks and training machinery."""
+"""From-scratch differentiable building blocks and training machinery.
 
-from .checkpoint import Checkpoint, load, predict, save
-from .gradcheck import gradient_check
-from .layers import BatchNorm, Dense, Dropout, ReLU
-from .losses import balanced_class_weights, softmax, softmax_cross_entropy
-from .model import Classifier, ModelSpec
-from .optim import Adam
-from .recurrent import BidirectionalLSTM, LSTMLayer, lstm_step, lstm_step_backward
-from .search import SearchSpace, kfold_validate, random_search, stratified_folds
-from .train import TrainConfig, TrainingDivergedError, fit_standardizer, train
+Nothing is re-exported; import each name from the module that defines it:
 
-__all__ = [
-    "Adam",
-    "BatchNorm",
-    "BidirectionalLSTM",
-    "Checkpoint",
-    "Classifier",
-    "Dense",
-    "Dropout",
-    "LSTMLayer",
-    "ModelSpec",
-    "ReLU",
-    "SearchSpace",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "balanced_class_weights",
-    "fit_standardizer",
-    "gradient_check",
-    "kfold_validate",
-    "load",
-    "lstm_step",
-    "lstm_step_backward",
-    "predict",
-    "random_search",
-    "save",
-    "softmax",
-    "softmax_cross_entropy",
-    "stratified_folds",
-    "train",
-]
+- ``layers``: Layer, Dense, ReLU, BatchNorm, Dropout
+- ``recurrent``: lstm_step, lstm_step_backward, ZeroStateGate, LSTMLayer,
+  BidirectionalLSTM
+- ``losses``: softmax, log_softmax, softmax_cross_entropy,
+  balanced_class_weights
+- ``model``: KINDS, ModelSpec, Classifier
+- ``optim``: Adam
+- ``train``: CLASS_WEIGHTINGS, TrainConfig, TrainingDivergedError,
+  fit_standardizer, train
+- ``checkpoint``: Checkpoint, save, load, to_classifier, predict
+- ``search``: SearchSpace, random_search, stratified_folds, kfold_validate,
+  pool_size
+- ``gradcheck``: gradient_check
+"""

@@ -22,6 +22,8 @@ from .losses import balanced_class_weights, softmax_cross_entropy
 from .model import Classifier, ModelSpec
 from .optim import Adam
 
+CLASS_WEIGHTINGS = ("balanced", "none")
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
@@ -40,7 +42,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 60
     seed: int = 0
-    class_weighting: str = "balanced"  # or "none"
+    class_weighting: str = "balanced"  # one of CLASS_WEIGHTINGS
     standardize_features: bool = True
     early_stop_patience: int = 10  # 0 disables early stopping
 
@@ -53,8 +55,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")
-        if self.class_weighting not in ("balanced", "none"):
-            raise ValueError("class_weighting must be 'balanced' or 'none'")
+        if self.class_weighting not in CLASS_WEIGHTINGS:
+            raise ValueError(f"class_weighting must be one of {CLASS_WEIGHTINGS}")
 
 
 def fit_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

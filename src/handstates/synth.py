@@ -20,7 +20,7 @@ scripted ground truth.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,14 +48,8 @@ class PhaseDurations:
                 raise ValueError(f"phase duration {name} must be >= 0")
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "idle": self.idle,
-            "approach": self.approach,
-            "grab": self.grab,
-            "hold": self.hold,
-            "release": self.release,
-            "retreat": self.retreat,
-        }
+        """Each phase's frames, in script order."""
+        return {phase.name: getattr(self, phase.name) for phase in fields(self)}
 
     def total(self) -> int:
         return sum(self.as_dict().values())

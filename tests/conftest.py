@@ -1,11 +1,11 @@
 """Shared helpers for the test suite."""
 
-import importlib
 from functools import partial
 
 import numpy as np
 import pytest
 
+import handstates.nn.train as train_mod
 from handstates.cli import main as cli_main
 from handstates.nn.model import Classifier
 
@@ -29,8 +29,7 @@ def cli():
 def float64_training(monkeypatch):
     """``train`` builds float64 classifiers, for cases that pin where
     float64 arithmetic overflows."""
-    train_module = importlib.import_module("handstates.nn.train")
-    monkeypatch.setattr(train_module, "Classifier", partial(Classifier, dtype=np.float64))
+    monkeypatch.setattr(train_mod, "Classifier", partial(Classifier, dtype=np.float64))
 
 
 def bits(a):

@@ -24,8 +24,11 @@ from handstates.features import (
     PipelineConfig,
     build_dataset,
 )
-from handstates.nn import ModelSpec, TrainConfig, gradient_check, predict, train
 from handstates.nn import checkpoint as ckpt_mod
+from handstates.nn.checkpoint import predict
+from handstates.nn.gradcheck import gradient_check
+from handstates.nn.model import ModelSpec
+from handstates.nn.train import TrainConfig, train
 
 
 @contextmanager

@@ -5,8 +5,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -17,7 +20,9 @@ from conftest import run_cli
 
 from handstates import cli, features, manifest, pgm, synth
 from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
-from handstates.nn import ModelSpec, TrainConfig, search
+from handstates.nn import search
+from handstates.nn.model import ModelSpec
+from handstates.nn.train import TrainConfig
 from handstates.synth import ScenarioConfig
 
 
@@ -447,6 +452,25 @@ class TestTrainEval:
         assert_manifest_lists_every_file(run_dir)
         assert_manifest_lists_every_file(eval_dir)
 
+    def test_eval_without_recorded_split_uses_flag_defaults(self, tmp_path, small_features):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--features", small_features, "--out", run_dir, "--arch", "mlp",
+                       "--test-fraction", 0.5, "--seed", 3, *TRAIN_FAST) == 0
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        del doc["meta"]["split"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        assert run_cli("eval", "--features", small_features, "--checkpoint", bare,
+                       "--out", tmp_path / "fallback") == 0
+        assert run_cli("eval", "--features", small_features, "--out", tmp_path / "flags",
+                       "--checkpoint", run_dir / "checkpoint.json",
+                       "--test-fraction", 0.2, "--seed", 7) == 0
+        fallback, flags = ((tmp_path / name / "confusion.csv").read_bytes()
+                           for name in ("fallback", "flags"))
+        assert fallback == flags
+        # and not the split the checkpoint was trained with
+        assert fallback != (run_dir / "confusion.csv").read_bytes()
+
     def test_train_reruns_are_hash_identical(self, tmp_path, small_features):
         digests = []
         for name in ("r1", "r2"):
@@ -589,6 +613,17 @@ def test_config_field_refuses_nan(config, field):
     config()
     with pytest.raises(ValueError):
         config(**{field: float("nan")})
+
+
+def test_cli_import_loads_only_the_nn_modules_it_uses():
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, handstates.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "handstates.nn.train" in loaded
+    assert "handstates.nn.gradcheck" not in loaded
 
 
 def history_csv_as_first_written(history):

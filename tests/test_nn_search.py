@@ -1,20 +1,24 @@
 """Random hyperparameter search, stratified k-fold validation and the
 worker pool that runs their trials and folds."""
 
-import importlib
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import handstates.nn.train as train_mod
 from handstates.cli import SCORES, _mean_std
-from handstates.nn import ModelSpec, SearchSpace, TrainConfig, TrainingDivergedError
 from handstates.nn import search
-from handstates.nn.search import kfold_validate, pool_size, random_search, stratified_folds
-
-# the package exports the function ``train`` under the module's name
-train_mod = importlib.import_module("handstates.nn.train")
+from handstates.nn.model import ModelSpec
+from handstates.nn.search import (
+    SearchSpace,
+    kfold_validate,
+    pool_size,
+    random_search,
+    stratified_folds,
+)
+from handstates.nn.train import TrainConfig, TrainingDivergedError
 
 BASE_SPEC = ModelSpec(kind="birnn", rnn_units=8, seq_length=1, use_batchnorm=False)
 FAST_CFG = TrainConfig(epochs=3, batch_size=16, seed=0, early_stop_patience=0)

@@ -1,6 +1,8 @@
 """Scripted-scenario generator: ground-truth coherence, determinism,
 feasibility checks and corpus statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,10 @@ def test_phase_script_label_mapping_is_fixed():
         ("release", ClassLabel.RELEASING),
         ("retreat", ClassLabel.UNKNOWN),
     ]
-    # phases are scripted in the order of their durations
+    # phases are scripted in the order of their durations, and as_dict
+    # names every duration field in that order
     assert list(synth.PHASE_LABELS) == list(PhaseDurations().as_dict())
+    assert list(PhaseDurations().as_dict()) == [f.name for f in dataclasses.fields(PhaseDurations)]
 
 
 def test_episodes_match_phase_script(clean_episode):
