@@ -63,6 +63,7 @@ from .features import (
     save_dataset_csv,
     sequence_dataset,
     slide_windows,
+    stratified_folds,
     stratified_split_indices,
 )
 from .nn import checkpoint as ckpt_mod
@@ -297,17 +298,16 @@ def _split_meta(args: argparse.Namespace) -> dict:
 
 
 def _split_for_training(x: np.ndarray, y: np.ndarray, args: argparse.Namespace):
-    """(train, val, test) arrays via nested stratified splits."""
+    """(train, val, test) arrays via nested stratified splits; refuses any class
+    that the train rows lack."""
     train_idx, test_idx = stratified_split_indices(y, args.test_fraction, args.seed)
-    dataset_classes = set(np.flatnonzero(np.bincount(y)).tolist())
-    train_classes = set(np.flatnonzero(np.bincount(y[train_idx])).tolist())
-    missing = dataset_classes - train_classes
-    if missing:
-        names = ", ".join(CLASS_NAMES[c] for c in sorted(missing))
-        raise ValueError(f"class absent from training split: {names}")
     inner_train, inner_val = stratified_split_indices(y[train_idx], args.val_fraction, args.seed + 1)
-    tr = train_idx[inner_train]
-    va = train_idx[inner_val]
+    tr, va = train_idx[inner_train], train_idx[inner_val]
+    counts = np.bincount(y)
+    missing = np.flatnonzero((counts > 0) & (np.bincount(y[tr], minlength=counts.size) == 0))
+    if missing.size:
+        names = ", ".join(CLASS_NAMES[c] for c in missing)
+        raise ValueError(f"class absent from training split: {names}")
     return (x[tr], y[tr]), (x[va], y[va]), (x[test_idx], y[test_idx])
 
 
@@ -490,7 +490,7 @@ def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Label
           out: Path, k: int):
     """Stratified k-fold validation, scored by the means over the folds."""
     x, y = _model_arrays(ds, spec)
-    rows = kfold_validate(spec, cfg, x, y, k, args.seed)
+    rows = kfold_validate(spec, cfg, x, y, stratified_folds(y, k, args.seed))
     mean, std = (dict(zip(SCORES, stat))
                  for stat in _mean_std([[row[key] for key in SCORES] for row in rows]))
     xval_path = out / "xval.csv"

@@ -14,6 +14,10 @@ labels) into fixed 8-dimensional descriptors in four steps:
 
 ``build_dataset`` runs the four steps episode by episode. The label of a
 window needs only steps 1 and 3, which is how ``synth`` counts them.
+
+Every split of a dataset's rows is made here: the holdout split
+``stratified_split_indices`` and the folds ``stratified_folds`` cut one
+seeded shuffle of each class.
 """
 
 from __future__ import annotations
@@ -292,6 +296,18 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
     )
 
 
+def _class_ranks(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank in a shuffle of its class, and the class counts: the
+    classes present, ascending, each take one ``rng.permutation`` of their
+    rows from one generator seeded with ``seed``."""
+    counts = np.bincount(labels)  # np.unique would import numpy.ma
+    rng = np.random.default_rng(seed)
+    rank = np.empty(labels.size, dtype=np.int64)
+    for c in np.flatnonzero(counts):
+        rank[np.flatnonzero(labels == c)[rng.permutation(counts[c])]] = np.arange(counts[c])
+    return rank, counts
+
+
 def stratified_split_indices(
     labels: np.ndarray, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -303,20 +319,24 @@ def stratified_split_indices(
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     labels = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    test_idx: list[np.ndarray] = []
-    train_idx: list[np.ndarray] = []
-    for c in range(NUM_CLASSES):
-        members = np.nonzero(labels == c)[0]
-        if members.size == 0:
-            continue
-        order = rng.permutation(members.size)
-        n_test = int(np.floor(members.size * test_fraction + 0.5))
-        test_idx.append(members[order[:n_test]])
-        train_idx.append(members[order[n_test:]])
-    train = np.sort(np.concatenate(train_idx)) if train_idx else np.empty(0, np.int64)
-    test = np.sort(np.concatenate(test_idx)) if test_idx else np.empty(0, np.int64)
-    return train, test
+    rank, counts = _class_ranks(labels, seed)
+    test = rank < np.floor(counts[labels] * test_fraction + 0.5)
+    return np.flatnonzero(~test), np.flatnonzero(test)
+
+
+def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, held-out) index pairs of k folds; each shuffled class is dealt
+    round robin over the held-out sets, and a fold trains on all other rows."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    labels = np.asarray(labels, dtype=np.int64)
+    rank, counts = _class_ranks(labels, seed)
+    small = np.flatnonzero((counts > 0) & (counts < k))
+    if small.size:
+        raise ValueError(f"class {CLASS_NAMES[small[0]]} has {counts[small[0]]} samples; "
+                         f"needs >= {k} for {k}-fold")
+    fold = rank % k
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i)) for i in range(k)]
 
 
 CSV_HEADER = FEATURE_NAMES + ("label", "episode_id", "target_index")

@@ -12,7 +12,8 @@ Nothing is re-exported; import each name from the module that defines it:
 - ``train``: CLASS_WEIGHTINGS, TrainConfig, TrainingDivergedError,
   fit_standardizer, train
 - ``checkpoint``: Checkpoint, save, load, to_classifier, predict
-- ``search``: SearchSpace, random_search, stratified_folds, kfold_validate,
-  pool_size
+- ``search``: SearchSpace, random_search, kfold_validate, pool_size
 - ``gradcheck``: gradient_check
+
+No module here splits data; ``handstates.features`` makes every split.
 """

@@ -1,4 +1,4 @@
-"""Random hyperparameter search and stratified k-fold validation.
+"""Random hyperparameter search and k-fold validation over given folds.
 
 The search samples uniformly from the tuned ranges (log-uniform for the
 learning rate), trains every candidate and returns the best trial by
@@ -7,7 +7,8 @@ earlier trial index. Diverged trials are recorded, not fatal, unless every
 trial diverges.
 
 ``random_search`` returns its trials and ``kfold_validate`` its fold rows;
-the CLI writes them as ``trials.csv`` and ``xval.csv`` and sums up the folds.
+the CLI writes them as ``trials.csv`` and ``xval.csv`` and sums up the folds,
+which it takes from ``features.stratified_folds``.
 
 Folds and trials are seeded one by one (``cfg.seed + fold``, ``seed + 1000 *
 (trial + 1)``), so ``map_tasks`` may train them in parallel worker processes
@@ -145,32 +146,11 @@ def random_search(
     return winner, trials
 
 
-def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """Disjoint covering validation folds, class-balanced by round robin."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    y = np.asarray(y, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(y.shape[0], dtype=np.int64)
-    for c in np.flatnonzero(np.bincount(y)):  # np.unique would import numpy.ma
-        members = np.nonzero(y == c)[0]
-        if members.size < k:
-            raise ValueError(
-                f"class {int(c)} has {members.size} samples; needs >= {k} for {k}-fold"
-            )
-        members = members[rng.permutation(members.size)]
-        assignment[members] = np.arange(members.size) % k
-    return [np.nonzero(assignment == fold)[0] for fold in range(k)]
-
-
-def _run_fold(fold_idx, val_idx, spec, cfg, x, y) -> dict:
-    """Train on every row outside ``val_idx``, score on it; returns the fold row.
+def _run_fold(fold_idx, train_idx, val_idx, spec, cfg, x, y) -> dict:
+    """Train on ``train_idx``, score on ``val_idx``; returns the fold row.
 
     The fold's model is dropped on return, before the next fold trains.
     """
-    mask = np.ones(y.shape[0], dtype=bool)
-    mask[val_idx] = False
-    train_idx = np.nonzero(mask)[0]
     ckpt, _ = train(spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg)
     _, preds = ckpt_mod.predict(ckpt, x[val_idx])
     cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
@@ -188,20 +168,18 @@ def kfold_validate(
     cfg: TrainConfig,
     x: np.ndarray,
     y: np.ndarray,
-    k: int,
-    seed: int,
+    folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[dict]:
-    """Stratified k-fold scores; each row validates in exactly one fold.
+    """K-fold scores over the given ``(train, held-out)`` index pairs.
 
-    The held-out fold doubles as the early-stopping validation set for its
-    training run. Returns one row per fold, in fold order: ``fold`` and the
-    fold's ``accuracy``, ``weighted_f1`` and ``grabbing_f1``, as Python
-    floats.
+    Each fold trains on its train rows and is scored on its held-out rows,
+    which double as the early-stopping validation set of its training run.
+    Returns one row per fold, in fold order: ``fold`` and the fold's
+    ``accuracy``, ``weighted_f1`` and ``grabbing_f1``, as Python floats.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    folds = stratified_folds(y, k, seed)
     return map_tasks(_run_fold, [
-        (fold_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y)
-        for fold_idx, val_idx in enumerate(folds)
+        (fold_idx, train_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y)
+        for fold_idx, (train_idx, val_idx) in enumerate(folds)
     ])

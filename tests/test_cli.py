@@ -432,11 +432,13 @@ TRAIN_FAST = ("--epochs", 4, "--units", 8, "--patience", 0)
 
 
 class TestTrainEval:
-    def test_train_writes_artifacts_and_eval_reproduces(self, tmp_path, small_features):
+    @pytest.mark.parametrize("arch, seq_length", [("birnn", 1), ("lstm", 3)])
+    def test_train_writes_artifacts_and_eval_reproduces(self, tmp_path, small_features,
+                                                        arch, seq_length):
         run_dir = tmp_path / "run"
         assert run_cli(
             "train", "--features", small_features, "--out", run_dir,
-            "--arch", "birnn", "--seq-length", 1, *TRAIN_FAST,
+            "--arch", arch, "--seq-length", seq_length, *TRAIN_FAST,
         ) == 0
         for name in ("checkpoint.json", "history.csv", "report.txt",
                      "report.json", "confusion.csv", "run_manifest.json"):
@@ -527,8 +529,11 @@ class TestTrainEval:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_missing_class_in_training_split_fails(self, tmp_path, small_features, capsys):
-        # push the lone sample of a rare class entirely into the test split
+    @pytest.mark.parametrize("fraction", ["--test-fraction", "--val-fraction"])
+    def test_missing_class_in_training_split_fails(self, tmp_path, small_features, capsys,
+                                                   fraction):
+        # push the lone sample of a rare class into the test split, or into the
+        # validation rows carved out of the training split
         text = small_features.read_text().splitlines()
         header, rows = text[0], text[1:]
         keep = [r for r in rows if ",grabbing," not in r][: len(rows)]
@@ -537,10 +542,10 @@ class TestTrainEval:
         small.write_text("\n".join([header] + keep + one_grab) + "\n")
         code = run_cli(
             "train", "--features", small, "--out", tmp_path / "o",
-            "--arch", "mlp", "--test-fraction", 0.6, *TRAIN_FAST,
+            "--arch", "mlp", fraction, 0.6, *TRAIN_FAST,
         )
         assert code == 1
-        assert "absent from training split" in capsys.readouterr().err
+        assert "class absent from training split: grabbing" in capsys.readouterr().err
 
     def test_config_file_precedence(self, tmp_path, small_features):
         config = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Feature pipeline tests: keyframe selection, windowing, descriptors,
 dataset assembly, splitting and CSV round trips."""
 
+import hashlib
 import statistics
 
 import numpy as np
@@ -431,6 +432,47 @@ class TestStratifiedSplit:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 F.stratified_split_indices(labels, bad, seed=0)
+
+
+def pinned_labels():
+    """83 shuffled labels, uneven per class, with class 3 absent."""
+    labels = labels_with_counts([37, 9, 23, 0, 14])
+    return np.random.default_rng(2024).permutation(labels)
+
+
+def index_digest(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+        digest.update(b"|")
+    return digest.hexdigest()[:16]
+
+
+class TestSplitsArePinned:
+    """The holdout split and the k-fold folds keep the exact index arrays
+    they were first recorded with."""
+
+    @pytest.mark.parametrize("seed, fraction, expected", [
+        (0, 0.15, "67475e4a3b611f18"), (0, 0.2, "3e0179b162efe1ee"),
+        (0, 0.5, "6ddc2f843babb958"), (0, 0.6, "fabe6fd95ec4a1e4"),
+        (7, 0.15, "576bbce790afabbf"), (7, 0.2, "fc4dff774f82d482"),
+        (7, 0.5, "e830dc21cf792eea"), (7, 0.6, "1b4ef038358d1552"),
+        (123, 0.15, "fc680c0ab213f33e"), (123, 0.2, "dd4f0bb90a4598c3"),
+        (123, 0.5, "c290415bcab01c57"), (123, 0.6, "05a5fe627167c2da"),
+    ])
+    def test_holdout(self, seed, fraction, expected):
+        train, test = F.stratified_split_indices(pinned_labels(), fraction, seed)
+        assert index_digest(train, test) == expected
+
+    @pytest.mark.parametrize("k, expected", [
+        (2, "bcf950501cba5688"), (3, "4d95a7bcb53a6a9c"), (5, "e131fe62bcd6020b"),
+    ])
+    def test_folds(self, k, expected):
+        labels = pinned_labels()
+        folds = F.stratified_folds(labels, k, seed=7)
+        assert index_digest(*(held for _, held in folds)) == expected
+        for train, held in folds:
+            assert np.array_equal(train, np.setdiff1d(np.arange(labels.size), held))
 
 
 class TestCsvRoundTrip:

@@ -9,6 +9,7 @@ import pytest
 
 import handstates.nn.train as train_mod
 from handstates.cli import SCORES, _mean_std
+from handstates.features import stratified_folds
 from handstates.nn import search
 from handstates.nn.model import ModelSpec
 from handstates.nn.search import (
@@ -16,7 +17,6 @@ from handstates.nn.search import (
     kfold_validate,
     pool_size,
     random_search,
-    stratified_folds,
 )
 from handstates.nn.train import TrainConfig, TrainingDivergedError
 
@@ -82,33 +82,33 @@ class TestRandomSearch:
 class TestStratifiedFolds:
     def test_folds_partition_all_rows(self, rng):
         y = np.repeat([0, 1], [60, 40])
-        folds = stratified_folds(y, 5, seed=3)
-        assert [f.size for f in folds] == [20] * 5
-        everything = np.sort(np.concatenate(folds))
+        held_out = [held for _, held in stratified_folds(y, 5, seed=3)]
+        assert [h.size for h in held_out] == [20] * 5
+        everything = np.sort(np.concatenate(held_out))
         assert np.array_equal(everything, np.arange(100))
 
     def test_each_fold_is_class_balanced(self, rng):
         y = np.repeat([0, 1, 2], [50, 25, 25])
-        for fold in stratified_folds(y, 5, seed=0):
-            counts = np.bincount(y[fold], minlength=3)
+        for _, held in stratified_folds(y, 5, seed=0):
+            counts = np.bincount(y[held], minlength=3)
             assert list(counts) == [10, 5, 5]
 
     def test_same_seed_same_assignment(self):
         y = np.repeat([0, 1], [30, 30])
         a = stratified_folds(y, 3, seed=8)
         b = stratified_folds(y, 3, seed=8)
-        assert all(np.array_equal(x, z) for x, z in zip(a, b))
+        assert all(np.array_equal(x, z) for pa, pb in zip(a, b) for x, z in zip(pa, pb))
 
     def test_class_smaller_than_k_rejected(self):
         y = np.array([0, 0, 0, 1, 1])
-        with pytest.raises(ValueError, match="needs >="):
+        with pytest.raises(ValueError, match=r"^class grabbing has 2 samples; needs >= 3 for 3-fold$"):
             stratified_folds(y, 3, seed=0)
 
 
 class TestKfoldValidate:
     def test_metrics_and_mean_bounds(self, rng):
         x, y = blob_data(rng, n_per=25)
-        rows = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=1)
+        rows = kfold_validate(BASE_SPEC, FAST_CFG, x, y, stratified_folds(y, 3, seed=1))
         assert len(rows) == 3
         assert [r["fold"] for r in rows] == [0, 1, 2]
         accs = [r["accuracy"] for r in rows]
@@ -120,8 +120,8 @@ class TestKfoldValidate:
 
     def test_deterministic(self, rng):
         x, y = blob_data(rng, n_per=15)
-        a = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
-        b = kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
+        a = kfold_validate(BASE_SPEC, FAST_CFG, x, y, stratified_folds(y, 3, seed=4))
+        b = kfold_validate(BASE_SPEC, FAST_CFG, x, y, stratified_folds(y, 3, seed=4))
         assert a == b
 
 
@@ -171,7 +171,7 @@ class TestWorkerPool:
             return ckpt, history
 
         monkeypatch.setattr(search, "train", tracking_train)
-        kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
+        kfold_validate(BASE_SPEC, FAST_CFG, x, y, stratified_folds(y, 3, seed=4))
         assert alive == [0, 0, 0]
 
     def test_trial_checkpoints_come_back_without_forward_caches(self, rng, two_workers):
@@ -188,7 +188,7 @@ class TestWorkerPool:
         cfg = replace(FAST_CFG, learning_rate=1e200)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                kfold_validate(BASE_SPEC, cfg, x, y, 2, seed=0)
+                kfold_validate(BASE_SPEC, cfg, x, y, stratified_folds(y, 2, seed=0))
         assert err.value.epoch == 0
         assert str(err.value) == "training diverged (non-finite loss) at epoch 0"
 
@@ -225,8 +225,8 @@ class TestNoTrainingSetPass:
 
     def test_folds_evaluate_only_their_held_out_rows(self, rng, evaluated_rows):
         x, y = blob_data(rng, n_per=15)
-        kfold_validate(BASE_SPEC, FAST_CFG, x, y, 3, seed=4)
-        held_out = [fold.size for fold in stratified_folds(y, 3, seed=4)]
+        kfold_validate(BASE_SPEC, FAST_CFG, x, y, stratified_folds(y, 3, seed=4))
+        held_out = [held.size for _, held in stratified_folds(y, 3, seed=4)]
         assert evaluated_rows == [size for size in held_out for _ in range(FAST_CFG.epochs)]
 
     def test_trials_evaluate_only_the_validation_rows(self, rng, evaluated_rows):
@@ -271,7 +271,7 @@ class TestDivergenceWithoutHistory:
         x, y = self.two_blobs()
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                kfold_validate(self.SPEC, self.cfg(lr), x, y, 2, seed=0)
+                kfold_validate(self.SPEC, self.cfg(lr), x, y, stratified_folds(y, 2, seed=0))
         assert str(err.value) == f"training diverged (non-finite loss) at epoch {epoch}"
 
     @pytest.mark.parametrize("lr", [6e152, 7e152, 1e200])
