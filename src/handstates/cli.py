@@ -65,6 +65,7 @@ from .features import (
     slide_windows,
     stratified_folds,
     stratified_split_indices,
+    windows,
 )
 from .nn import checkpoint as ckpt_mod
 from .nn.model import KINDS, ModelSpec
@@ -286,20 +287,15 @@ def _load_features(path: str) -> LabeledDataset:
     return ds
 
 
-def _model_arrays(ds: LabeledDataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "mlp":
-        return ds.features, ds.labels
-    return sequence_dataset(ds, spec.seq_length)
-
-
 def _split_meta(args: argparse.Namespace) -> dict:
     return {"test_fraction": args.test_fraction, "val_fraction": args.val_fraction,
             "seed": args.seed}
 
 
-def _split_for_training(x: np.ndarray, y: np.ndarray, args: argparse.Namespace):
-    """(train, val, test) arrays via nested stratified splits; refuses any class
-    that the train rows lack."""
+def _split_for_training(ds: LabeledDataset, seq_length: int, args: argparse.Namespace):
+    """(train, val, test) target rows of the samples of ``ds`` via nested
+    stratified splits; refuses any class that the train samples lack."""
+    targets, y = sequence_dataset(ds, seq_length)
     train_idx, test_idx = stratified_split_indices(y, args.test_fraction, args.seed)
     inner_train, inner_val = stratified_split_indices(y[train_idx], args.val_fraction, args.seed + 1)
     tr, va = train_idx[inner_train], train_idx[inner_val]
@@ -308,7 +304,7 @@ def _split_for_training(x: np.ndarray, y: np.ndarray, args: argparse.Namespace):
     if missing.size:
         names = ", ".join(CLASS_NAMES[c] for c in missing)
         raise ValueError(f"class absent from training split: {names}")
-    return (x[tr], y[tr]), (x[va], y[va]), (x[test_idx], y[test_idx])
+    return targets[tr], targets[va], targets[test_idx]
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
@@ -341,11 +337,11 @@ def _train_cfg_from_args(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _evaluate(ckpt, x_test, y_test, out: Path) -> tuple[tuple[float, float, float], list[Path]]:
-    """Score a checkpoint on a test set and write the report files; returns
-    (accuracy, weighted F1, grabbing F1) and the files written."""
-    _, preds = ckpt_mod.predict(ckpt, x_test)
-    cm = metrics.confusion_matrix(y_test, preds, NUM_CLASSES)
+def _evaluate(ckpt, ds, rows, out: Path) -> tuple[tuple[float, float, float], list[Path]]:
+    """Score a checkpoint on the samples of the target ``rows`` of ``ds``, write
+    the report files; returns (accuracy, weighted F1, grabbing F1) and files."""
+    _, preds = ckpt_mod.predict(ckpt, windows(ds.features, ckpt.spec.seq_length)[rows])
+    cm = metrics.confusion_matrix(ds.labels[rows], preds, NUM_CLASSES)
     report = metrics.classification_report(cm)
     files = metrics.write_report_files(report, list(CLASS_NAMES), out)
     metrics.write_confusion_csv(cm, list(CLASS_NAMES), out / "confusion.csv")
@@ -412,13 +408,12 @@ def cmd_extract(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
          out: Path):
     """Split, train, evaluate on the held-out test set, write artifacts."""
-    x, y = _model_arrays(ds, spec)
-    train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
-    ckpt, history = train(spec, train_ds, val_ds, cfg)
+    train_rows, val_rows, test_rows = _split_for_training(ds, spec.seq_length, args)
+    ckpt, history = train(spec, ds.features, ds.labels, train_rows, val_rows, cfg)
     ckpt.meta["split"] = _split_meta(args)
     ckpt_mod.save(ckpt, out / "checkpoint.json")
     _write_rows(out / "history.csv", HISTORY_COLUMNS, history)
-    scores, files = _evaluate(ckpt, x_test, y_test, out)
+    scores, files = _evaluate(ckpt, ds, test_rows, out)
     return scores, [out / "checkpoint.json", out / "history.csv"] + files
 
 
@@ -438,13 +433,13 @@ def cmd_train(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ckpt = ckpt_mod.load(args.checkpoint)
     ds = _load_features(args.features)
-    x, y = _model_arrays(ds, ckpt.spec)
+    targets, labels = sequence_dataset(ds, ckpt.spec.seq_length)
 
     split = ckpt.meta.get("split", {})
     test_fraction = args.test_fraction or split.get("test_fraction", TEST_FRACTION)
     seed = args.seed if args.seed is not None else split.get("seed", SEED)
-    _, test_idx = stratified_split_indices(y, test_fraction, seed)
-    _, outputs = _evaluate(ckpt, x[test_idx], y[test_idx], out)
+    _, test_idx = stratified_split_indices(labels, test_fraction, seed)
+    _, outputs = _evaluate(ckpt, ds, targets[test_idx], out)
     print((out / "report.txt").read_text())
     return outputs, []
 
@@ -453,11 +448,9 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
             out: Path):
     """Random search around ``spec`` and ``cfg``; the winner is scored on the
     test split."""
-    x, y = _model_arrays(ds, spec)
-    train_ds, val_ds, (x_test, y_test) = _split_for_training(x, y, args)
-    winner, trials = random_search(
-        SearchSpace(), args.budget, train_ds, val_ds, args.seed, spec, cfg
-    )
+    train_rows, val_rows, test_rows = _split_for_training(ds, spec.seq_length, args)
+    winner, trials = random_search(SearchSpace(), args.budget, ds.features, ds.labels,
+                                   train_rows, val_rows, args.seed, spec, cfg)
     _write_rows(out / "trials.csv", TRIAL_COLUMNS, [
         dict(zip(TRIAL_COLUMNS, (t.index, t.status, t.spec.rnn_units, t.spec.rnn_layers,
                                  t.spec.dropout_p, t.cfg.learning_rate, t.cfg.batch_size,
@@ -466,7 +459,7 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
     ])
     winner.checkpoint.meta.update(split=_split_meta(args), trial_index=winner.index)
     ckpt_mod.save(winner.checkpoint, out / "checkpoint.json")
-    scores, files = _evaluate(winner.checkpoint, x_test, y_test, out)
+    scores, files = _evaluate(winner.checkpoint, ds, test_rows, out)
     print(
         f"best trial {winner.index}: units={winner.spec.rnn_units} "
         f"layers={winner.spec.rnn_layers} dropout={winner.spec.dropout_p:.3f} "
@@ -489,8 +482,9 @@ def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
           out: Path, k: int):
     """Stratified k-fold validation, scored by the means over the folds."""
-    x, y = _model_arrays(ds, spec)
-    rows = kfold_validate(spec, cfg, x, y, stratified_folds(y, k, args.seed))
+    targets, labels = sequence_dataset(ds, spec.seq_length)
+    folds = [(targets[tr], targets[va]) for tr, va in stratified_folds(labels, k, args.seed)]
+    rows = kfold_validate(spec, cfg, ds.features, ds.labels, folds)
     mean, std = (dict(zip(SCORES, stat))
                  for stat in _mean_std([[row[key] for key in SCORES] for row in rows]))
     xval_path = out / "xval.csv"

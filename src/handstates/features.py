@@ -243,15 +243,15 @@ def window_feature_vector(series: KeyframeSeries, targets: range, n: int) -> np.
     step = np.diff(xy, axis=0)
     speed = np.hypot(step[:, 0], step[:, 1])  # speed[j]: keyframe j -> j+1
 
-    windows = np.asarray(targets)[:, None] + np.arange(-n, 0)  # context positions
+    context = np.asarray(targets)[:, None] + np.arange(-n, 0)  # context positions
     columns = []
-    for values in (dist[windows], speed[windows[:, :-1]]):
+    for values in (dist[context], speed[context[:, :-1]]):
         t = np.arange(values.shape[1], dtype=np.float64)
         t -= t.mean()
         mean = values.mean(axis=1)
         columns += [mean, values.std(axis=1), (values - mean[:, None]) @ t / (t @ t)]
 
-    flags = contact[windows]
+    flags = contact[context]
     run = longest = np.zeros(len(targets), dtype=np.int64)
     for column in flags.T:
         run = (run + 1) * column
@@ -396,20 +396,19 @@ def load_dataset_csv(path) -> LabeledDataset:
 
 
 def sequence_dataset(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group consecutive rows of one episode into fixed-length sequences.
+    """The targets (last rows) of the sequences of ``seq_length`` consecutive
+    rows of one episode, and their labels; ``windows`` gathers their rows.
 
-    Rows are consumed in dataset order; sequences never span episodes and
-    take the label of their last element. For seq_length > 1 the rows of
-    each episode must be one run of strictly increasing target index, or a
-    ValueError names the episode and the index. seq_length=1 is a plain
-    per-row reshape, in any row order.
+    Rows are consumed in dataset order; sequences never span episodes. For
+    seq_length > 1 the rows of each episode must be one run of strictly
+    increasing target index, or a ValueError names the episode and the
+    index. At seq_length=1 every row is a target, in any row order.
     """
     if seq_length < 1:
         raise ValueError("seq_length must be >= 1")
     if seq_length == 1:
-        return ds.features[:, None, :], ds.labels.copy()
-    xs: list[np.ndarray] = []
-    ys: list[int] = []
+        return np.arange(len(ds)), ds.labels.copy()
+    targets: list[int] = []
     start = 0
     n = len(ds)
     seen: set[str] = set()
@@ -427,13 +426,17 @@ def sequence_dataset(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, n
                                  "sequences need strictly increasing target_index")
             last = index
             end += 1
-        for i in range(start, end - seq_length + 1):
-            xs.append(ds.features[i : i + seq_length])
-            ys.append(int(ds.labels[i + seq_length - 1]))
+        targets.extend(range(start + seq_length - 1, end))
         start = end
-    if xs:
-        return np.stack(xs), np.asarray(ys, dtype=np.int64)
-    return (
-        np.empty((0, seq_length, FEATURE_DIM), dtype=np.float64),
-        np.empty(0, dtype=np.int64),
-    )
+    rows = np.array(targets, dtype=np.int64)
+    return rows, ds.labels[rows]
+
+
+def windows(rows: np.ndarray, seq_length: int) -> np.ndarray:
+    """The model input of each row of ``rows`` as a target: ``rows`` itself at
+    seq_length 1, else a read-only (len(rows), seq_length, dim) view over
+    ``rows`` after seq_length - 1 zero rows; item i is the window ending at i."""
+    if seq_length == 1:
+        return rows
+    padded = np.concatenate([np.zeros((seq_length - 1, rows.shape[1]), rows.dtype), rows])
+    return np.lib.stride_tricks.sliding_window_view(padded, (seq_length, rows.shape[1]))[:, 0]

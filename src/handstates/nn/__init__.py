@@ -15,5 +15,7 @@ Nothing is re-exported; import each name from the module that defines it:
 - ``search``: SearchSpace, random_search, kfold_validate, pool_size
 - ``gradcheck``: gradient_check
 
-No module here splits data; ``handstates.features`` makes every split.
+No module here splits data or builds samples; ``handstates.features`` does
+both, and ``train``, ``random_search`` and ``kfold_validate`` take its feature
+table, row labels and target rows (the last row of each sample, see ``windows``).
 """

@@ -133,8 +133,8 @@ def load(path) -> Checkpoint:
 
 
 def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and argmax labels for raw feature rows, which the model
-    standardizes itself.
+    """Probabilities and argmax labels for raw model input (as gathered by
+    ``features.windows``), which the model checks and standardizes itself.
 
     Inference is deterministic: dropout is off and batch-norm uses the stored
     running statistics, and the same rows give the same bits. Rows go through
@@ -144,9 +144,5 @@ def predict(ckpt: Checkpoint, features: np.ndarray) -> tuple[np.ndarray, np.ndar
     matrix-vector path. Measured on the seed-7 corpus's static encoder, MLP
     and seq-5 BiLSTM: up to 5e-7 for lone rows, 1e-7 for blocks of 2 or 7.
     """
-    x = np.asarray(features, dtype=np.float64)
-    expected = ckpt.spec.input_dim
-    if x.shape[-1] != expected:
-        raise ValueError(f"feature dim {x.shape[-1]} != checkpoint input_dim {expected}")
-    probs = ckpt.model.predict_proba(x)
+    probs = ckpt.model.predict_proba(features)
     return probs, probs.argmax(axis=1)

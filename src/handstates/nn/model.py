@@ -64,6 +64,8 @@ class ModelSpec:
             raise ValueError("recurrent models need rnn_units, rnn_layers >= 1")
         if self.seq_length < 1:
             raise ValueError("seq_length must be >= 1")
+        if self.kind == "mlp" and self.seq_length != 1:
+            raise ValueError(f"mlp takes one row, not seq_length {self.seq_length}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if not self.l2_lambda >= 0.0:
@@ -178,22 +180,22 @@ class Classifier:
     # -- forward / backward -------------------------------------------------
 
     def _shape_input(self, x: np.ndarray) -> np.ndarray:
-        # An MLP and a length-1 model run on (batch, input_dim); the latter
-        # also takes (batch, 1, input_dim).
+        # The one check on model input. A length-1 model, the MLP included,
+        # runs on (batch, input_dim) and also takes (batch, 1, input_dim).
         spec = self.spec
-        if self.feature_mean is not None:
-            x = (np.asarray(x, dtype=np.float64) - self.feature_mean) / self.feature_std
-        x = np.asarray(x, dtype=self.dtype)
-        if spec.kind == "mlp" or spec.seq_length == 1:
-            if spec.kind != "mlp" and x.ndim == 3 and x.shape[1] == 1:
+        x = np.asarray(x)
+        if spec.seq_length == 1:
+            if x.ndim == 3 and x.shape[1] == 1:
                 x = x[:, 0, :]
-            expected = (spec.input_dim,)
+            expected, dims = (spec.input_dim,), f"input_dim={spec.input_dim}"
         else:
             expected = (spec.seq_length, spec.input_dim)
+            dims = f"seq_length={spec.seq_length}, input_dim={spec.input_dim}"
         if x.shape[1:] != expected:
-            dims = ", ".join(map(str, expected))
-            raise ValueError(f"{spec.kind} expects (batch, {dims}) input, got {x.shape}")
-        return x
+            raise ValueError(f"{spec.kind} expects input of shape (batch, {dims}), got {x.shape}")
+        if self.feature_mean is not None:
+            x = (np.asarray(x, dtype=np.float64) - self.feature_mean) / self.feature_std
+        return np.asarray(x, dtype=self.dtype)
 
     def forward(
         self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None

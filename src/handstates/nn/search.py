@@ -6,6 +6,8 @@ validation accuracy, breaking ties by lower validation loss and then by
 earlier trial index. Diverged trials are recorded, not fatal, unless every
 trial diverges.
 
+Both take what ``train`` takes, so a task sent to a worker carries the
+feature table and target rows, not samples.
 ``random_search`` returns its trials and ``kfold_validate`` its fold rows;
 the CLI writes them as ``trials.csv`` and ``xval.csv`` and sums up the folds,
 which it takes from ``features.stratified_folds``.
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..features import ClassLabel
+from ..features import ClassLabel, windows
 from ..metrics import classification_report, confusion_matrix
 from . import checkpoint as ckpt_mod
 from .model import ModelSpec
@@ -103,10 +105,10 @@ def sample_trial(
     return spec, cfg
 
 
-def _run_trial(index, spec, cfg, train_ds, val_ds) -> TrialResult:
+def _run_trial(index, spec, cfg, x, y, train_idx, val_idx) -> TrialResult:
     """Train one candidate; a diverged one is recorded, not raised."""
     try:
-        ckpt, _ = train(spec, train_ds, val_ds, cfg)
+        ckpt, _ = train(spec, x, y, train_idx, val_idx, cfg)
     except TrainingDivergedError:
         return TrialResult(index=index, spec=spec, cfg=cfg, status="diverged")
     return TrialResult(
@@ -123,8 +125,10 @@ def _run_trial(index, spec, cfg, train_ds, val_ds) -> TrialResult:
 def random_search(
     space: SearchSpace,
     budget: int,
-    train_ds,
-    val_ds,
+    x: np.ndarray,
+    y: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray,
     seed: int,
     base_spec: ModelSpec,
     base_cfg: TrainConfig,
@@ -136,7 +140,8 @@ def random_search(
     tasks = []
     for i in range(budget):
         spec, cfg = sample_trial(space, rng, base_spec, base_cfg)
-        tasks.append((i, spec, replace(cfg, seed=seed + 1000 * (i + 1)), train_ds, val_ds))
+        tasks.append((i, spec, replace(cfg, seed=seed + 1000 * (i + 1)), x, y, train_idx,
+                      val_idx))
     trials = map_tasks(_run_trial, tasks)
     finished = [t for t in trials if t.status == "ok"]
     if not finished:
@@ -147,12 +152,12 @@ def random_search(
 
 
 def _run_fold(fold_idx, train_idx, val_idx, spec, cfg, x, y) -> dict:
-    """Train on ``train_idx``, score on ``val_idx``; returns the fold row.
+    """Train on the targets ``train_idx``, score on ``val_idx``; returns a row.
 
     The fold's model is dropped on return, before the next fold trains.
     """
-    ckpt, _ = train(spec, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]), cfg)
-    _, preds = ckpt_mod.predict(ckpt, x[val_idx])
+    ckpt, _ = train(spec, x, y, train_idx, val_idx, cfg)
+    _, preds = ckpt_mod.predict(ckpt, windows(x, spec.seq_length)[val_idx])
     cm = confusion_matrix(y[val_idx], preds, spec.num_classes)
     report = classification_report(cm)
     return {
@@ -170,15 +175,13 @@ def kfold_validate(
     y: np.ndarray,
     folds: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[dict]:
-    """K-fold scores over the given ``(train, held-out)`` index pairs.
+    """K-fold scores over the given ``(train, held-out)`` target row pairs.
 
-    Each fold trains on its train rows and is scored on its held-out rows,
+    Each fold trains on its train targets and is scored on its held-out ones,
     which double as the early-stopping validation set of its training run.
     Returns one row per fold, in fold order: ``fold`` and the fold's
     ``accuracy``, ``weighted_f1`` and ``grabbing_f1``, as Python floats.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     return map_tasks(_run_fold, [
         (fold_idx, train_idx, val_idx, spec, replace(cfg, seed=cfg.seed + fold_idx), x, y)
         for fold_idx, (train_idx, val_idx) in enumerate(folds)

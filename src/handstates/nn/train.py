@@ -1,14 +1,16 @@
 """Mini-batch training loop with standardization, balanced class weights,
 early stopping on validation loss and deterministic seeding.
 
-``train`` consumes (features, labels) array pairs; features are 2-D for the
-MLP and (batch, seq_length, dim) for recurrent models. It fits the
-classifier's feature standardization on the training rows, and the
-classifier, float32, standardizes each batch in float64 and casts it as it
-comes in; losses are float64. The checkpoint returned holds the trained
-classifier, restored to its ``state`` at the epoch with the lowest
-validation loss; the history returned is one row of Python numbers per
-epoch, which the CLI writes as ``history.csv``.
+``train`` takes the (rows, dim) feature table, its row labels and index
+arrays of target rows; a sample is the window of ``seq_length`` rows that
+ends at its target (``features.windows``). It gathers each batch as it
+trains on it, the validation samples once and, to fit the classifier's
+feature standardization, the training samples once. The classifier, float32,
+standardizes each batch in float64 and casts it as it comes in; losses are
+float64. The checkpoint returned holds the trained classifier, restored to
+its ``state`` at the epoch with the lowest validation loss; the history
+returned is one row of Python numbers per epoch, which the CLI writes as
+``history.csv``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features import windows
 from . import checkpoint as ckpt_mod
 from .losses import balanced_class_weights, softmax_cross_entropy
 from .model import Classifier, ModelSpec
@@ -68,11 +71,6 @@ def fit_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _dataset(ds) -> tuple[np.ndarray, np.ndarray]:
-    x, y = ds
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
-
-
 def _evaluate(clf: Classifier, x, y, weights) -> tuple[float, float]:
     """Weighted cross-entropy, without the L2 penalty, and accuracy of one
     inference pass."""
@@ -82,12 +80,13 @@ def _evaluate(clf: Classifier, x, y, weights) -> tuple[float, float]:
     return loss, acc
 
 
-def train(
-    spec: ModelSpec, train_ds, val_ds, cfg: TrainConfig
-) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
-    """Train a model and return (best-validation checkpoint, history).
+def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
+          val_idx: np.ndarray, cfg: TrainConfig) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
+    """Train a model on the samples of the target rows ``train_idx`` of the
+    feature table ``x`` and its row labels ``y``, validating on those of
+    ``val_idx``; return (best-validation checkpoint, history).
 
-    Each epoch trains on one shuffle of the training rows, then runs one
+    Each epoch trains on one shuffle of the training samples, then runs one
     validation pass, which picks the best epoch and drives early stopping,
     and appends one history row: a dict of epoch, train_loss, train_acc,
     val_loss and val_acc, an int and four Python floats. The train columns
@@ -97,12 +96,12 @@ def train(
     penalty at the end of the epoch. Raises TrainingDivergedError as soon as
     a batch's cross-entropy or an epoch's validation loss is non-finite.
     """
-    x_train, y_train = _dataset(train_ds)
-    x_val, y_val = _dataset(val_ds)
-    if x_train.shape[0] == 0 or x_val.shape[0] == 0:
+    if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    x = windows(np.asarray(x, dtype=np.float64), spec.seq_length)
+    y = np.asarray(y, dtype=np.int64)
 
-    counts = np.bincount(y_train, minlength=spec.num_classes)
+    counts = np.bincount(y[train_idx], minlength=spec.num_classes)
     if cfg.class_weighting == "balanced":
         weights = balanced_class_weights(counts)
     else:
@@ -111,10 +110,11 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     clf = Classifier(spec, rng)
     if cfg.standardize_features:
-        clf.feature_mean, clf.feature_std = fit_standardizer(x_train)
+        clf.feature_mean, clf.feature_std = fit_standardizer(x[train_idx])
     optimizer = Adam(clf.params(), lr=cfg.learning_rate)
+    x_val, y_val = x[val_idx], y[val_idx]
 
-    n = x_train.shape[0]
+    n = len(train_idx)
     rows: list[dict] = []
     best_epoch, best_state = 0, None
 
@@ -127,9 +127,9 @@ def train(
             order = order[:-1]
         loss_sum, correct = 0.0, 0
         for start in range(0, order.size, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            y_batch = y_train[idx]
-            loss, logits = clf.loss_and_grads(x_train[idx], y_batch, weights, train=True, rng=rng)
+            idx = train_idx[order[start : start + cfg.batch_size]]
+            y_batch = y[idx]
+            loss, logits = clf.loss_and_grads(x[idx], y_batch, weights, train=True, rng=rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             optimizer.step(clf.grads())

@@ -438,7 +438,8 @@ def test_criterion_8_round_trips(workdir):
         x = rng.normal(size=(60, 8))
         y = rng.integers(0, 5, 60)
         spec = ModelSpec(kind="birnn", rnn_units=12, seq_length=1)
-        ckpt, _ = train(spec, (x, y), (x, y), TrainConfig(epochs=3, seed=1))
+        all_rows = np.arange(len(y))
+        ckpt, _ = train(spec, x, y, all_rows, all_rows, TrainConfig(epochs=3, seed=1))
         before, labels_before = predict(ckpt, x)
         ckpt_path = workdir / "roundtrip_ckpt.json"
         ckpt_mod.save(ckpt, ckpt_path)

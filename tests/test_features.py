@@ -572,9 +572,9 @@ class TestInvariants:
 class TestSequenceDataset:
     def test_seq1_is_row_reshape(self, rng):
         ds = dataset_with_counts([6, 4], rng)
-        x, y = F.sequence_dataset(ds, 1)
-        assert x.shape == (10, 1, F.FEATURE_DIM)
-        assert np.array_equal(x[:, 0, :], ds.features)
+        targets, y = F.sequence_dataset(ds, 1)
+        assert np.array_equal(targets, np.arange(10))
+        assert F.windows(ds.features, 1) is ds.features
         assert np.array_equal(y, ds.labels)
 
     def test_sequences_never_span_episodes(self, rng):
@@ -582,13 +582,50 @@ class TestSequenceDataset:
         labels = np.arange(7, dtype=np.int64) % 5
         prov = [("a", i) for i in range(4)] + [("b", i) for i in range(3)]
         ds = F.LabeledDataset(feats, labels, prov)
-        x, y = F.sequence_dataset(ds, 3)
+        targets, y = F.sequence_dataset(ds, 3)
         # episode a: rows 0..3 -> 2 sequences; episode b: rows 4..6 -> 1
+        assert list(targets) == [2, 3, 6]
+        x = F.windows(feats, 3)[targets]
         assert x.shape == (3, 3, F.FEATURE_DIM)
         assert np.array_equal(x[0], feats[0:3])
         assert np.array_equal(x[1], feats[1:4])
         assert np.array_equal(x[2], feats[4:7])
         assert list(y) == [int(labels[2]), int(labels[3]), int(labels[6])]
+
+    @pytest.mark.parametrize("seq_length", [1, 2, 5])
+    def test_windows_gather_the_stacked_sequences(self, rng, seq_length):
+        # a stride-3 corpus of 1, 9, 2 and 4 rows per episode: all but one
+        # episode are shorter than 5 rows, and the first shorter than 2
+        cfg = PipelineConfig(0.0, 0.0, window_length=3, stride=3)
+        episodes = [
+            make_episode([textured(rng) for _ in range(k)],
+                         labels=[ClassLabel(i % 5) for i in range(k)], eid=f"ep{e}")
+            for e, k in enumerate((4, 30, 8, 14))
+        ]
+        ds = F.build_dataset(episodes, cfg)
+        episode_ids = [episode_id for episode_id, _ in ds.provenance]
+        sizes = [episode_ids.count(f"ep{e}") for e in range(4)]
+        assert sizes == [1, 9, 2, 4]
+        # the stacking loop that sequence_dataset once ran, as the oracle
+        stacked, labels, start = [], [], 0
+        for size in sizes:
+            for i in range(start, start + size - seq_length + 1):
+                stacked.append(ds.features[i : i + seq_length])
+                labels.append(int(ds.labels[i + seq_length - 1]))
+            start += size
+        targets, y = F.sequence_dataset(ds, seq_length)
+        gathered = F.windows(ds.features, seq_length)[targets]
+        assert np.array_equal(gathered.reshape(-1, seq_length, F.FEATURE_DIM), np.stack(stacked))
+        assert np.array_equal(
+            gathered.reshape(-1, seq_length, F.FEATURE_DIM),
+            np.stack([ds.features[t - seq_length + 1 : t + 1] for t in targets]),
+        )
+        assert list(y) == labels
+        for t in targets:
+            window = ds.provenance[t - seq_length + 1 : t + 1]
+            # the window lies in its target's episode, and the target is its last row
+            assert {episode_id for episode_id, _ in window} == {ds.provenance[t][0]}
+            assert max(index for _, index in window) == ds.provenance[t][1]
 
     @pytest.mark.parametrize(
         "prov, message",
@@ -604,5 +641,5 @@ class TestSequenceDataset:
         ds = F.LabeledDataset(rng.random((4, F.FEATURE_DIM)), np.zeros(4, np.int64), prov)
         with pytest.raises(ValueError, match=message):
             F.sequence_dataset(ds, 2)
-        x, _ = F.sequence_dataset(ds, 1)  # a row model takes any row order
-        assert np.array_equal(x[:, 0, :], ds.features)
+        targets, _ = F.sequence_dataset(ds, 1)  # a row model takes any row order
+        assert np.array_equal(targets, np.arange(4))

@@ -31,17 +31,29 @@ def blob_data(rng, n_per=30, classes=3):
         centre[c] = 6.0
         xs.append(rng.normal(size=(n_per, 8)) + centre)
         ys.append(np.full(n_per, c, dtype=np.int64))
-    x = np.vstack(xs)[:, None, :]  # sequence length 1
+    x = np.vstack(xs)
     y = np.concatenate(ys)
     order = rng.permutation(y.size)
     return x[order], y[order]
+
+
+def everywhere(x, y):
+    """The ``(x, y, train, val)`` arguments that train and validate on every row."""
+    all_rows = np.arange(len(y))
+    return x, y, all_rows, all_rows
+
+
+def split_at(x, y, n):
+    """The ``(x, y, train, val)`` arguments that train on the first ``n`` rows
+    and validate on the rest."""
+    return x, y, np.arange(n), np.arange(n, len(y))
 
 
 class TestRandomSearch:
     def test_budget_one_returns_single_trial(self, rng):
         x, y = blob_data(rng)
         winner, trials = random_search(
-            SearchSpace(rnn_units=(4, 8)), 1, (x, y), (x, y), 5, BASE_SPEC, FAST_CFG
+            SearchSpace(rnn_units=(4, 8)), 1, *everywhere(x, y), 5, BASE_SPEC, FAST_CFG
         )
         assert len(trials) == 1
         assert winner is trials[0]
@@ -49,7 +61,7 @@ class TestRandomSearch:
 
     def test_fixed_seed_reproduces_trials_and_winner(self, rng):
         x, y = blob_data(rng)
-        args = (SearchSpace(rnn_units=(4, 12)), 3, (x, y), (x, y), 9, BASE_SPEC, FAST_CFG)
+        args = (SearchSpace(rnn_units=(4, 12)), 3, *everywhere(x, y), 9, BASE_SPEC, FAST_CFG)
         w1, t1 = random_search(*args)
         w2, t2 = random_search(*args)
         assert [(t.spec, t.cfg) for t in t1] == [(t.spec, t.cfg) for t in t2]
@@ -58,14 +70,14 @@ class TestRandomSearch:
     def test_winner_has_max_validation_accuracy(self, rng):
         x, y = blob_data(rng)
         winner, trials = random_search(
-            SearchSpace(rnn_units=(4, 12)), 4, (x, y), (x, y), 3, BASE_SPEC, FAST_CFG
+            SearchSpace(rnn_units=(4, 12)), 4, *everywhere(x, y), 3, BASE_SPEC, FAST_CFG
         )
         assert winner.val_acc == max(t.val_acc for t in trials if t.status == "ok")
 
     def test_samples_stay_inside_space(self, rng):
         x, y = blob_data(rng, n_per=12)
         space = SearchSpace(rnn_units=(4, 6), rnn_layers=(1, 2), batch_sizes=(8, 16))
-        _, trials = random_search(space, 5, (x, y), (x, y), 1, BASE_SPEC, FAST_CFG)
+        _, trials = random_search(space, 5, *everywhere(x, y), 1, BASE_SPEC, FAST_CFG)
         for t in trials:
             assert 4 <= t.spec.rnn_units <= 6
             assert t.spec.rnn_layers in (1, 2)
@@ -76,7 +88,7 @@ class TestRandomSearch:
     def test_zero_budget_rejected(self, rng):
         x, y = blob_data(rng, n_per=5)
         with pytest.raises(ValueError, match="budget"):
-            random_search(SearchSpace(), 0, (x, y), (x, y), 0, BASE_SPEC, FAST_CFG)
+            random_search(SearchSpace(), 0, *everywhere(x, y), 0, BASE_SPEC, FAST_CFG)
 
 
 class TestStratifiedFolds:
@@ -176,7 +188,7 @@ class TestWorkerPool:
 
     def test_trial_checkpoints_come_back_without_forward_caches(self, rng, two_workers):
         x, y = blob_data(rng, n_per=12)
-        _, trials = random_search(SearchSpace(rnn_units=(4, 6)), 2, (x, y), (x, y), 2,
+        _, trials = random_search(SearchSpace(rnn_units=(4, 6)), 2, *everywhere(x, y), 2,
                                   BASE_SPEC, FAST_CFG)
         for t in trials:
             cached = [(type(layer).__name__, k) for layer in t.checkpoint.model.layers
@@ -197,7 +209,7 @@ class TestWorkerPool:
         space = SearchSpace(rnn_units=(4, 4), learning_rate=(1e200, 1e200))
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match=r"\(trial 0: diverged, trial 1: diverged\)"):
-                random_search(space, 2, (x, y), (x, y), 0, BASE_SPEC, FAST_CFG)
+                random_search(space, 2, *everywhere(x, y), 0, BASE_SPEC, FAST_CFG)
 
 
 class TestNoTrainingSetPass:
@@ -219,7 +231,7 @@ class TestNoTrainingSetPass:
 
     def test_holdout_train_evaluates_only_the_validation_rows(self, rng, evaluated_rows):
         x, y = blob_data(rng, n_per=15)
-        ckpt, history = train_mod.train(BASE_SPEC, (x[:33], y[:33]), (x[33:], y[33:]), FAST_CFG)
+        ckpt, history = train_mod.train(BASE_SPEC, *split_at(x, y, 33), FAST_CFG)
         assert len(history) == ckpt.meta["epochs_run"]
         assert evaluated_rows == [12] * len(history)
 
@@ -231,8 +243,8 @@ class TestNoTrainingSetPass:
 
     def test_trials_evaluate_only_the_validation_rows(self, rng, evaluated_rows):
         x, y = blob_data(rng, n_per=15)
-        random_search(SearchSpace(rnn_units=(4, 6)), 2, (x[:33], y[:33]), (x[33:], y[33:]), 3,
-                      BASE_SPEC, FAST_CFG)
+        random_search(SearchSpace(rnn_units=(4, 6)), 2, *split_at(x, y, 33), 3, BASE_SPEC,
+                      FAST_CFG)
         assert evaluated_rows == [12] * (2 * FAST_CFG.epochs)
 
 
@@ -282,5 +294,4 @@ class TestDivergenceWithoutHistory:
         expected = r"\(trial 0: diverged, trial 1: diverged, trial 2: diverged\)"
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match=expected):
-                random_search(space, 3, (x[:40], y[:40]), (x[40:], y[40:]), 0, self.SPEC,
-                              self.cfg(lr))
+                random_search(space, 3, *split_at(x, y, 40), 0, self.SPEC, self.cfg(lr))

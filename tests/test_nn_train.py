@@ -36,6 +36,12 @@ def two_blob_data(rng, n=60):
     return x[order], y[order]
 
 
+def fit_all(spec, x, y, cfg):
+    """Train on every row of ``x`` and validate on every row too."""
+    all_rows = np.arange(len(y))
+    return train(spec, x, y, all_rows, all_rows, cfg)
+
+
 def test_train_module_keeps_its_name():
     # the package re-exports nothing, so the function does not hide the module
     import handstates.nn.train as m
@@ -49,7 +55,7 @@ class TestTrainLoop:
         x, y = two_blob_data(rng)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=16, epochs=50, seed=0,
                           early_stop_patience=0)
-        _, history = train(SMALL_MLP, (x, y), (x, y), cfg)
+        _, history = fit_all(SMALL_MLP, x, y, cfg)
         assert max(h["train_acc"] for h in history) == 1.0
 
     def test_epoch_produces_ceil_n_over_batch_steps(self, rng, monkeypatch):
@@ -63,14 +69,14 @@ class TestTrainLoop:
 
         monkeypatch.setattr(optim.Adam, "step", counting_step)
         cfg = TrainConfig(batch_size=4, epochs=1, seed=0)
-        train(SMALL_MLP, (x, y), (x, y), cfg)
+        fit_all(SMALL_MLP, x, y, cfg)
         assert len(calls) == 3  # ceil(10 / 4)
 
     def test_same_seed_reproduces_history_and_checkpoint_bytes(self, rng, tmp_path):
         x, y = two_blob_data(rng)
         cfg = TrainConfig(epochs=5, batch_size=16, seed=42)
-        ckpt_a, hist_a = train(SMALL_MLP, (x, y), (x, y), cfg)
-        ckpt_b, hist_b = train(SMALL_MLP, (x, y), (x, y), cfg)
+        ckpt_a, hist_a = fit_all(SMALL_MLP, x, y, cfg)
+        ckpt_b, hist_b = fit_all(SMALL_MLP, x, y, cfg)
         assert hist_a == hist_b
         ckpt_mod.save(ckpt_a, tmp_path / "a.json")
         ckpt_mod.save(ckpt_b, tmp_path / "b.json")
@@ -82,7 +88,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=3, seed=0, standardize_features=False)
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                train(SMALL_MLP, (x, y), (x, y), cfg)
+                fit_all(SMALL_MLP, x, y, cfg)
         assert err.value.epoch == 0
 
     @pytest.mark.parametrize("lr, epoch", [(6e152, 3), (7e152, 2), (1e200, 0)])
@@ -107,7 +113,7 @@ class TestTrainLoop:
                           early_stop_patience=0)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                train(spec, (x, y), (x, y), cfg)
+                fit_all(spec, x, y, cfg)
         assert err.value.epoch == epoch
 
     def test_diverged_error_survives_pickling(self):
@@ -117,15 +123,15 @@ class TestTrainLoop:
         assert str(err) == "training diverged (non-finite loss) at epoch 3"
 
     def test_empty_dataset_rejected(self):
-        empty = (np.empty((0, 8)), np.empty(0, dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError, match="non-empty"):
-            train(SMALL_MLP, empty, empty, TrainConfig())
+            train(SMALL_MLP, np.empty((0, 8)), empty, empty, empty, TrainConfig())
 
     def test_batchnorm_model_survives_singleton_tail(self, rng):
         x, y = two_blob_data(rng, n=17)  # 17 % 8 == 1
         spec = ModelSpec(kind="mlp", hidden=(8,), dropout_p=0.0, use_batchnorm=True)
         cfg = TrainConfig(batch_size=8, epochs=2, seed=1)
-        ckpt, history = train(spec, (x, y), (x, y), cfg)
+        ckpt, history = fit_all(spec, x, y, cfg)
         assert len(history) == 2
 
 
@@ -134,21 +140,18 @@ class TestHistory:
     it trained on; at patience 2 the MLP and the static encoder stop early."""
 
     @pytest.mark.parametrize(
-        "spec, seq_length",
+        "spec",
         [
-            (ModelSpec(kind="mlp", hidden=(16, 8), dropout_p=0.2, use_batchnorm=True), None),
-            (ModelSpec(kind="lstm", rnn_units=6, seq_length=3), 3),
-            (ModelSpec(kind="birnn", rnn_units=8, seq_length=1), 1),
+            ModelSpec(kind="mlp", hidden=(16, 8), dropout_p=0.2, use_batchnorm=True),
+            ModelSpec(kind="lstm", rnn_units=6, seq_length=3),
+            ModelSpec(kind="birnn", rnn_units=8, seq_length=1),
         ],
         ids=["mlp", "lstm-seq3", "static-encoder"],
     )
     @pytest.mark.parametrize("patience", [0, 2])
-    def test_train_columns_summarise_the_batches(self, rng, monkeypatch, spec, seq_length,
-                                                 patience):
+    def test_train_columns_summarise_the_batches(self, rng, monkeypatch, spec, patience):
+        # the lstm trains on the windows of 3 rows that end at its targets
         x, y = two_blob_data(rng, n=50)
-        if seq_length is not None:
-            x = np.repeat(x[:, None, :], seq_length, axis=1) + rng.normal(
-                scale=0.5, size=(50, seq_length, 8))
         epochs = [[]]  # per epoch: (loss, rows, correct) of each batch
         penalties = []
         real_step, real_evaluate = Classifier.loss_and_grads, train_mod._evaluate
@@ -167,7 +170,7 @@ class TestHistory:
         monkeypatch.setattr(train_mod, "_evaluate", recording_evaluate)
         cfg = TrainConfig(learning_rate=3e-2, batch_size=8, epochs=12, seed=5,
                           early_stop_patience=patience)
-        ckpt, history = train(spec, (x[:35], y[:35]), (x[35:], y[35:]), cfg)
+        ckpt, history = train(spec, x, y, np.arange(35), np.arange(35, 50), cfg)
         assert len(history) == ckpt.meta["epochs_run"] == len(penalties)
         if patience and spec.kind != "lstm":
             assert len(history) < cfg.epochs
@@ -244,7 +247,7 @@ class TestStandardization:
 
     def test_checkpoint_standardization_round_trips(self, rng, tmp_path):
         x, y = two_blob_data(rng)
-        ckpt, _ = train(SMALL_MLP, (x, y), (x, y), TrainConfig(epochs=2, seed=3))
+        ckpt, _ = fit_all(SMALL_MLP, x, y, TrainConfig(epochs=2, seed=3))
         mean, std = fit_standardizer(x)
         assert np.array_equal(bits(ckpt.model.feature_mean), bits(mean))
         assert np.array_equal(bits(ckpt.model.feature_std), bits(std))
@@ -253,10 +256,21 @@ class TestStandardization:
         assert np.array_equal(bits(loaded.feature_mean), bits(mean))
         assert np.array_equal(bits(loaded.feature_std), bits(std))
 
+    def test_sequence_model_fits_on_its_training_sequences(self, rng):
+        # the samples as the stacked sequences held them, so a row inside
+        # three training windows counts three times
+        x, y = two_blob_data(rng)
+        spec = ModelSpec(kind="lstm", rnn_units=4, seq_length=3)
+        targets = np.arange(2, 40)
+        ckpt, _ = train(spec, x, y, targets, np.arange(40, 60), TrainConfig(epochs=1, seed=3))
+        mean, std = fit_standardizer(np.stack([x[t - 2 : t + 1] for t in targets]))
+        assert np.array_equal(bits(ckpt.model.feature_mean), bits(mean))
+        assert np.array_equal(bits(ckpt.model.feature_std), bits(std))
+
     def test_no_standardize_leaves_the_model_without_vectors(self, rng, tmp_path):
         x, y = two_blob_data(rng)
         cfg = TrainConfig(epochs=2, seed=3, standardize_features=False)
-        ckpt, _ = train(SMALL_MLP, (x, y), (x, y), cfg)
+        ckpt, _ = fit_all(SMALL_MLP, x, y, cfg)
         assert ckpt.model.feature_mean is None and ckpt.model.feature_std is None
         ckpt_mod.save(ckpt, tmp_path / "ckpt.json")
         assert json.loads((tmp_path / "ckpt.json").read_text())["standardization"] is None
@@ -320,7 +334,7 @@ class TestPredictAndCheckpoint:
     def trained(self, rng):
         x, y = two_blob_data(rng)
         spec = ModelSpec(kind="mlp", hidden=(12, 6), dropout_p=0.2, use_batchnorm=True)
-        ckpt, _ = train(spec, (x, y), (x, y), TrainConfig(epochs=3, seed=7))
+        ckpt, _ = fit_all(spec, x, y, TrainConfig(epochs=3, seed=7))
         return ckpt, x
 
     def test_probabilities_sum_to_one(self, trained):
@@ -371,7 +385,7 @@ class TestPredictAndCheckpoint:
         # differ in their last float32 bits: ``checkpoint.predict`` documents
         # up to 5e-7 on the seed-7 corpus's models. Allow 8 float32 ulps of 1.
         x, y = two_blob_data(rng)
-        ckpt, _ = train(spec, (x, y), (x, y), TrainConfig(epochs=3, seed=7))
+        ckpt, _ = fit_all(spec, x, y, TrainConfig(epochs=3, seed=7))
         batch_probs, _ = predict(ckpt, x[:10])
         row_probs = np.vstack([predict(ckpt, x[i : i + 1])[0] for i in range(10)])
         assert np.abs(batch_probs - row_probs).max() <= 8 * np.finfo(np.float32).eps
@@ -380,6 +394,24 @@ class TestPredictAndCheckpoint:
         ckpt, _ = trained
         with pytest.raises(ValueError, match="input_dim"):
             predict(ckpt, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize(
+        "spec, shape, expected",
+        [
+            (SMALL_MLP, (3, 7), r"mlp expects input of shape \(batch, input_dim=8\), got \(3, 7\)"),
+            (ModelSpec(rnn_units=4), (3, 1, 7),
+             r"birnn expects input of shape \(batch, input_dim=8\), got \(3, 7\)"),
+            (ModelSpec(kind="lstm", rnn_units=4, seq_length=3), (3, 3, 7),
+             r"lstm expects input of shape \(batch, seq_length=3, input_dim=8\), "
+             r"got \(3, 3, 7\)"),
+        ],
+        ids=["mlp", "static-encoder", "lstm-seq3"],
+    )
+    def test_seven_wide_input_names_the_expected_shape(self, rng, spec, shape, expected):
+        x, y = two_blob_data(rng)
+        ckpt, _ = fit_all(spec, x, y, TrainConfig(epochs=1, seed=2))
+        with pytest.raises(ValueError, match=expected):
+            predict(ckpt, np.zeros(shape))
 
     def test_loaded_checkpoint_builds_its_classifier_once(self, trained, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
@@ -417,6 +449,7 @@ class TestPredictAndCheckpoint:
             (lambda doc: doc["label_order"].reverse(), "label_order"),
             (lambda doc: doc["spec"].update(hidden=[12, 7]), r"shape \(12, 6\) != expected \(12, 7\)"),
             (lambda doc: doc["spec"].update(hidden=[12, 0]), "hidden widths must be >= 1"),
+            (lambda doc: doc["spec"].update(seq_length=5), "mlp takes one row, not seq_length 5"),
             (lambda doc: doc["standardization"]["mean"].pop(), "standardization"),
             (lambda doc: doc["params"]["head.w"]["data"].__setitem__(0, float("nan")),
              "head.w has non-finite values"),
@@ -436,8 +469,8 @@ class TestPredictAndCheckpoint:
              r"standardization std must be > 0"),
         ],
         ids=["invalid-json", "missing-key", "old-schema", "schema-2", "schema-3", "label-order",
-             "spec-mismatch", "zero-width-spec", "short-standardization", "nan-param",
-             "float32-overflow-param", "inf-bn-mean", "nan-bn-var",
+             "spec-mismatch", "zero-width-spec", "mlp-over-sequences", "short-standardization",
+             "nan-param", "float32-overflow-param", "inf-bn-mean", "nan-bn-var",
              "negative-bn-var", "inf-standardization-mean", "nan-standardization-std",
              "zero-standardization-std"],
     )
