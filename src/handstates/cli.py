@@ -6,11 +6,11 @@ hyperparameter search), ``xval`` (stratified k-fold) and ``ladder`` (the
 eight-model comparison). Every subcommand is reproducible from its inputs,
 flags and seed.
 
-``main`` owns every run: it creates ``--out``, runs the subcommand, which
-returns the files it wrote, hashes the input files the subcommand names
-(``--features``, ``--checkpoint``) and writes one atomic
-``run_manifest.json``. ``extract`` hashes its ``--manifest-dir`` corpus
-itself, as it reads it.
+``main`` owns every run: it pins BLAS to one thread, creates ``--out``,
+runs the subcommand, which returns the files it wrote, hashes the input
+files the subcommand names (``--features``, ``--checkpoint``) and writes
+one atomic ``run_manifest.json``. ``extract`` hashes its
+``--manifest-dir`` corpus itself, as it reads it.
 
 ``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
 ``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -76,6 +77,13 @@ RUN_MANIFEST = "run_manifest.json"
 SEED = 7  # the --seed default, and eval's split seed for a checkpoint that records none
 TEST_FRACTION = 0.2  # the --test-fraction default, and eval's likewise
 FOLDS = 5  # xval's default --k and the ladder's k-fold rows
+# (library, set-threads, get-threads) entry points of the BLAS NumPy links: its
+# 2.x wheels, its 1.x wheels, and builds against a system OpenBLAS
+BLAS_THREADS = (
+    ("scipy-openblas64", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas64_", "openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas", "openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +244,34 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def pin_blas_threads() -> dict:
+    """Set NumPy's BLAS to one thread; returns the run manifest's ``blas`` entry.
+
+    A matmul's bits depend on how BLAS splits it across threads, so every run
+    computes on one thread per process, which forked workers inherit. NumPy's
+    linear-algebra module is opened with ``RTLD_NOLOAD``, so no second BLAS is
+    loaded; without a known entry point, BLAS is left as it is."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError) as exc:
+        return {"pinned": False, "reason": f"cannot open NumPy's BLAS: {exc}"}
+    for library, set_name, get_name in BLAS_THREADS:
+        if hasattr(lib, set_name):
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return {"pinned": True, "library": library, "threads": get_threads()}
+    return {"pinned": False, "reason": "NumPy's BLAS has no known set-threads entry point"}
+
+
 def write_run_manifest(
     out_dir: Path,
     args: argparse.Namespace,
     inputs: dict[str, str],
     outputs: list[Path],
     started: float,
+    blas: dict,
 ) -> None:
     snapshot = {
         k: (list(v) if isinstance(v, tuple) else v)
@@ -249,6 +279,7 @@ def write_run_manifest(
         if k != "func"
     }
     doc = {
+        "blas": blas,
         "command": args.command,
         "config": snapshot,
         "inputs": inputs,
@@ -754,7 +785,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: create ``--out``, run it, write its run manifest.
+    """Run one subcommand: pin BLAS to one thread, create ``--out``, run the
+    subcommand, write its run manifest.
 
     A ladder with failed rows still gets its summary and manifest, then
     exits 1 after naming the failures.
@@ -762,6 +794,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(build_parser(), argv)
+        blas = pin_blas_threads()
         started = time.time()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -770,7 +803,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("features", "checkpoint"):
             if path := getattr(args, name, None):
                 inputs[path] = "sha256:" + sha256_file(path)
-        write_run_manifest(out, args, inputs, outputs, started)
+        write_run_manifest(out, args, inputs, outputs, started, blas)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,4 +18,5 @@ Nothing is re-exported; import each name from the module that defines it:
 No module here splits data or builds samples; ``handstates.features`` does
 both, and ``train``, ``random_search`` and ``kfold_validate`` take its feature
 table, row labels and target rows (the last row of each sample, see ``windows``).
+Folds and trials run on one forked worker per usable core (``search.pool_size``).
 """

@@ -13,8 +13,8 @@ the CLI writes them as ``trials.csv`` and ``xval.csv`` and sums up the folds,
 which it takes from ``features.stratified_folds``.
 
 Folds and trials are seeded one by one (``cfg.seed + fold``, ``seed + 1000 *
-(trial + 1)``), so ``map_tasks`` may train them in parallel worker processes
-without changing a bit of any result.
+(trial + 1)``), so ``map_tasks`` may train them in forked worker processes,
+one per usable core, without changing a bit of any result.
 """
 
 from __future__ import annotations
@@ -53,17 +53,11 @@ class TrialResult:
 
 
 def pool_size(tasks: int) -> int:
-    """Worker processes for ``tasks`` independent tasks.
-
-    The cores this process may run on, divided by the BLAS threads each
-    worker starts (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; with
-    neither set BLAS starts one thread per core, which leaves one worker),
-    and no more than the tasks.
-    """
+    """Worker processes for ``tasks`` independent tasks: the cores this
+    process may run on, and no more than the tasks. The CLI runs BLAS on one
+    thread, which forked workers inherit, so each worker has a core."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    blas = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
-    return max(1, min(tasks, cores // blas))
+    return max(1, min(tasks, cores))
 
 
 def map_tasks(fn, tasks: list[tuple]) -> list:
@@ -77,8 +71,8 @@ def map_tasks(fn, tasks: list[tuple]) -> list:
     if workers == 1:
         return [fn(*args) for args in tasks]
     # Imported here, so a run that never forks does not pay for the import.
-    # Forked workers need no re-import. The executor forks them all before
-    # it starts its own thread, and OpenBLAS stops its threads across a fork.
+    # Forked workers need no re-import, and keep the parent's BLAS thread
+    # count. The executor forks them all before it starts its own thread.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

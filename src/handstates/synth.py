@@ -191,18 +191,14 @@ def _rect_mask(shape: tuple[int, int], rect: tuple[int, int, int, int]) -> np.nd
 
 
 def _boundary_band(mask: np.ndarray) -> np.ndarray:
-    """Pixels within one 4-neighbour step of the mask boundary (both sides)."""
-    grown = mask.copy()
-    shrunk = mask.copy()
-    for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
-        rolled = np.roll(mask, shift, axis=axis)
-        # np.roll wraps around; suppress the wrapped edge line.
-        if axis == 0:
-            rolled[0 if shift == 1 else -1, :] = False
-        else:
-            rolled[:, 0 if shift == 1 else -1] = False
-        grown |= rolled
-        shrunk &= rolled
+    """Pixels within one 4-neighbour step of the mask boundary (both sides);
+    off-canvas neighbours count as background."""
+    grown, shrunk = mask.copy(), mask.copy()
+    for to, src in ((np.s_[1:], np.s_[:-1]), (np.s_[:-1], np.s_[1:]),
+                    (np.s_[:, 1:], np.s_[:, :-1]), (np.s_[:, :-1], np.s_[:, 1:])):
+        grown[to] |= mask[src]
+        shrunk[to] &= mask[src]
+    shrunk[[0, -1]] = shrunk[:, [0, -1]] = False
     return grown & ~shrunk
 
 

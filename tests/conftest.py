@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import handstates.nn.train as train_mod
-from handstates.cli import main as cli_main
+from handstates.cli import main as cli_main, pin_blas_threads
 from handstates.nn.model import Classifier
+
+
+@pytest.fixture(autouse=True, scope="session")
+def one_blas_thread():
+    """Library calls run on one BLAS thread, as every CLI run does, also in
+    tests that run before the first ``cli.main`` call pins it."""
+    pin_blas_threads()
 
 
 @pytest.fixture

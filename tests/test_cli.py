@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -804,6 +805,57 @@ class TestWorkerPoolCli:
             assert run_cli(argv[0], "--features", small_features, "--out", out, *argv[1:]) == 0
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def numpy_blas():
+    """NumPy's loaded BLAS, opened as ``cli.pin_blas_threads`` opens it."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+
+
+class TestBlasThreads:
+    def test_cli_pins_blas_to_one_thread_and_records_it(self, tmp_path, small_features):
+        lib = numpy_blas()
+        library, set_threads, get_threads = next(
+            entry for entry in cli.BLAS_THREADS if hasattr(lib, entry[1]))
+        getattr(lib, set_threads)(2)
+        out = tmp_path / "t"
+        assert run_cli("train", "--features", small_features, "--out", out,
+                       "--epochs", 1) == 0
+        assert getattr(lib, get_threads)() == 1
+        blas = json.loads((out / "run_manifest.json").read_text())["blas"]
+        assert blas == {"pinned": True, "library": library, "threads": 1}
+
+    def test_unknown_blas_is_left_as_it_is_and_the_manifest_says_why(
+            self, tmp_path, small_features, monkeypatch):
+        monkeypatch.setattr(cli, "BLAS_THREADS", (("none", "no_such_set", "no_such_get"),))
+        out = tmp_path / "t"
+        assert run_cli("train", "--features", small_features, "--out", out,
+                       "--epochs", 1) == 0
+        assert (out / "checkpoint.json").is_file()
+        blas = json.loads((out / "run_manifest.json").read_text())["blas"]
+        assert blas == {"pinned": False,
+                        "reason": "NumPy's BLAS has no known set-threads entry point"}
+
+    def test_search_bits_do_not_depend_on_the_blas_environment(self, tmp_path,
+                                                               small_features):
+        # a wide trial's matmuls split across two BLAS threads give other bits
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        outs = []
+        for name, blas in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "handstates.cli", "search", "--features",
+                 str(small_features), "--out", str(out), "--budget", "1", "--epochs", "1"],
+                env={**base, **blas, "PYTHONPATH": path}, capture_output=True, check=True,
+            )
+            outs.append(out)
+        for name in ("trials.csv", "checkpoint.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestLadderCli:

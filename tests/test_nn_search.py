@@ -143,19 +143,25 @@ def two_workers(monkeypatch):
 
 
 class TestPoolSize:
+    # BLAS runs one thread per process (the CLI pins it), so the pool is the
+    # usable cores over that one thread, capped by the tasks, whatever BLAS
+    # variables the environment sets
     @pytest.mark.parametrize(
         "cores, env, tasks, expected",
         [
             (2, {"OPENBLAS_NUM_THREADS": "1"}, 5, 2),
             (2, {"OMP_NUM_THREADS": "1"}, 5, 2),
-            (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 1),
-            (2, {}, 5, 1),  # unset: BLAS takes every core
-            (8, {"OPENBLAS_NUM_THREADS": "2"}, 5, 4),
+            (2, {"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+            (2, {}, 5, 2),
+            (8, {"OPENBLAS_NUM_THREADS": "2"}, 5, 5),
             (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
             (1, {"OPENBLAS_NUM_THREADS": "1"}, 5, 1),
-            (2, {"OPENBLAS_NUM_THREADS": "0"}, 5, 1),
-            (2, {"OPENBLAS_NUM_THREADS": "many"}, 5, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "0"}, 5, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "many"}, 5, 2),
             (2, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
+            (8, {}, 8, 8),
+            (8, {}, 20, 8),
+            (1, {}, 0, 1),
         ],
     )
     def test_cores_over_blas_threads_capped_by_tasks(self, monkeypatch, cores, env, tasks,

@@ -124,6 +124,34 @@ def test_noise_flips_stay_on_mask_boundaries():
     assert changed_any
 
 
+def rolled_boundary_band(mask):
+    """The band as first written: four ``np.roll`` shifts, each with its
+    wrapped edge line cleared."""
+    grown = mask.copy()
+    shrunk = mask.copy()
+    for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+        rolled = np.roll(mask, shift, axis=axis)
+        if axis == 0:
+            rolled[0 if shift == 1 else -1, :] = False
+        else:
+            rolled[:, 0 if shift == 1 else -1] = False
+        grown |= rolled
+        shrunk &= rolled
+    return grown & ~shrunk
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (5, 9), (24, 17)])
+def test_boundary_band_matches_rolled_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+    masks += [rng.random(shape) < p for p in (0.1, 0.5, 0.9) for _ in range(4)]
+    edge = np.zeros(shape, dtype=bool)
+    edge[: max(1, shape[0] // 2), : max(1, shape[1] // 3)] = True  # touches two edges
+    masks += [edge, ~edge]
+    for mask in masks:
+        assert np.array_equal(synth._boundary_band(mask), rolled_boundary_band(mask))
+
+
 def test_corpus_first_episode_matches_derived_config():
     cfg = ScenarioConfig()
     first = next(iter(generate_corpus(cfg, 1, seed=21)))
