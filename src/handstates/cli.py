@@ -6,11 +6,18 @@ hyperparameter search), ``xval`` (stratified k-fold) and ``ladder`` (the
 eight-model comparison). Every subcommand is reproducible from its inputs,
 flags and seed.
 
-``main`` owns every run: it pins BLAS to one thread, creates ``--out``,
-runs the subcommand, which returns the files it wrote, hashes the input
-files the subcommand names (``--features``, ``--checkpoint``) and writes
-one atomic ``run_manifest.json``. ``extract`` hashes its
-``--manifest-dir`` corpus itself, as it reads it.
+``main`` owns every run: it freezes the import-time heap, parses the
+subcommand's flags, pins BLAS to one thread, creates ``--out``, runs the
+subcommand, which returns the files it wrote, hashes the input files the
+subcommand names (``--features``, ``--checkpoint``) and writes one atomic
+``run_manifest.json``. ``extract`` hashes its ``--manifest-dir`` corpus
+itself, as it reads it.
+
+A process pays for what it imports and builds before its own work, so the
+parser gets the flags of the named subcommand only, ``synth`` is imported
+by the ``synth`` subcommand only and ``manifest`` (with ``pgm``) by the two
+that write or read a corpus. Each is called through its module, so that a
+function wrapped on the module is the one called.
 
 ``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
 ``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
@@ -39,6 +46,7 @@ import collections
 import csv
 import ctypes
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -50,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, manifest, metrics, synth
+from . import __version__, metrics
 from .features import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -181,6 +189,8 @@ def read_corpus(root, digest) -> Iterator[Episode]:
     read from keep the digests their reader took, so only the files no
     episode names are read here. Digests are taken in one episode at a time.
     """
+    from . import manifest
+
     root = Path(root)
     manifests = manifest.find_manifests(root)
     for path in manifests:
@@ -193,6 +203,8 @@ def read_corpus(root, digest) -> Iterator[Episode]:
 
 
 def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
+    from . import manifest
+
     # An episode directory is the corpus root ("") or one of its
     # directories. Each episode is read once the walk reaches its directory,
     # so episodes come in manifest order and the walk finds the digests of
@@ -387,6 +399,8 @@ def _evaluate(ckpt, ds, rows, out: Path) -> tuple[tuple[float, float, float], li
 
 
 def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
+    from . import manifest, synth
+
     phases = dataclasses.fields(synth.PhaseDurations)
     durations = synth.PhaseDurations(**{phase.name: getattr(args, phase.name) for phase in phases})
     cfg = synth.ScenarioConfig(
@@ -677,7 +691,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--val-fraction", type=_fraction, default=0.15)
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
     cfg = TrainConfig()
     parser.add_argument("--lr", type=_positive_float, default=cfg.learning_rate)
     parser.add_argument("--batch-size", type=_positive_int, default=cfg.batch_size)
@@ -687,17 +701,10 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     _add_fit_flags(parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="handstates",
-        description="Hand-object interaction state pipeline and model ladder",
-    )
-    parser.add_argument("--version", action="version", version=f"handstates {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    from . import synth
 
     scenario = synth.ScenarioConfig()
-    p = sub.add_parser("synth", help="generate a scripted synthetic corpus")
-    _add_common(p)
     p.add_argument("--episodes", type=_positive_int, default=20)
     p.add_argument("--canvas", type=_canvas, default=scenario.canvas)
     p.add_argument("--object-rect", type=_rect, default=scenario.object_rect,
@@ -710,11 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
     for phase in dataclasses.fields(synth.PhaseDurations):
         p.add_argument(f"--{phase.name}", type=_non_negative_int, default=phase.default,
                        help=f"{phase.name} phase frames")
-    p.set_defaults(func=cmd_synth)
 
+
+def _add_extract_flags(p: argparse.ArgumentParser) -> None:
     pipeline = PipelineConfig()
-    p = sub.add_parser("extract", help="extract feature vectors from manifests")
-    _add_common(p)
     p.add_argument("--manifest-dir", required=True)
     p.add_argument("--tau-sharp", type=_non_negative_float, default=pipeline.sharpness_threshold)
     p.add_argument("--tau-diff", type=_non_negative_float, default=pipeline.diff_threshold)
@@ -722,39 +728,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keyframes of context; the speed trend needs at least 3")
     p.add_argument("--stride", type=_positive_int, default=pipeline.stride)
     p.add_argument("--epsilon", type=_positive_float, default=pipeline.contact_epsilon)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train one model and report on the test split")
-    _add_common(p)
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
+    _add_train_config_flags(p)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out split")
-    _add_common(p)
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test-fraction", type=_fraction, default=None)
-    p.set_defaults(func=cmd_eval, seed=None)
+    p.set_defaults(seed=None)
 
-    p = sub.add_parser("search", help="random hyperparameter search (static encoder)")
-    _add_common(p)
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=8)
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("xval", help="stratified k-fold validation of one model")
-    _add_common(p)
+
+def _add_xval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=_fold_count, default=FOLDS)
     _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_xval)
+    _add_train_config_flags(p)
 
-    p = sub.add_parser("ladder", help="run the eight-model comparison ladder")
-    _add_common(p)
+
+def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=6,
                    help="search budget for the final (searched) model")
@@ -762,19 +764,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the ladder at this many seeds from --seed on, "
                         "each into seed_S/, and write ladder_seeds.csv")
     _add_fit_flags(p)
-    p.set_defaults(func=cmd_ladder)
 
+
+COMMANDS = {
+    # name: (help, flags beyond the common ones, run)
+    "synth": ("generate a scripted synthetic corpus", _add_synth_flags, cmd_synth),
+    "extract": ("extract feature vectors from manifests", _add_extract_flags, cmd_extract),
+    "train": ("train one model and report on the test split", _add_train_flags, cmd_train),
+    "eval": ("evaluate a checkpoint on the held-out split", _add_eval_flags, cmd_eval),
+    "search": ("random hyperparameter search (static encoder)", _add_search_flags, cmd_search),
+    "xval": ("stratified k-fold validation of one model", _add_xval_flags, cmd_xval),
+    "ladder": ("run the eight-model comparison ladder", _add_ladder_flags, cmd_ladder),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered, but only
+    ``command``'s flags are added when it names one; otherwise, as for
+    ``--help``, every subcommand's are."""
+    parser = argparse.ArgumentParser(
+        prog="handstates",
+        description="Hand-object interaction state pipeline and model ladder",
+    )
+    parser.add_argument("--version", action="version", version=f"handstates {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (help_text, add_flags, run) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in COMMANDS or command == name:
+            _add_common(p)  # first, so that a subcommand's own defaults win
+            add_flags(p)
+            p.set_defaults(func=run)
     return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the ``--config`` flags inserted right after the
-    subcommand, so that explicit flags, parsed after them, win."""
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of its subcommand, the first token
+    that is not an option, and with the ``--config`` flags inserted right
+    after the subcommand, so that explicit flags, parsed after them, win."""
     bootstrap = argparse.ArgumentParser(add_help=False)
     bootstrap.add_argument("--config")
     path = bootstrap.parse_known_args(argv)[0].config
     config = config_flags(path) if path else {}
     at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
+    parser = build_parser(argv[at - 1] if at else None)
     args, extras = parser.parse_known_args(argv[:at] + list(config) + argv[at:])
     unknown = [config[arg] for arg in extras if arg in config]
     if unknown:
@@ -785,15 +817,22 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: pin BLAS to one thread, create ``--out``, run the
-    subcommand, write its run manifest.
+    """Run one subcommand: freeze the heap, pin BLAS to one thread, create
+    ``--out``, run the subcommand, write its run manifest.
 
     A ladder with failed rows still gets its summary and manifest, then
     exits 1 after naming the failures.
     """
+    # The import-time objects live as long as the process: frozen, no
+    # collection traverses them again, neither later ones nor the one at
+    # exit, and forked fold workers inherit them frozen. Once per process,
+    # so that a caller that runs many commands does not pin the garbage
+    # pending at each call.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(build_parser(), argv)
+        args = _parse_args(argv)
         blas = pin_blas_threads()
         started = time.time()
         out = Path(args.out)

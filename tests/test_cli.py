@@ -621,15 +621,88 @@ def test_config_field_refuses_nan(config, field):
         config(**{field: float("nan")})
 
 
-def test_cli_import_loads_only_the_nn_modules_it_uses():
+FRESH_INTERPRETER_RUN = """
+import contextlib, gc, io, json, sys
+import handstates.cli as cli
+corpus, features, out, report = sys.argv[1:]
+seen = {"import": list(sys.modules)}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["train", "--features", features, "--out", out + "/t", "--epochs", "1"]) == 0
+    seen["train"], seen["frozen"] = list(sys.modules), gc.get_freeze_count()
+    keep = [[] for _ in range(1000)]  # a second freeze would take these in
+    assert cli.main(["extract", "--manifest-dir", corpus, "--out", out + "/x"]) == 0
+    seen["extract"], seen["frozen_again"] = list(sys.modules), gc.get_freeze_count()
+with open(report, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_cli_import_loads_only_the_nn_modules_it_uses(tmp_path, small_corpus, small_features):
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, handstates.cli; print(*sys.modules)"],
+    report = tmp_path / "seen.json"
+    subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER_RUN, str(small_corpus), str(small_features),
+         str(tmp_path), str(report)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert "handstates.nn.train" in loaded
-    assert "handstates.nn.gradcheck" not in loaded
+    )
+    seen = json.loads(report.read_text())
+    assert "handstates.nn.train" in seen["import"]
+    assert "handstates.nn.gradcheck" not in seen["import"]
+    # the corpus modules load only for the subcommands that read or write a corpus
+    for name in ("synth", "manifest", "pgm"):
+        assert f"handstates.{name}" not in seen["import"]
+        assert f"handstates.{name}" not in seen["train"]
+    assert "handstates.manifest" in seen["extract"]
+    assert "handstates.synth" not in seen["extract"]
+    # the import-time heap is frozen by the first main call only
+    assert seen["frozen"] > 0
+    assert 0 < seen["frozen_again"] <= seen["frozen"]
+
+
+PARSER_PARITY = {
+    # subcommand: (its required flags, a config file setting two flags)
+    "synth": ((), "episodes=3\nmask_noise=0.1\n"),
+    "extract": (("--manifest-dir", "corpus"), "window=4\nstride=2\n"),
+    "train": (("--features", "f.csv"), "epochs=3\nno_standardize\n"),
+    "eval": (("--features", "f.csv", "--checkpoint", "c.json"), "test_fraction=0.3\nseed=4\n"),
+    "search": (("--features", "f.csv"), "budget=2\npatience=0\n"),
+    "xval": (("--features", "f.csv"), "k=3\narch=mlp\n"),
+    "ladder": (("--features", "f.csv"), "seeds=2\nval_fraction=0.25\n"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", PARSER_PARITY)
+    def test_one_command_parser_parses_as_the_full_parser(self, tmp_path, monkeypatch,
+                                                          command):
+        flags, config = PARSER_PARITY[command]
+        (tmp_path / "run.cfg").write_text(config)
+        minimal = [command, "--out", str(tmp_path / "o"), *flags]
+        argvs = (minimal, minimal + ["--config", str(tmp_path / "run.cfg")])
+        one = [cli._parse_args(argv) for argv in argvs]
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command: build_parser())
+        assert [cli._parse_args(argv) for argv in argvs] == one
+        assert one[0].func is cli.COMMANDS[command][2]
+        changed = {k for k, v in vars(one[1]).items() if vars(one[0])[k] != v}
+        assert changed == {"config", *(line.partition("=")[0] for line in config.split())}
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in PARSER_PARITY:
+            assert f"    {command} " in out
+
+    def test_unknown_subcommand_exits_2_before_out_exists(self, tmp_path):
+        # a bad flag value under the one-command parser: each
+        # test_rejected_flag_is_usage_error
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bogus", "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
 
 def history_csv_as_first_written(history):
