@@ -6,18 +6,24 @@ hyperparameter search), ``xval`` (stratified k-fold) and ``ladder`` (the
 eight-model comparison). Every subcommand is reproducible from its inputs,
 flags and seed.
 
-``main`` owns every run: it freezes the import-time heap, parses the
-subcommand's flags, pins BLAS to one thread, creates ``--out``, runs the
+``main`` owns every run: it parses the subcommand's flags, freezes the
+import-time heap, pins BLAS to one thread, creates ``--out``, runs the
 subcommand, which returns the files it wrote, hashes the input files the
 subcommand names (``--features``, ``--checkpoint``) and writes one atomic
 ``run_manifest.json``. ``extract`` hashes its ``--manifest-dir`` corpus
 itself, as it reads it.
 
 A process pays for what it imports and builds before its own work, so the
-parser gets the flags of the named subcommand only, ``synth`` is imported
-by the ``synth`` subcommand only and ``manifest`` (with ``pgm``) by the two
-that write or read a corpus. Each is called through its module, so that a
-function wrapped on the module is the one called.
+parser gets the flags of the named subcommand only, and each module is
+imported by the subcommands that run it: ``synth`` by ``synth``,
+``manifest`` (with ``pgm``) by the two that write or read a corpus, and
+``handstates.nn`` and ``metrics`` by the five model commands, whose flags
+take their defaults from ``nn``'s dataclasses. Each is called through its
+module, so that a function wrapped on the module is the one called. The
+model commands call three ``nn`` functions through names of this module
+instead, ``train``, ``kfold_validate`` and ``random_search``, so that a
+caller can wrap them here, where the commands look them up, before any of
+``nn`` is loaded; each imports its ``nn`` function on first call.
 
 ``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
 ``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
@@ -55,10 +61,11 @@ import time
 from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, metrics
+from . import __version__
 from .features import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -76,10 +83,10 @@ from .features import (
     stratified_split_indices,
     windows,
 )
-from .nn import checkpoint as ckpt_mod
-from .nn.model import KINDS, ModelSpec
-from .nn.search import SearchSpace, kfold_validate, random_search
-from .nn.train import CLASS_WEIGHTINGS, TrainConfig, train
+
+if TYPE_CHECKING:
+    from .nn.model import ModelSpec
+    from .nn.train import TrainConfig
 
 RUN_MANIFEST = "run_manifest.json"
 SEED = 7  # the --seed default, and eval's split seed for a checkpoint that records none
@@ -320,6 +327,32 @@ def config_flags(path: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
+# the three nn functions the model commands call through this module (see
+# the module docstring)
+
+
+def train(*args, **kwargs):
+    """``nn.train.train``."""
+    from .nn.train import train
+
+    return train(*args, **kwargs)
+
+
+def kfold_validate(*args, **kwargs):
+    """``nn.search.kfold_validate``."""
+    from .nn.search import kfold_validate
+
+    return kfold_validate(*args, **kwargs)
+
+
+def random_search(*args, **kwargs):
+    """``nn.search.random_search``."""
+    from .nn.search import random_search
+
+    return random_search(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # shared dataset plumbing
 
 
@@ -351,6 +384,8 @@ def _split_for_training(ds: LabeledDataset, seq_length: int, args: argparse.Name
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
+    from .nn.model import ModelSpec
+
     batchnorm = {"auto": None, "on": True, "off": False}[args.batchnorm]
     return ModelSpec(
         kind=args.arch,
@@ -366,6 +401,8 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
 
 def _train_cfg(args: argparse.Namespace, **overrides) -> TrainConfig:
     """The fit flags as a TrainConfig."""
+    from .nn.train import TrainConfig
+
     return TrainConfig(epochs=args.epochs, early_stop_patience=args.patience, **overrides)
 
 
@@ -383,6 +420,9 @@ def _train_cfg_from_args(args: argparse.Namespace) -> TrainConfig:
 def _evaluate(ckpt, ds, rows, out: Path) -> tuple[tuple[float, float, float], list[Path]]:
     """Score a checkpoint on the samples of the target ``rows`` of ``ds``, write
     the report files; returns (accuracy, weighted F1, grabbing F1) and files."""
+    from . import metrics
+    from .nn import checkpoint as ckpt_mod
+
     _, preds = ckpt_mod.predict(ckpt, windows(ds.features, ckpt.spec.seq_length)[rows])
     cm = metrics.confusion_matrix(ds.labels[rows], preds, NUM_CLASSES)
     report = metrics.classification_report(cm)
@@ -453,6 +493,8 @@ def cmd_extract(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 def _fit(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
          out: Path):
     """Split, train, evaluate on the held-out test set, write artifacts."""
+    from .nn import checkpoint as ckpt_mod
+
     train_rows, val_rows, test_rows = _split_for_training(ds, spec.seq_length, args)
     ckpt, history = train(spec, ds.features, ds.labels, train_rows, val_rows, cfg)
     ckpt.meta["split"] = _split_meta(args)
@@ -476,6 +518,8 @@ def cmd_train(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
 
 def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
+    from .nn import checkpoint as ckpt_mod
+
     ckpt = ckpt_mod.load(args.checkpoint)
     ds = _load_features(args.features)
     targets, labels = sequence_dataset(ds, ckpt.spec.seq_length)
@@ -493,6 +537,9 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
             out: Path):
     """Random search around ``spec`` and ``cfg``; the winner is scored on the
     test split."""
+    from .nn import checkpoint as ckpt_mod
+    from .nn.search import SearchSpace
+
     train_rows, val_rows, test_rows = _split_for_training(ds, spec.seq_length, args)
     winner, trials = random_search(SearchSpace(), args.budget, ds.features, ds.labels,
                                    train_rows, val_rows, args.seed, spec, cfg)
@@ -514,12 +561,16 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
     return scores, [out / "trials.csv", out / "checkpoint.json"] + files
 
 
-STATIC_ENCODER = ModelSpec(kind="birnn", seq_length=1)
+def _static_encoder() -> ModelSpec:
+    """The paper's model: a bidirectional LSTM over one feature vector."""
+    from .nn.model import ModelSpec
+
+    return ModelSpec(kind="birnn", seq_length=1)
 
 
 def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ds = _load_features(args.features)
-    (accuracy, _, _), outputs = _search(args, STATIC_ENCODER, _train_cfg(args), ds, out)
+    (accuracy, _, _), outputs = _search(args, _static_encoder(), _train_cfg(args), ds, out)
     print(f"test accuracy {accuracy:.4f}")
     return outputs, []
 
@@ -548,20 +599,25 @@ def cmd_xval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     return outputs, []
 
 
-LADDER_PLAN = (
-    # (model number, description, spec, class weighting, step)
-    (1, "plain MLP", ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False),
-     "none", _fit),
-    (2, "regularized MLP", ModelSpec(kind="mlp"), "balanced", _fit),
-    (3, "regularized MLP, 5-fold", ModelSpec(kind="mlp"), "balanced",
-     partial(_xval, k=FOLDS)),
-    (4, "unidirectional LSTM", ModelSpec(kind="lstm", seq_length=10), "balanced", _fit),
-    (5, "bidirectional LSTM", ModelSpec(kind="birnn", seq_length=5), "balanced", _fit),
-    (6, "bidirectional LSTM, 5-fold", ModelSpec(kind="birnn", seq_length=5), "balanced",
-     partial(_xval, k=FOLDS)),
-    (7, "static-encoder bidirectional LSTM", STATIC_ENCODER, "balanced", _fit),
-    (8, "searched static-encoder (champion)", STATIC_ENCODER, "balanced", _search),
-)
+def _ladder_plan() -> tuple:
+    """The eight rows of the ladder, each (model number, description, spec,
+    class weighting, step)."""
+    from .nn.model import ModelSpec
+
+    static_encoder = _static_encoder()
+    return (
+        (1, "plain MLP", ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False),
+         "none", _fit),
+        (2, "regularized MLP", ModelSpec(kind="mlp"), "balanced", _fit),
+        (3, "regularized MLP, 5-fold", ModelSpec(kind="mlp"), "balanced",
+         partial(_xval, k=FOLDS)),
+        (4, "unidirectional LSTM", ModelSpec(kind="lstm", seq_length=10), "balanced", _fit),
+        (5, "bidirectional LSTM", ModelSpec(kind="birnn", seq_length=5), "balanced", _fit),
+        (6, "bidirectional LSTM, 5-fold", ModelSpec(kind="birnn", seq_length=5), "balanced",
+         partial(_xval, k=FOLDS)),
+        (7, "static-encoder bidirectional LSTM", static_encoder, "balanced", _fit),
+        (8, "searched static-encoder (champion)", static_encoder, "balanced", _search),
+    )
 
 
 LADDER_COLUMNS = ["model", "description", "architecture", "seq_len"]
@@ -577,14 +633,14 @@ def _ladder_row(number: int, description: str, spec: ModelSpec) -> dict:
 
 
 def _run_ladder(args: argparse.Namespace, ds: LabeledDataset, out: Path):
-    """Every ``LADDER_PLAN`` row at ``args.seed`` into ``out/model_N/``, then
+    """Every ``_ladder_plan`` row at ``args.seed`` into ``out/model_N/``, then
     ``out/ladder_summary.csv``; returns each row's scores (None where the row
     failed), the files written and the failures."""
     scores: list[tuple[float, float, float] | None] = []
     rows: list[dict] = []
     outputs: list[Path] = []
     failures: list[str] = []
-    for number, description, spec, class_weighting, step in LADDER_PLAN:
+    for number, description, spec, class_weighting, step in _ladder_plan():
         model_out = out / f"model_{number}"
         model_out.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
@@ -635,7 +691,7 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
     columns = [f"{key}_{stat}" for key in SCORES for stat in ("mean", "std")]
     rows = []
-    for k, (number, description, spec, _, _) in enumerate(LADDER_PLAN):
+    for k, (number, description, spec, _, _) in enumerate(_ladder_plan()):
         done = [run[k] for run in runs if run[k] is not None]
         row = _ladder_row(number, description, spec)
         row["seeds"] = len(done)
@@ -669,6 +725,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    from .nn.model import KINDS, ModelSpec
+
     spec = ModelSpec()
     parser.add_argument("--arch", choices=KINDS, default=spec.kind)
     parser.add_argument("--hidden", type=_widths, default=spec.hidden,
@@ -683,6 +741,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+    from .nn.train import TrainConfig
+
     cfg = TrainConfig()
     parser.add_argument("--epochs", type=_positive_int, default=cfg.epochs)
     parser.add_argument("--patience", type=_non_negative_int, default=cfg.early_stop_patience,
@@ -692,6 +752,8 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
+    from .nn.train import CLASS_WEIGHTINGS, TrainConfig
+
     cfg = TrainConfig()
     parser.add_argument("--lr", type=_positive_float, default=cfg.learning_rate)
     parser.add_argument("--batch-size", type=_positive_int, default=cfg.batch_size)
@@ -817,22 +879,23 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: freeze the heap, pin BLAS to one thread, create
-    ``--out``, run the subcommand, write its run manifest.
+    """Run one subcommand: parse its flags, freeze the heap, pin BLAS to one
+    thread, create ``--out``, run the subcommand, write its run manifest.
 
     A ladder with failed rows still gets its summary and manifest, then
     exits 1 after naming the failures.
     """
-    # The import-time objects live as long as the process: frozen, no
-    # collection traverses them again, neither later ones nor the one at
-    # exit, and forked fold workers inherit them frozen. Once per process,
-    # so that a caller that runs many commands does not pin the garbage
-    # pending at each call.
-    if gc.get_freeze_count() == 0:
-        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
+        # The import-time objects live as long as the process: frozen, no
+        # collection traverses them again, neither later ones nor the one at
+        # exit, and forked fold workers inherit them frozen. After parsing,
+        # since the flags of a model command import the nn modules it runs.
+        # Once per process, so that a caller that runs many commands does not
+        # pin the garbage pending at each call.
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
         blas = pin_blas_threads()
         started = time.time()
         out = Path(args.out)

@@ -23,7 +23,6 @@ seeded shuffle of each class.
 from __future__ import annotations
 
 import csv
-import logging
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -38,8 +37,6 @@ from .raster import (
     mask_centroid,
     mask_distance,
 )
-
-log = logging.getLogger(__name__)
 
 
 class ClassLabel(IntEnum):
@@ -275,7 +272,9 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
         del episode
         targets = slide_windows(len(series), cfg)
         if not targets:
-            log.warning(
+            import logging  # loaded only when an episode is skipped
+
+            logging.getLogger(__name__).warning(
                 "episode %s yields no windows (%d keyframes, window %d); skipped",
                 series.episode_id,
                 len(series),

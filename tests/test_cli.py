@@ -1,5 +1,6 @@
 """Subcommand behaviour: determinism, validation errors, config precedence."""
 
+import argparse
 import collections
 import csv
 import ctypes
@@ -22,8 +23,8 @@ from conftest import run_cli
 from handstates import cli, features, manifest, pgm, synth
 from handstates.features import ClassLabel, Episode, PipelineConfig, build_dataset
 from handstates.nn import search
-from handstates.nn.model import ModelSpec
-from handstates.nn.train import TrainConfig
+from handstates.nn.model import KINDS, ModelSpec
+from handstates.nn.train import CLASS_WEIGHTINGS, TrainConfig
 from handstates.synth import ScenarioConfig
 
 
@@ -624,40 +625,83 @@ def test_config_field_refuses_nan(config, field):
 FRESH_INTERPRETER_RUN = """
 import contextlib, gc, io, json, sys
 import handstates.cli as cli
-corpus, features, out, report = sys.argv[1:]
-seen = {"import": list(sys.modules)}
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["train", "--features", features, "--out", out + "/t", "--epochs", "1"]) == 0
-    seen["train"], seen["frozen"] = list(sys.modules), gc.get_freeze_count()
+report, runs = sys.argv[1], json.loads(sys.argv[2])
+seen = {"import": list(sys.modules),
+        "hooks": [name for name in ("train", "kfold_validate", "random_search")
+                  if callable(getattr(cli, name, None))],
+        "runs": []}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen["runs"].append({"modules": list(sys.modules), "frozen": gc.get_freeze_count()})
     keep = [[] for _ in range(1000)]  # a second freeze would take these in
-    assert cli.main(["extract", "--manifest-dir", corpus, "--out", out + "/x"]) == 0
-    seen["extract"], seen["frozen_again"] = list(sys.modules), gc.get_freeze_count()
 with open(report, "w") as fh:
     json.dump(seen, fh)
 """
 
 
-def test_cli_import_loads_only_the_nn_modules_it_uses(tmp_path, small_corpus, small_features):
+def run_in_fresh_interpreter(report, *runs):
+    """What a new interpreter holds after ``import handstates.cli`` and after
+    each ``cli.main(argv)`` of ``runs``, called in turn; ``report`` is the
+    file it writes that to."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    report = tmp_path / "seen.json"
+    argvs = [[str(arg) for arg in argv] for argv in runs]
     subprocess.run(
-        [sys.executable, "-c", FRESH_INTERPRETER_RUN, str(small_corpus), str(small_features),
-         str(tmp_path), str(report)],
+        [sys.executable, "-c", FRESH_INTERPRETER_RUN, str(report), json.dumps(argvs)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    seen = json.loads(report.read_text())
-    assert "handstates.nn.train" in seen["import"]
-    assert "handstates.nn.gradcheck" not in seen["import"]
-    # the corpus modules load only for the subcommands that read or write a corpus
-    for name in ("synth", "manifest", "pgm"):
-        assert f"handstates.{name}" not in seen["import"]
-        assert f"handstates.{name}" not in seen["train"]
-    assert "handstates.manifest" in seen["extract"]
-    assert "handstates.synth" not in seen["extract"]
-    # the import-time heap is frozen by the first main call only
-    assert seen["frozen"] > 0
-    assert 0 < seen["frozen_again"] <= seen["frozen"]
+    return json.loads(Path(report).read_text())
+
+
+def model_stack(modules):
+    return {m for m in modules if m.startswith(("handstates.nn", "handstates.metrics"))}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, small_corpus, small_features):
+    train_out = tmp_path / "train"
+    commands = {
+        # name: the argvs run in its interpreter, the command's first
+        "synth": [["synth", "--out", tmp_path / "synth", *SMALL_SYNTH]],
+        "extract": [["extract", "--manifest-dir", small_corpus, "--out", tmp_path / "x"]],
+        # a second main call, one that loads manifest and pgm, freezes nothing more
+        "train": [["train", "--features", small_features, "--out", train_out, "--epochs", 1],
+                  ["extract", "--manifest-dir", small_corpus, "--out", tmp_path / "x2"]],
+        "eval": [["eval", "--features", small_features, "--out", tmp_path / "eval",
+                  "--checkpoint", train_out / "checkpoint.json"]],
+        "xval": [["xval", "--features", small_features, "--out", tmp_path / "xval",
+                  "--arch", "mlp", "--k", 2, "--epochs", 1]],
+    }
+    seen = {name: run_in_fresh_interpreter(tmp_path / f"{name}.json", *argvs)
+            for name, argvs in commands.items()}
+    loaded = {name: {m for m in run["runs"][0]["modules"] if m.startswith("handstates.")}
+              for name, run in seen.items()}
+
+    # importing the CLI loads neither the model stack nor the corpus modules,
+    # yet the three nn entry points a tracer wraps are already there
+    corpus_modules = {"handstates.synth", "handstates.manifest", "handstates.pgm"}
+    for run in seen.values():
+        assert not model_stack(run["import"])
+        assert not corpus_modules & set(run["import"])
+        assert run["hooks"] == ["train", "kfold_validate", "random_search"]
+    assert not model_stack(loaded["synth"]) | model_stack(loaded["extract"])
+    assert "handstates.manifest" in loaded["extract"]
+    assert "handstates.synth" not in loaded["extract"]
+    for name in ("train", "eval", "xval"):
+        assert "handstates.metrics" in loaded[name]
+        assert not {"handstates.synth", "handstates.manifest"} & loaded[name]
+    # each model command loads the nn modules it runs, and none the gradient check
+    assert "handstates.nn.checkpoint" in loaded["eval"]
+    assert not {f"handstates.nn.{name}" for name in ("train", "optim", "search")} & loaded["eval"]
+    assert "handstates.nn.train" in loaded["train"]
+    assert "handstates.nn.search" not in loaded["train"]
+    assert "handstates.nn.search" in loaded["xval"]
+    assert not any("handstates.nn.gradcheck" in modules for modules in loaded.values())
+    # the heap is frozen after parsing, so a model command's freeze takes in
+    # the nn modules its flags loaded; and only the first main call freezes
+    first, again = seen["train"]["runs"]
+    assert first["frozen"] > seen["extract"]["runs"][0]["frozen"] > 0
+    assert 0 < again["frozen"] <= first["frozen"]
 
 
 PARSER_PARITY = {
@@ -687,6 +731,19 @@ class TestParser:
         assert one[0].func is cli.COMMANDS[command][2]
         changed = {k for k, v in vars(one[1]).items() if vars(one[0])[k] != v}
         assert changed == {"config", *(line.partition("=")[0] for line in config.split())}
+
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    def test_defaults_come_from_the_dataclasses(self, command):
+        args = cli._parse_args([command, "--features", "f.csv", "--out", "o"])
+        assert cli._spec_from_args(args) == ModelSpec()
+        assert cli._train_cfg_from_args(args) == TrainConfig(seed=cli.SEED)
+
+    def test_choices_come_from_the_library(self):
+        [subparsers] = (action for action in cli.build_parser("train")._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {action.dest: action for action in subparsers.choices["train"]._actions}
+        assert flags["arch"].choices == KINDS
+        assert flags["class_weight"].choices == CLASS_WEIGHTINGS
 
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
