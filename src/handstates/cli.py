@@ -20,10 +20,10 @@ imported by the subcommands that run it: ``synth`` by ``synth``,
 ``handstates.nn`` and ``metrics`` by the five model commands, whose flags
 take their defaults from ``nn``'s dataclasses. Each is called through its
 module, so that a function wrapped on the module is the one called. The
-model commands call three ``nn`` functions through names of this module
-instead, ``train``, ``kfold_validate`` and ``random_search``, so that a
-caller can wrap them here, where the commands look them up, before any of
-``nn`` is loaded; each imports its ``nn`` function on first call.
+model commands call two ``nn`` functions through names of this module
+instead, ``train`` and ``kfold_validate``, so that a caller can wrap them
+here, where the commands look them up, before any of ``nn`` is loaded; each
+imports its ``nn`` function on first call.
 
 ``train``, ``xval`` and ``search`` each run one protocol step, ``_fit``,
 ``_xval`` or ``_search``, with the signature ``step(args, spec, cfg, ds,
@@ -327,7 +327,7 @@ def config_flags(path: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# the three nn functions the model commands call through this module (see
+# the two nn functions the model commands call through this module (see
 # the module docstring)
 
 
@@ -343,13 +343,6 @@ def kfold_validate(*args, **kwargs):
     from .nn.search import kfold_validate
 
     return kfold_validate(*args, **kwargs)
-
-
-def random_search(*args, **kwargs):
-    """``nn.search.random_search``."""
-    from .nn.search import random_search
-
-    return random_search(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +531,7 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
     """Random search around ``spec`` and ``cfg``; the winner is scored on the
     test split."""
     from .nn import checkpoint as ckpt_mod
-    from .nn.search import SearchSpace
+    from .nn.search import SearchSpace, random_search
 
     train_rows, val_rows, test_rows = _split_for_training(ds, spec.seq_length, args)
     winner, trials = random_search(SearchSpace(), args.budget, ds.features, ds.labels,

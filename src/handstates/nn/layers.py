@@ -2,9 +2,13 @@
 
 Every layer keeps the ``Layer`` interface: ``forward(x, train, rng)`` caches
 what ``backward(dy)`` needs, and ``backward`` accumulates the layer's own
-parameter gradients, its L2 term included, and returns dL/dx. Parameters and
-gradients are exposed through ``params()`` / ``grads()`` dictionaries so the
-optimizer can address them by name. A layer computes in the dtype of its
+parameter gradients, its L2 term included, and returns dL/dx. A layer with
+parameters declares them once, in ``slots()``: one ``(name, parameter,
+gradient, penalised)`` entry each. ``Layer`` derives the rest from that
+list: the ``params()`` / ``grads()`` dictionaries by which the optimizer
+addresses them, ``zero_grads()``, and, from ``l2`` and the penalised
+entries, ``penalty()`` = l2 * sum ||p||^2 and ``add_l2_grads()``, which adds
+2 * l2 * p to each penalised gradient. A layer computes in the dtype of its
 parameters, which ``create`` takes (float64 unless given); a parameter-free
 layer computes in the dtype of its input. Every array a layer allocates, its
 caches, masks and running statistics included, has that dtype, so a
@@ -20,28 +24,46 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape,
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    dtype=np.float64) -> np.ndarray:
+    """A (fan_in, fan_out) matrix, uniform in +-sqrt(6 / (fan_in + fan_out))."""
     # drawn in float64 and then cast, so every dtype takes the same draws
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
 
 
 class Layer:
-    """The layer interface. These defaults are those of a layer without
-    parameters; layers that need no RNG ignore ``rng`` in ``forward``."""
+    """The layer interface. A layer without parameters keeps the default
+    ``slots()``, none; layers that need no RNG ignore ``rng`` in ``forward``."""
+
+    l2 = 0.0
+
+    def slots(self) -> list[tuple[str, np.ndarray, np.ndarray, bool]]:
+        """``(name, parameter, gradient, penalised)`` of each parameter."""
+        return []
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: param for name, param, _, _ in self.slots()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: grad for name, _, grad, _ in self.slots()}
 
     def zero_grads(self) -> None:
-        pass
+        for _, _, grad, _ in self.slots():
+            grad[:] = 0.0
 
     def penalty(self) -> float:
-        return 0.0
+        # float64 sums of squares, added in declaration order
+        if not self.l2 > 0.0:
+            return 0.0
+        return self.l2 * sum(float((p * p).sum(dtype=np.float64))
+                             for _, p, _, penalised in self.slots() if penalised)
+
+    def add_l2_grads(self) -> None:
+        if self.l2 > 0.0:
+            for _, param, grad, penalised in self.slots():
+                if penalised:
+                    grad += 2.0 * self.l2 * param
 
     def __getstate__(self):
         # The underscore attributes are what the last forward cached for
@@ -71,7 +93,7 @@ class Dense(Layer):
     @classmethod
     def create(cls, rng, n_in: int, n_out: int, l2: float = 0.0, name: str = "dense",
                dtype=np.float64):
-        w = glorot_uniform(rng, n_in, n_out, (n_in, n_out), dtype)
+        w = glorot_uniform(rng, n_in, n_out, dtype)
         return cls(w, np.zeros(n_out, dtype), l2=l2, name=name)
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
@@ -85,23 +107,12 @@ class Dense(Layer):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
         self.dw += x.T @ dy
-        if self.l2 > 0.0:
-            self.dw += 2.0 * self.l2 * self.w
+        self.add_l2_grads()
         self.db += dy.sum(axis=0)
         return dy @ self.w.T
 
-    def penalty(self) -> float:
-        return self.l2 * float((self.w * self.w).sum(dtype=np.float64)) if self.l2 > 0.0 else 0.0
-
-    def params(self):
-        return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
-
-    def grads(self):
-        return {f"{self.name}.w": self.dw, f"{self.name}.b": self.db}
-
-    def zero_grads(self):
-        self.dw[:] = 0.0
-        self.db[:] = 0.0
+    def slots(self):
+        return [(f"{self.name}.w", self.w, self.dw, True), (f"{self.name}.b", self.b, self.db, False)]
 
 
 class ReLU(Layer):
@@ -170,15 +181,9 @@ class BatchNorm(Layer):
             * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
         )
 
-    def params(self):
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
-
-    def grads(self):
-        return {f"{self.name}.gamma": self.dgamma, f"{self.name}.beta": self.dbeta}
-
-    def zero_grads(self):
-        self.dgamma[:] = 0.0
-        self.dbeta[:] = 0.0
+    def slots(self):
+        return [(f"{self.name}.gamma", self.gamma, self.dgamma, False),
+                (f"{self.name}.beta", self.beta, self.dbeta, False)]
 
 
 class Dropout(Layer):

@@ -86,13 +86,15 @@ class ModelSpec:
         return cls(**d)
 
 
-class Classifier:
+class Classifier(Layer):
     """One stack of layers for one ModelSpec, the softmax head last.
 
     Every layer maps ``forward(x, train, rng)`` and ``backward(dy)``, so the
     forward pass is one loop over the stack and the backward pass the same
-    loop reversed. ``feature_mean`` and ``feature_std``, float64 vectors of
-    ``input_dim`` values or both ``None``, standardize every input.
+    loop reversed. The classifier is itself a ``Layer`` whose ``slots()``
+    are those of its layers in stack order. ``feature_mean`` and
+    ``feature_std``, float64 vectors of ``input_dim`` values or both
+    ``None``, standardize every input.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
@@ -134,21 +136,8 @@ class Classifier:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            out.update(layer.grads())
-        return out
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
+    def slots(self):
+        return [slot for layer in self.layers for slot in layer.slots()]
 
     def batchnorm_layers(self) -> list[BatchNorm]:
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]

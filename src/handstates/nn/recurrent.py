@@ -157,8 +157,8 @@ class LSTMLayer(Layer):
     @classmethod
     def create(cls, rng, n_in: int, units: int, l2: float = 0.0, name: str = "lstm",
                top: bool = False, dtype=np.float64):
-        wx = glorot_uniform(rng, n_in, 4 * units, (n_in, 4 * units), dtype)
-        wh = glorot_uniform(rng, units, 4 * units, (units, 4 * units), dtype)
+        wx = glorot_uniform(rng, n_in, 4 * units, dtype)
+        wh = glorot_uniform(rng, units, 4 * units, dtype)
         b = np.zeros(4 * units, dtype)
         b[units : 2 * units] = 1.0  # forget-gate bias keeps early memory open
         return cls(wx, wh, b, l2=l2, name=name, top=top)
@@ -206,26 +206,13 @@ class LSTMLayer(Layer):
         dx[:, 0, :] = da @ self.wx.T
         self.dwx += x0.T @ da
         self.db += da.sum(axis=0)
-        if self.l2 > 0.0:
-            self.dwx += 2.0 * self.l2 * self.wx
-            self.dwh += 2.0 * self.l2 * self.wh
+        self.add_l2_grads()
         return dx
 
-    def penalty(self) -> float:
-        if self.l2 <= 0.0:
-            return 0.0
-        return self.l2 * float((self.wx * self.wx).sum(dtype=np.float64)
-                               + (self.wh * self.wh).sum(dtype=np.float64))
-
-    def params(self):
-        return {f"{self.name}.wx": self.wx, f"{self.name}.wh": self.wh, f"{self.name}.b": self.b}
-
-    def grads(self):
-        return {f"{self.name}.wx": self.dwx, f"{self.name}.wh": self.dwh, f"{self.name}.b": self.db}
-
-    def zero_grads(self):
-        for grad in (self.dwx, self.dwh, self.db):
-            grad[:] = 0.0
+    def slots(self):
+        return [(f"{self.name}.wx", self.wx, self.dwx, True),
+                (f"{self.name}.wh", self.wh, self.dwh, True),
+                (f"{self.name}.b", self.b, self.db, False)]
 
 
 class BidirectionalLSTM(Layer):
@@ -261,15 +248,8 @@ class BidirectionalLSTM(Layer):
         dx += self.bwd.backward(dy[..., u:] if self.top else dy[:, ::-1, u:])[:, ::-1, :]
         return dx
 
+    def slots(self):
+        return self.fwd.slots() + self.bwd.slots()
+
     def penalty(self) -> float:
         return self.fwd.penalty() + self.bwd.penalty()
-
-    def params(self):
-        return {**self.fwd.params(), **self.bwd.params()}
-
-    def grads(self):
-        return {**self.fwd.grads(), **self.bwd.grads()}
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()

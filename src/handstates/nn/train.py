@@ -84,7 +84,10 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
           val_idx: np.ndarray, cfg: TrainConfig) -> tuple[ckpt_mod.Checkpoint, list[dict]]:
     """Train a model on the samples of the target rows ``train_idx`` of the
     feature table ``x`` and its row labels ``y``, validating on those of
-    ``val_idx``; return (best-validation checkpoint, history).
+    ``val_idx``; return (best-validation checkpoint, history). The targets
+    come from ``features.sequence_dataset``, so each window lies in its
+    target's episode; a target before row ``seq_length - 1``, whose window
+    would reach into the zero padding before row 0, is a ValueError.
 
     Each epoch trains on one shuffle of the training samples, then runs one
     validation pass, which picks the best epoch and drives early stopping,
@@ -98,6 +101,12 @@ def train(spec: ModelSpec, x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
     """
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    for kind, idx in (("train", train_idx), ("validation", val_idx)):
+        early = idx[idx < spec.seq_length - 1]
+        if early.size:
+            raise ValueError(f"{kind} target row {early[0]} has {early[0]} rows before it, but "
+                             f"its window of seq_length {spec.seq_length} needs "
+                             f"{spec.seq_length - 1}")
     x = windows(np.asarray(x, dtype=np.float64), spec.seq_length)
     y = np.asarray(y, dtype=np.int64)
 

@@ -448,3 +448,18 @@ def test_criterion_8_round_trips(workdir):
         assert np.array_equal(before, after)
         assert np.array_equal(labels_before, labels_after)
         assert np.abs(before.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# golden outputs (not a criterion): the seed-7, 20-episode corpus and its
+# features come from integer and float64 work, the features written at 9
+# significant digits, so their bytes are pinned here. A change that moves
+# them on purpose says which digest moved and why.
+
+SYNTH_TREE_SHA256 = "c566ca522fe828a04948f8251a81455fdc98a39d08962463e3d8e29ca6303066"
+FEATURES_CSV_SHA256 = "a675fe7a1280ab7b40e7f000218dec1b32f976e551d5d278120bd6acfdd5e815"
+
+
+def test_golden_output_digests(corpus_dir, features_csv):
+    assert hashlib.sha256(features_csv.read_bytes()).hexdigest() == FEATURES_CSV_SHA256
+    assert tree_digest(corpus_dir) == SYNTH_TREE_SHA256

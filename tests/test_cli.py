@@ -678,12 +678,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, small_corpus, sma
               for name, run in seen.items()}
 
     # importing the CLI loads neither the model stack nor the corpus modules,
-    # yet the three nn entry points a tracer wraps are already there
+    # yet the two nn entry points a tracer wraps are already there, and no
+    # unwrapped third one (``_search`` imports ``random_search`` from nn)
     corpus_modules = {"handstates.synth", "handstates.manifest", "handstates.pgm"}
     for run in seen.values():
         assert not model_stack(run["import"])
         assert not corpus_modules & set(run["import"])
-        assert run["hooks"] == ["train", "kfold_validate", "random_search"]
+        assert run["hooks"] == ["train", "kfold_validate"]
     assert not model_stack(loaded["synth"]) | model_stack(loaded["extract"])
     assert "handstates.manifest" in loaded["extract"]
     assert "handstates.synth" not in loaded["extract"]
@@ -808,15 +809,15 @@ class TestTableBytes:
     replaced, computed here from the rows the writer was given."""
 
     @staticmethod
-    def capture(monkeypatch, name):
+    def capture(monkeypatch, name, module=cli):
         results = []
-        original = getattr(cli, name)
+        original = getattr(module, name)
 
         def recording(*args, **kwargs):
             results.append(original(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(module, name, recording)
         return results
 
     def test_history_csv(self, tmp_path, small_features, monkeypatch):
@@ -827,7 +828,7 @@ class TestTableBytes:
         assert (out / "history.csv").read_bytes() == history_csv_as_first_written(history)
 
     def test_trials_csv(self, tmp_path, small_features, monkeypatch):
-        searches = self.capture(monkeypatch, "random_search")
+        searches = self.capture(monkeypatch, "random_search", search)
         out = tmp_path / "search"
         assert run_cli("search", "--features", small_features, "--out", out,
                        "--budget", 2, "--epochs", 3, "--patience", 0) == 0

@@ -1,9 +1,12 @@
-"""Layer-level gradient and behaviour tests (dense, batch-norm, dropout)."""
+"""Layer-level gradient and behaviour tests (dense, batch-norm, dropout), and
+the parameter declaration every layer with parameters makes in ``slots()``."""
 
 import numpy as np
 import pytest
 
 from handstates.nn.layers import BatchNorm, Dense, Dropout, ReLU
+from handstates.nn.model import Classifier, ModelSpec
+from handstates.nn.recurrent import BidirectionalLSTM, LSTMLayer
 
 
 def finite_diff(loss_fn, param, h=1e-5):
@@ -45,17 +48,27 @@ class TestDense:
         numeric_dx = finite_diff(loss, x)
         assert np.abs(dx - numeric_dx).max() < 1e-6
 
-    def test_l2_adds_two_lambda_w_exactly(self, rng):
-        w = rng.normal(size=(6, 3))
-        x = rng.normal(size=(5, 6))
+    @pytest.mark.parametrize("kind", ["dense", "lstm"])
+    def test_l2_adds_two_lambda_w_exactly(self, rng, kind):
+        # the weight matrices are penalised, the bias is not
+        if kind == "dense":
+            cls, extra, weights = Dense, {}, {"w": rng.normal(size=(6, 3))}
+            x, bias = rng.normal(size=(5, 6)), rng.normal(size=3)
+        else:
+            cls, extra = LSTMLayer, {"top": True}
+            weights = {"wx": rng.normal(size=(6, 12)), "wh": rng.normal(size=(3, 12))}
+            x, bias = rng.normal(size=(5, 4, 6)), rng.normal(size=12)
+        plain, penalised = (cls(*(w.copy() for w in weights.values()), bias.copy(), l2=l2,
+                                name=kind, **extra) for l2 in (0.0, 0.1))
         dy = rng.normal(size=(5, 3))
-        plain = Dense(w.copy(), np.zeros(3), l2=0.0)
-        penalised = Dense(w.copy(), np.zeros(3), l2=0.1)
         for layer in (plain, penalised):
             layer.forward(x)
             layer.backward(dy)
-        assert np.allclose(penalised.dw - plain.dw, 2 * 0.1 * w, atol=0.0)
-        assert penalised.penalty() == pytest.approx(0.1 * (w**2).sum())
+        for name, grad in penalised.grads().items():
+            param = weights.get(name.split(".")[1], np.zeros_like(grad))
+            assert np.allclose(grad - plain.grads()[name], 2 * 0.1 * param, atol=0.0), name
+        assert penalised.penalty() == pytest.approx(0.1 * sum((w**2).sum() for w in weights.values()))
+        assert plain.penalty() == 0.0
 
     def test_shape_mismatch(self, rng):
         layer = Dense(rng.normal(size=(4, 2)), np.zeros(2))
@@ -135,3 +148,33 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+DECLARED = {
+    # name: (layer from an RNG, input rows or sequences)
+    "dense": (lambda rng: Dense.create(rng, 6, 4, l2=0.1), (5, 6)),
+    "batchnorm": (lambda rng: BatchNorm.create(6), (5, 6)),
+    "lstm": (lambda rng: LSTMLayer.create(rng, 6, 4, l2=0.1), (5, 3, 6)),
+    "bilstm": (lambda rng: BidirectionalLSTM.create(rng, 6, 4, l2=0.1, top=True), (5, 3, 6)),
+    "classifier-mlp": (lambda rng: Classifier(ModelSpec(kind="mlp", hidden=(8, 4)), rng), (5, 8)),
+    "classifier-birnn": (lambda rng: Classifier(ModelSpec(kind="birnn", rnn_units=4), rng),
+                         (5, 8)),
+    "classifier-lstm": (lambda rng: Classifier(ModelSpec(kind="lstm", rnn_units=4, seq_length=3),
+                                               rng), (5, 3, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(DECLARED))
+def test_each_parameter_has_one_gradient_that_zero_grads_clears(rng, name):
+    build, shape = DECLARED[name]
+    layer = build(rng)
+    params, grads = layer.params(), layer.grads()
+    assert params and list(params) == list(grads)
+    assert {k: p.shape for k, p in params.items()} == {k: g.shape for k, g in grads.items()}
+    # the dictionaries hold the layer's own arrays, which backward fills
+    out = layer.forward(rng.normal(size=shape), train=True, rng=rng)
+    layer.backward(rng.normal(size=out.shape))
+    assert all(np.any(g) for g in grads.values())
+    layer.zero_grads()
+    assert all(not np.any(g) for g in grads.values())
+    assert all(a is b for a, b in zip(params.values(), layer.params().values()))

@@ -37,9 +37,10 @@ def two_blob_data(rng, n=60):
 
 
 def fit_all(spec, x, y, cfg):
-    """Train on every row of ``x`` and validate on every row too."""
-    all_rows = np.arange(len(y))
-    return train(spec, x, y, all_rows, all_rows, cfg)
+    """Train on every target row of ``x`` whose window holds no padding, the
+    rows from ``seq_length - 1`` on, and validate on them too."""
+    targets = np.arange(spec.seq_length - 1, len(y))
+    return train(spec, x, y, targets, targets, cfg)
 
 
 def test_train_module_keeps_its_name():
@@ -127,6 +128,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="non-empty"):
             train(SMALL_MLP, np.empty((0, 8)), empty, empty, empty, TrainConfig())
 
+    @pytest.mark.parametrize("kind", ["train", "validation"])
+    def test_target_whose_window_reaches_the_padding_is_refused(self, rng, kind):
+        # at seq 3, target 1's window would start one zero row before row 0
+        x, y = two_blob_data(rng, n=20)
+        spec = ModelSpec(kind="lstm", rnn_units=4, seq_length=3)
+        early, full = np.array([5, 1, 0]), np.arange(2, 20)
+        sides = (early, full) if kind == "train" else (full, early)
+        with pytest.raises(ValueError, match=f"^{kind} target row 1 has 1 rows before it, "
+                                             "but its window of seq_length 3 needs 2$"):
+            train(spec, x, y, *sides, TrainConfig(epochs=1))
+
     def test_batchnorm_model_survives_singleton_tail(self, rng):
         x, y = two_blob_data(rng, n=17)  # 17 % 8 == 1
         spec = ModelSpec(kind="mlp", hidden=(8,), dropout_p=0.0, use_batchnorm=True)
@@ -150,7 +162,8 @@ class TestHistory:
     )
     @pytest.mark.parametrize("patience", [0, 2])
     def test_train_columns_summarise_the_batches(self, rng, monkeypatch, spec, patience):
-        # the lstm trains on the windows of 3 rows that end at its targets
+        # the lstm trains on the windows of 3 rows that end at its targets,
+        # every model on 35 targets, the first with a full window at seq 3
         x, y = two_blob_data(rng, n=50)
         epochs = [[]]  # per epoch: (loss, rows, correct) of each batch
         penalties = []
@@ -170,7 +183,7 @@ class TestHistory:
         monkeypatch.setattr(train_mod, "_evaluate", recording_evaluate)
         cfg = TrainConfig(learning_rate=3e-2, batch_size=8, epochs=12, seed=5,
                           early_stop_patience=patience)
-        ckpt, history = train(spec, x, y, np.arange(35), np.arange(35, 50), cfg)
+        ckpt, history = train(spec, x, y, np.arange(2, 37), np.arange(37, 50), cfg)
         assert len(history) == ckpt.meta["epochs_run"] == len(penalties)
         if patience and spec.kind != "lstm":
             assert len(history) < cfg.epochs
