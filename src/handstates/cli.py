@@ -193,8 +193,10 @@ def read_corpus(root, digest) -> Iterator[Episode]:
     corpus's input digest: for each file under ``root`` in ``_walk_files``
     order, bar run manifests (they hold a wall time and an output path), its
     relative path and the hex sha256 of its bytes. The files an episode was
-    read from keep the digests their reader took, so only the files no
-    episode names are read here. Digests are taken in one episode at a time.
+    read from, its manifest and its image files (three streams for a
+    ``synth`` corpus, one file per image for others), keep the digests their
+    reader took, so only the files no episode names are read here. Digests
+    are taken in one episode at a time.
     """
     from . import manifest
 
@@ -434,6 +436,10 @@ def _evaluate(ckpt, ds, rows, out: Path) -> tuple[tuple[float, float, float], li
 def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     from . import manifest, synth
 
+    # episodes already there would be read by extract as part of this corpus
+    if any(out.iterdir()):
+        raise ValueError(f"{out}: --out already holds files; synth writes into a new "
+                         "or empty directory")
     phases = dataclasses.fields(synth.PhaseDurations)
     durations = synth.PhaseDurations(**{phase.name: getattr(args, phase.name) for phase in phases})
     cfg = synth.ScenarioConfig(

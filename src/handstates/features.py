@@ -78,8 +78,10 @@ class Episode:
 
     Frames are 2-D intensity arrays, uint8 as read from PGM or rendered by
     ``synth``. An episode read from disk keeps the sha256 hex digest of each
-    file it was read from in ``file_digests``, keyed by the path its
-    manifest gives for it, relative to the manifest's directory.
+    file it was read from in ``file_digests``: its manifest, keyed by the
+    manifest's name, and each image file, one entry however many images the
+    file holds, keyed by the path its manifest gives for it, relative to
+    the manifest's directory.
     """
 
     episode_id: str

@@ -1,9 +1,15 @@
-"""Episode manifest format: one CSV per episode referencing PGM files.
+"""Episode manifest format: one CSV per episode naming the PGM files that
+hold its frames and masks.
 
-The manifest has header ``frame,hand_mask,object_mask,label`` with paths
-relative to the manifest file and labels as lowercase class names. A corpus
-directory holds one episode subdirectory per episode, each with its own
-``manifest.csv``; ``cli.read_corpus`` reads one.
+The manifest has header ``frame,hand_mask,object_mask,label`` and one row
+per frame, with paths relative to the manifest file and labels as lowercase
+class names. A file may hold a stream of images (see ``pgm``): the cells
+that name one file take its images in order, row by row and left to right
+within a row, and the file must hold exactly as many images as cells name
+it. ``write_episode`` writes each stream, frames and the two masks, as one
+file, ``STREAMS``; a corpus of one image per file, named by one cell each,
+reads the same way. A corpus directory holds one episode subdirectory per
+episode, each with its own ``manifest.csv``; ``cli.read_corpus`` reads one.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import io
 import os
 from pathlib import Path
 
-import numpy as np
-
 from . import pgm
 from .features import CLASS_NAMES, Episode, parse_label
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
+# the files write_episode writes, one per manifest column
+STREAMS = ("frames.pgm", "hand.pgm", "object.pgm")
 
 
 class ManifestError(ValueError):
@@ -28,31 +34,30 @@ class ManifestError(ValueError):
 
 
 def write_episode(episode: Episode, out_dir) -> Path:
-    """Write an episode's PGM files and manifest under ``out_dir``."""
+    """Write an episode under ``out_dir`` as its three ``STREAMS`` files and
+    its manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i in range(len(episode)):
-        names = (f"frame_{i:04d}.pgm", f"hand_{i:04d}.pgm", f"obj_{i:04d}.pgm")
-        pgm.write_pgm(out / names[0], episode.frames[i])
-        pgm.write_pgm(out / names[1], pgm.mask_to_gray(episode.hand_masks[i]))
-        pgm.write_pgm(out / names[2], pgm.mask_to_gray(episode.object_masks[i]))
-        rows.append(names + (CLASS_NAMES[episode.labels[i]],))
+    frames, hands, objects = STREAMS
+    pgm.write_pgms(out / frames, episode.frames)
+    pgm.write_pgms(out / hands, map(pgm.mask_to_gray, episode.hand_masks))
+    pgm.write_pgms(out / objects, map(pgm.mask_to_gray, episode.object_masks))
     manifest = out / MANIFEST_NAME
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
+        writer.writerows(STREAMS + (CLASS_NAMES[label],) for label in episode.labels)
     return manifest
 
 
 def read_episode(manifest_path) -> Episode:
     """Load an episode from its manifest; the directory name is its id.
 
-    Frames stay the uint8 arrays the PGM reader returns. Every file read is
-    hashed from the bytes already in memory, into ``Episode.file_digests``.
-    A frame or mask of another size than the first frame raises a
-    ManifestError naming both files.
+    Each file the manifest names is opened once, its bytes hashed into
+    ``Episode.file_digests`` and split into its images. Frames stay the
+    uint8 arrays the split returns. A file that holds another number of
+    images than cells name it, or a frame or mask of another size than the
+    first frame, raises a ManifestError naming the line and the file.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -64,15 +69,10 @@ def read_episode(manifest_path) -> Episode:
         data = fh.read()
     digests = {path.name: hashlib.sha256(data).hexdigest()}
 
-    def read(rel: str) -> np.ndarray:
-        img = pgm.read_pgm(os.path.join(base, rel))
-        digests[rel] = hashlib.sha256(pgm.file_bytes(img)).hexdigest()
-        return img
-
-    frames: list[np.ndarray] = []
-    hand_masks: list[np.ndarray] = []
-    object_masks: list[np.ndarray] = []
     labels = []
+    # file -> (line, row, column) of each cell that names it, in order; a
+    # file is keyed by its normalised path, the one the corpus walk finds
+    cells: dict[str, list[tuple[int, int, int]]] = {}
     # decoded as open(path, newline="") would, without reading the file again
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
     header = next(reader, None)
@@ -81,34 +81,40 @@ def read_episode(manifest_path) -> Episode:
     for lineno, row in enumerate(reader, start=2):
         if len(row) != 4:
             fail(lineno, f"expected 4 columns, got {len(row)}")
-        frame_rel, hand_rel, obj_rel, label_name = row
+        for column, rel in enumerate(row[:3]):
+            cells.setdefault(os.path.normpath(rel), []).append((lineno, len(labels), column))
         try:
-            frame = read(frame_rel)
-            hand = pgm.gray_to_mask(read(hand_rel))
-            obj = pgm.gray_to_mask(read(obj_rel))
-        except (OSError, ValueError) as exc:
-            fail(lineno, str(exc))
-        if not frames:
-            first_rel, first_shape = frame_rel, frame.shape
-        for rel, img in ((frame_rel, frame), (hand_rel, hand), (obj_rel, obj)):
-            if img.shape != first_shape:
-                fail(lineno, f"{rel} is {img.shape[1]}x{img.shape[0]}, "
-                             f"{first_rel} is {first_shape[1]}x{first_shape[0]}")
-        try:
-            label = parse_label(label_name)
+            labels.append(parse_label(row[3]))
         except ValueError as exc:
             fail(lineno, str(exc))
-        frames.append(frame)
-        hand_masks.append(hand)
-        object_masks.append(obj)
-        labels.append(label)
-    if not frames:
+    if not labels:
         raise ManifestError(f"{path}: manifest lists no frames")
+
+    # frames, hand masks and object masks, by column
+    streams: list[list] = [[None] * len(labels) for _ in range(3)]
+    first = None  # (file, shape) of the first frame
+    for rel, named in cells.items():
+        try:
+            raw = pgm.read_bytes(os.path.join(base, rel))
+            digests[rel] = hashlib.sha256(raw).hexdigest()
+            images = pgm.split_pgms(raw, rel)
+        except (OSError, ValueError) as exc:
+            fail(named[0][0], str(exc))
+        if len(images) != len(named):
+            fail(named[min(len(images), len(named) - 1)][0],
+                 f"{rel} holds {len(images)} images, but {len(named)} cells name it")
+        first = first or (rel, images[0].shape)
+        for k, ((lineno, i, column), img) in enumerate(zip(named, images), start=1):
+            if img.shape != first[1]:
+                fail(lineno, f"{rel} image {k} is {img.shape[1]}x{img.shape[0]}, "
+                             f"{first[0]} image 1 is {first[1][1]}x{first[1][0]}")
+            # a mask is decoded in place, in the bytes its file was read into
+            streams[column][i] = img if column == 0 else pgm.gray_to_mask(img)
     return Episode(
         episode_id=path.parent.name,
-        frames=frames,
-        hand_masks=hand_masks,
-        object_masks=object_masks,
+        frames=streams[0],
+        hand_masks=streams[1],
+        object_masks=streams[2],
         labels=labels,
         file_digests=digests,
     )

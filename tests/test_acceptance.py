@@ -456,7 +456,7 @@ def test_criterion_8_round_trips(workdir):
 # significant digits, so their bytes are pinned here. A change that moves
 # them on purpose says which digest moved and why.
 
-SYNTH_TREE_SHA256 = "c566ca522fe828a04948f8251a81455fdc98a39d08962463e3d8e29ca6303066"
+SYNTH_TREE_SHA256 = "9f870ef9bd4fdd2849f1888a53c2ae42b0a59a8d492add6aa5c117e158cec18a"
 FEATURES_CSV_SHA256 = "a675fe7a1280ab7b40e7f000218dec1b32f976e551d5d278120bd6acfdd5e815"
 
 

@@ -76,6 +76,25 @@ class TestSynth:
         assert run_cli("synth", "--out", b, *SMALL_SYNTH) == 0
         assert tree_digest(a) == tree_digest(b)
 
+    def test_writes_three_streams_and_a_manifest_per_episode(self, small_corpus):
+        files = sorted(str(p.relative_to(small_corpus))
+                       for p in small_corpus.rglob("*") if p.is_file())
+        assert files == [
+            f"ep_00{i}/{name}" for i in range(2)
+            for name in sorted(manifest.STREAMS + (manifest.MANIFEST_NAME,))
+        ] + ["run_manifest.json"]
+
+    def test_refuses_an_out_that_holds_a_corpus(self, tmp_path, capsys):
+        # fewer episodes over an older corpus would leave its later episodes
+        # to be read with the new ones
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", out, "--episodes", 3, "--seed", 5) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--episodes", 2, "--seed", 5) == 1
+        assert f"{out}: --out already holds files" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_zero_episodes_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("synth", "--out", tmp_path / "x", "--episodes", 0)
@@ -320,20 +339,68 @@ class TestExtract:
         assert [len(e) for e in cli.read_corpus(link, digest)] == [2]
         assert digest.hexdigest() == rglob_tree_digest(root)
 
-    @pytest.mark.parametrize("column, name", [(0, "frame_0003.pgm"), (1, "hand_0003.pgm"),
-                                              (2, "obj_0003.pgm")])
+    @pytest.mark.parametrize("column, name", enumerate(manifest.STREAMS))
     def test_mis_sized_pgm_names_its_file(self, tmp_path, small_corpus, capsys, column, name):
         corpus = tmp_path / "corpus"
         shutil.copytree(small_corpus, corpus)
-        image = pgm.read_pgm(corpus / "ep_001" / name)
-        pgm.write_pgm(corpus / "ep_001" / name, image[:-1, :])
-        h, w = image.shape
+        stream = corpus / "ep_001" / name
+        images = pgm.split_pgms(bytearray(stream.read_bytes()), name)
+        h, w = images[3].shape
+        images[3] = images[3][:-1, :]
+        pgm.write_pgms(stream, images)
         out = tmp_path / "out"
         assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
         manifest_path = corpus / "ep_001" / "manifest.csv"
-        assert (f"{manifest_path}:5: {name} is {w}x{h - 1}, frame_0000.pgm is {w}x{h}"
+        assert (f"{manifest_path}:5: {name} image 4 is {w}x{h - 1}, frames.pgm image 1 is {w}x{h}"
                 in capsys.readouterr().err)
         assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("count", ["fewer", "more"])
+    def test_stream_of_another_image_count_names_file_and_line(self, tmp_path, small_corpus,
+                                                               capsys, count):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        stream = corpus / "ep_001" / "hand.pgm"
+        images = pgm.split_pgms(bytearray(stream.read_bytes()), "hand.pgm")
+        rows = len(images)
+        if count == "fewer":
+            # two images: the third row, on line 4, is the first left without one
+            images, line = images[:2], 4
+        else:
+            # one to spare: named last by the last row
+            images, line = images + images[:1], rows + 1
+        pgm.write_pgms(stream, images)
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        assert (f"{manifest_path}:{line}: hand.pgm holds {len(images)} images, "
+                f"but {rows} cells name it" in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+
+    def test_one_image_per_file_corpus_gives_the_same_features(self, tmp_path, small_corpus,
+                                                               small_features):
+        # the layout of a corpus converted from per-frame image files
+        corpus = tmp_path / "corpus"
+        frames = 0
+        for path in manifest.find_manifests(small_corpus):
+            episode = manifest.read_episode(path)
+            frames += len(episode)
+            ep_dir = corpus / episode.episode_id
+            ep_dir.mkdir(parents=True)
+            lines = [",".join(manifest.MANIFEST_HEADER)]
+            for i, label in enumerate(episode.labels):
+                names = (f"frame_{i:04d}.pgm", f"hand_{i:04d}.pgm", f"obj_{i:04d}.pgm")
+                pgm.write_pgm(ep_dir / names[0], episode.frames[i])
+                pgm.write_pgm(ep_dir / names[1], pgm.mask_to_gray(episode.hand_masks[i]))
+                pgm.write_pgm(ep_dir / names[2], pgm.mask_to_gray(episode.object_masks[i]))
+                lines.append(",".join(names + (features.CLASS_NAMES[label],)))
+            (ep_dir / "manifest.csv").write_text("\r\n".join(lines) + "\r\n")
+        assert len(list(corpus.rglob("*.pgm"))) == 3 * frames
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        assert (out / "features.csv").read_bytes() == small_features.read_bytes()
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
 
     def test_frames_are_read_as_uint8(self, small_corpus):
         episode = manifest.read_episode(small_corpus / "ep_000" / "manifest.csv")
@@ -401,10 +468,12 @@ class TestInputDigest:
         (corpus / "extra" / "deeper").mkdir(parents=True)
         (corpus / "extra" / "deeper" / "blob.bin").write_bytes(bytes(range(256)))
         (corpus / "ep_000" / "README").write_text("a stray file in an episode")
-        # ep_001 names its first frame twice, so its second frame is a stray
+        # an image stream no row names is a stray too
+        shutil.copy(corpus / "ep_001" / "hand.pgm", corpus / "ep_001" / "hand_old.pgm")
+        # one row names the frames stream by another path to the same file
         listing = corpus / "ep_001" / "manifest.csv"
         rows = listing.read_text().splitlines()
-        rows[2] = rows[2].replace("frame_0001.pgm", "frame_0000.pgm")
+        rows[2] = rows[2].replace("frames.pgm", "./frames.pgm")
         listing.write_text("\n".join(rows) + "\n")
 
         opened = collections.Counter()
@@ -420,12 +489,11 @@ class TestInputDigest:
         assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
         monkeypatch.undo()
 
-        twice = (corpus / "ep_001" / "frame_0000.pgm").resolve()
+        # every stream is named by every row of its episode, yet opened once
         files = {p.resolve() for p in corpus.rglob("*") if p.is_file()}
         counts = {path: n for path, n in opened.items() if path in files}
-        assert counts.pop(twice) == 2
         assert set(counts.values()) == {1}
-        assert set(counts) == files - {twice, (corpus / "run_manifest.json").resolve()}
+        assert set(counts) == files - {(corpus / "run_manifest.json").resolve()}
         doc = json.loads((out / "run_manifest.json").read_text())
         assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
 
