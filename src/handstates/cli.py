@@ -187,7 +187,8 @@ def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
 def read_corpus(root, digest) -> Iterator[Episode]:
     """The episodes of the corpus at ``root``, read one at a time as they
     are consumed; a corpus without manifests, or with a symlinked episode
-    directory, raises at call time.
+    directory, raises at call time, and an episode that names a file outside
+    ``root`` when it is read.
 
     When they run out, ``digest`` (a hashlib object) has taken in the
     corpus's input digest: for each file under ``root`` in ``_walk_files``
@@ -226,7 +227,7 @@ def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episod
     for path, rel in _walk_files(os.fspath(root)):
         while pending and pending[0][0] <= rel.partition("/")[0]:
             name, manifest_path = pending.popleft()
-            episode = manifest.read_episode(manifest_path)
+            episode = manifest.read_episode(manifest_path, root)
             known, prefix = episode.file_digests, f"{name}/" if name else ""
             yield episode
             del episode
@@ -294,15 +295,10 @@ def write_run_manifest(
     started: float,
     blas: dict,
 ) -> None:
-    snapshot = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in sorted(vars(args).items())
-        if k != "func"
-    }
     doc = {
         "blas": blas,
         "command": args.command,
-        "config": snapshot,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": inputs,
         "outputs": {str(p): f"sha256:{sha256_file(p)}" for p in outputs},
         "seed": getattr(args, "seed", None),

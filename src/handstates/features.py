@@ -4,13 +4,14 @@ The pipeline turns an episode (frames + hand/object masks + per-frame state
 labels) into fixed 8-dimensional descriptors in four steps:
 
 1. ``keyframe_indices`` keeps the frames that are sharp and moving;
-2. ``select_keyframes`` caches each keyframe's hand centroid, hand-object
-   distance and contact flag;
+2. ``select_keyframes`` caches each keyframe's hand centroid and
+   hand-object distance, one straight pass over the keyframes;
 3. ``slide_windows`` gives the target positions of the windows of N
    consecutive keyframes, each labelled by the state at the keyframe that
    follows it; it is the only definition of window geometry;
 4. ``window_feature_vector`` summarises all of a series' windows at once
-   into distance/speed statistics plus contact metrics, one row each.
+   into distance/speed statistics plus contact metrics, one row each; a
+   contact is a distance within ``contact_epsilon``.
 
 ``build_dataset`` runs the four steps episode by episode. The label of a
 window needs only steps 1 and 3, which is how ``synth`` counts them.
@@ -23,6 +24,7 @@ seeded shuffle of each class.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -139,7 +141,6 @@ class KeyframeEntry:
     index: int
     centroid: Point2
     distance: float
-    contact: bool
 
 
 @dataclass
@@ -182,10 +183,9 @@ def keyframe_indices(episode: Episode, cfg: PipelineConfig) -> list[int]:
     return kept
 
 
-def _keyframe_signals(
-    episode: Episode, indices: list[int], epsilon: float
-) -> list[KeyframeEntry]:
-    """Centroid, hand-object distance and contact flag of each keyframe.
+def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
+    """The keyframes of an episode with their hand centroid and hand-object
+    distance.
 
     Empty masks never crash the pipeline: an empty hand mask carries the
     previous keyframe's centroid forward (canvas center at the start of an
@@ -196,24 +196,12 @@ def _keyframe_signals(
     centroid = Point2(w / 2.0, h / 2.0)
     diagonal = image_diagonal(episode.shape)
     entries: list[KeyframeEntry] = []
-    for i in indices:
+    for i in keyframe_indices(episode, cfg):
         hand = episode.hand_masks[i]
-        obj = episode.object_masks[i]
-        distance = diagonal
-        if hand.any():
-            centroid = mask_centroid(hand)
-            if obj.any():
-                distance = mask_distance(hand, obj)
-        entries.append(KeyframeEntry(i, centroid, distance, bool(distance <= epsilon)))
-    return entries
-
-
-def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
-    """The keyframes of an episode with their kinematic signals."""
-    indices = keyframe_indices(episode, cfg)
-    return KeyframeSeries(
-        episode.episode_id, _keyframe_signals(episode, indices, cfg.contact_epsilon)
-    )
+        centroid = mask_centroid(hand) or centroid
+        distance = min(mask_distance(hand, episode.object_masks[i]), diagonal)
+        entries.append(KeyframeEntry(i, centroid, distance))
+    return KeyframeSeries(episode.episode_id, entries)
 
 
 def slide_windows(n_keyframes: int, cfg: PipelineConfig) -> range:
@@ -226,31 +214,31 @@ def slide_windows(n_keyframes: int, cfg: PipelineConfig) -> range:
     return range(cfg.window_length, n_keyframes, cfg.stride)
 
 
-def window_feature_vector(series: KeyframeSeries, targets: range, n: int) -> np.ndarray:
+def window_feature_vector(series: KeyframeSeries, targets: range, cfg: PipelineConfig) -> np.ndarray:
     """The (len(targets), 8) descriptors of the windows of one series.
 
     Layout follows FEATURE_NAMES: distance mean/std/trend, speed
     mean/std/trend (speeds are centroid displacements per keyframe step),
-    then contact count and longest contact run. Std is the population
-    standard deviation; a trend is the least-squares slope against the
-    keyframe step.
+    then contact count and longest contact run, a keyframe being in contact
+    when its distance is at most ``cfg.contact_epsilon``. Std is the
+    population standard deviation; a trend is the least-squares slope
+    against the keyframe step.
     """
     entries = series.entries
-    dist = np.array([e.distance for e in entries], dtype=np.float64)
+    context = np.asarray(targets)[:, None] + np.arange(-cfg.window_length, 0)
+    dist = np.array([e.distance for e in entries], dtype=np.float64)[context]
     xy = np.array([e.centroid for e in entries], dtype=np.float64)
-    contact = np.array([e.contact for e in entries], dtype=bool)
     step = np.diff(xy, axis=0)
     speed = np.hypot(step[:, 0], step[:, 1])  # speed[j]: keyframe j -> j+1
 
-    context = np.asarray(targets)[:, None] + np.arange(-n, 0)  # context positions
     columns = []
-    for values in (dist[context], speed[context[:, :-1]]):
+    for values in (dist, speed[context[:, :-1]]):
         t = np.arange(values.shape[1], dtype=np.float64)
         t -= t.mean()
         mean = values.mean(axis=1)
         columns += [mean, values.std(axis=1), (values - mean[:, None]) @ t / (t @ t)]
 
-    flags = contact[context]
+    flags = dist <= cfg.contact_epsilon
     run = longest = np.zeros(len(targets), dtype=np.int64)
     for column in flags.T:
         run = (run + 1) * column
@@ -283,7 +271,7 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
                 cfg.window_length,
             )
             continue
-        blocks.append(window_feature_vector(series, targets, cfg.window_length))
+        blocks.append(window_feature_vector(series, targets, cfg))
         labels.extend(int(frame_labels[series.entries[t].index]) for t in targets)
         provenance.extend((series.episode_id, t) for t in targets)
     if blocks:
@@ -357,17 +345,28 @@ def save_dataset_csv(ds: LabeledDataset, path) -> None:
             )
 
 
+def decode_utf8(data: bytes, path) -> str:
+    """``data``, the bytes of the text file ``path``, as UTF-8 text; a byte
+    that is not UTF-8 raises a ValueError naming ``path`` and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + data.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})") from None
+
+
 def load_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV produced by :func:`save_dataset_csv`.
 
-    A row that does not parse, or whose feature values are not all finite,
-    raises a ValueError naming ``path`` and its line.
+    A row that does not parse, or is not UTF-8, or whose feature values are
+    not all finite, raises a ValueError naming ``path`` and its line.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(io.StringIO(decode_utf8(fh.read(), path), newline=""))
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected feature CSV header {header}")

@@ -21,7 +21,7 @@ import os
 from pathlib import Path
 
 from . import pgm
-from .features import CLASS_NAMES, Episode, parse_label
+from .features import CLASS_NAMES, Episode, decode_utf8, parse_label
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
@@ -50,14 +50,16 @@ def write_episode(episode: Episode, out_dir) -> Path:
     return manifest
 
 
-def read_episode(manifest_path) -> Episode:
+def read_episode(manifest_path, root=None) -> Episode:
     """Load an episode from its manifest; the directory name is its id.
 
     Each file the manifest names is opened once, its bytes hashed into
     ``Episode.file_digests`` and split into its images. Frames stay the
     uint8 arrays the split returns. A file that holds another number of
     images than cells name it, or a frame or mask of another size than the
-    first frame, raises a ManifestError naming the line and the file.
+    first frame, raises a ManifestError naming the line and the file. Given
+    ``root``, the corpus directory, so does a file that is absolute or lies
+    above ``root``, before any file is read.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -73,8 +75,9 @@ def read_episode(manifest_path) -> Episode:
     # file -> (line, row, column) of each cell that names it, in order; a
     # file is keyed by its normalised path, the one the corpus walk finds
     cells: dict[str, list[tuple[int, int, int]]] = {}
-    # decoded as open(path, newline="") would, without reading the file again
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    # decoded as open(path, newline="", encoding="utf-8") would, without
+    # reading the file again
+    reader = csv.reader(io.StringIO(decode_utf8(data, path), newline=""))
     header = next(reader, None)
     if header is None or tuple(header) != MANIFEST_HEADER:
         fail(1, f"bad manifest header {header}")
@@ -89,6 +92,12 @@ def read_episode(manifest_path) -> Episode:
             fail(lineno, str(exc))
     if not labels:
         raise ManifestError(f"{path}: manifest lists no frames")
+    if root is not None:
+        inside = os.path.relpath(path.parent, root)
+        for rel, named in cells.items():
+            where = os.path.normpath(os.path.join(inside, rel))
+            if os.path.isabs(where) or where.split(os.sep, 1)[0] == os.pardir:
+                fail(named[0][0], f"{rel} is outside the corpus {os.fspath(root)}")
 
     # frames, hand masks and object masks, by column
     streams: list[list] = [[None] * len(labels) for _ in range(3)]

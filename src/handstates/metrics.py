@@ -100,10 +100,9 @@ def classification_report(cm: np.ndarray) -> ClassReport:
     )
 
 
-def round_half_away(x: float, ndigits: int = 2) -> float:
-    """Round half away from zero (display rounding for report cells)."""
-    scale = 10.0**ndigits
-    return float(np.copysign(np.floor(abs(x) * scale + 0.5) / scale, x))
+def round_half_away(x: float) -> float:
+    """Round to 2 decimals, half away from zero (report cell display)."""
+    return float(np.copysign(np.floor(abs(x) * 100.0 + 0.5) / 100.0, x))
 
 
 def render_report(report: ClassReport, class_names: list[str]) -> str:

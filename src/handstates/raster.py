@@ -5,9 +5,10 @@ row-major (height, width) layout, as PGM stores it. The keyframe scores
 widen 8-bit frames to int32, where every sum they take is an exact integer,
 so they return the bits the float64 formulas give; any other frame is
 scored in float64. A mask is a 2-D bool array of the same shape; the mask
-kernels work on the bounding box of its foreground. A distance field is
-float64 with +inf meaning "no foreground anywhere". Coordinates are pixel
-centers, x = column and y = row.
+kernels work on the bounding box of its foreground. An empty mask is no
+error: it has no centroid (None) and is +inf from every mask, as a
+distance field is +inf where there is no foreground anywhere. Coordinates
+are pixel centers, x = column and y = row.
 
 All functions here are pure and safe to call from any number of workers.
 """
@@ -120,8 +121,8 @@ def _bounding_box(fg: np.ndarray) -> Box | None:
     return y0, y1, int(cols[0]), int(cols[-1]) + 1
 
 
-def mask_centroid(mask: np.ndarray) -> Point2:
-    """Arithmetic mean of foreground pixel coordinates.
+def mask_centroid(mask: np.ndarray) -> Point2 | None:
+    """Arithmetic mean of foreground pixel coordinates; None if there are none.
 
     Each mean is (integer coordinate sum in the box + n * box offset) / n,
     one correctly rounded division, so it is the float of the mean over
@@ -130,7 +131,7 @@ def mask_centroid(mask: np.ndarray) -> Point2:
     fg = _as_mask(mask)
     box = _bounding_box(fg)
     if box is None:
-        raise ValueError("empty mask has no centroid")
+        return None
     y0, y1, x0, x1 = box
     ys, xs = np.nonzero(fg[y0:y1, x0:x1])
     n = xs.size
@@ -159,7 +160,8 @@ def _boundary_pixels(fg: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mask_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact minimum pixel-center distance between two non-empty masks.
+    """Exact minimum pixel-center distance between two masks; +inf if either
+    is empty, as the minimum of one's distance field over the other is.
 
     0.0 when the masks overlap, which they can only where their bounding
     boxes do. Otherwise every closest pair lies on the two 4-connected
@@ -175,7 +177,7 @@ def mask_distance(a: np.ndarray, b: np.ndarray) -> float:
     box_a = _bounding_box(fa)
     box_b = _bounding_box(fb)
     if box_a is None or box_b is None:
-        raise ValueError("empty mask has no distance")
+        return math.inf
     y0, x0 = max(box_a[0], box_b[0]), max(box_a[2], box_b[2])
     y1, x1 = min(box_a[1], box_b[1]), min(box_a[3], box_b[3])
     if y0 < y1 and x0 < x1 and (fa[y0:y1, x0:x1] & fb[y0:y1, x0:x1]).any():

@@ -292,6 +292,50 @@ class TestExtract:
         assert code == 1
         assert "manifest.csv:2" in err
 
+    def test_non_utf8_manifest_names_file_and_line(self, tmp_path, small_corpus, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        lines = manifest_path.read_bytes().split(b"\n")
+        lines[4] += b"\xff"
+        manifest_path.write_bytes(b"\n".join(lines))
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", tmp_path / "o") == 1
+        assert f"error: {manifest_path}:5: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_file_outside_the_corpus_is_refused(self, tmp_path, small_corpus, capsys):
+        # the input digest covers the files under the corpus root only
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        outside = tmp_path / "object.pgm"
+        (corpus / "ep_001" / "object.pgm").rename(outside)
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        text = manifest_path.read_text()
+        manifest_path.write_text(text.replace("object.pgm", str(outside)))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {manifest_path}:2: {outside} is outside the corpus {corpus}"
+                in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+        # climbing out by a relative path is refused the same way
+        manifest_path.write_text(text.replace("object.pgm", "../../object.pgm"))
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert "../../object.pgm is outside the corpus" in capsys.readouterr().err
+
+    def test_shared_directory_inside_the_corpus_is_read(self, tmp_path, small_corpus,
+                                                        small_features):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        (corpus / "images").mkdir()
+        (corpus / "ep_001" / "object.pgm").rename(corpus / "images" / "object.pgm")
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        manifest_path.write_text(
+            manifest_path.read_text().replace("object.pgm", "../images/object.pgm"))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        assert (out / "features.csv").read_bytes() == small_features.read_bytes()
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
+
     def test_input_digest_ignores_corpus_run_manifest(self, tmp_path):
         # two synth runs of one corpus differ only in their run manifests
         digests = []
@@ -307,7 +351,7 @@ class TestExtract:
         read = []
         read_episode = manifest.read_episode
         monkeypatch.setattr(manifest, "read_episode",
-                            lambda path: read.append(path) or read_episode(path))
+                            lambda path, root: read.append(path) or read_episode(path, root))
         episodes = cli.read_corpus(small_corpus, hashlib.sha256())
         assert read == []
         next(episodes)
@@ -459,6 +503,11 @@ class TestInputDigest:
         digest = hashlib.sha256()
         assert [len(e) for e in cli.read_corpus(root, digest)] == [2]
         assert digest.hexdigest() == rglob_tree_digest(root)
+
+    def test_corpus_root_given_as_the_working_directory(self, tmp_path, monkeypatch):
+        manifest.write_episode(tiny_episode(), tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert [len(e) for e in cli.read_corpus(".", hashlib.sha256())] == [2]
 
     def test_extract_opens_each_file_once(self, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus"
@@ -957,6 +1006,14 @@ class TestMalformedFeatures:
         bad.write_text("\n".join(lines) + "\n")
         assert run_cli("train", "--features", bad, "--out", tmp_path / "o", *TRAIN_FAST) == 1
         assert f"error: {bad}:7: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, small_features, capsys):
+        data = small_features.read_bytes().split(b"\n")
+        data[6] = b"\xff" + data[6]
+        bad = tmp_path / "features.csv"
+        bad.write_bytes(b"\n".join(data))
+        assert run_cli("train", "--features", bad, "--out", tmp_path / "o", *TRAIN_FAST) == 1
+        assert f"error: {bad}:7: byte 0xff is not UTF-8" in capsys.readouterr().err
 
     def test_sequences_refuse_reversed_rows(self, tmp_path, small_features, capsys):
         lines = small_features.read_text().splitlines()

@@ -114,7 +114,6 @@ class TestSelectKeyframes:
         series = F.select_keyframes(ep, PipelineConfig(0.0, 0.0))
         diag = float(np.hypot(16, 12))
         assert [e.distance for e in series.entries] == [diag] * 3
-        assert not any(e.contact for e in series.entries)
         # frame 0: no previous centroid -> canvas center; frame 2 carries frame 1's
         assert series.entries[0].centroid == Point2(8.0, 6.0)
         assert series.entries[1].centroid == Point2(3.0, 2.0)
@@ -149,29 +148,31 @@ class TestSlideWindows:
         assert len(F.slide_windows(k, cfg)) == expected
 
 
-def series_from_signals(dists, centroids, contacts):
+def series_from_signals(dists, centroids):
     return KeyframeSeries("ep", [
-        KeyframeEntry(index=i, centroid=Point2(*c), distance=d, contact=bool(f))
-        for i, (d, c, f) in enumerate(zip(dists, centroids, contacts))
+        KeyframeEntry(index=i, centroid=Point2(*c), distance=d)
+        for i, (d, c) in enumerate(zip(dists, centroids))
     ])
 
 
-def descriptor(dists, centroids=None, contacts=None):
+def contact_distances(flags):
+    """Distances whose contact flags, at the default epsilon of 10, are ``flags``."""
+    return [0.0 if f else 50.0 for f in flags]
+
+
+def descriptor(dists, centroids=None):
     """The descriptor of the one window whose context is the given signals."""
     n = len(dists)
     centroids = [(5.0, 5.0)] * n if centroids is None else centroids
-    contacts = [False] * n if contacts is None else contacts
     # the target keyframe is never read; it only makes the window whole
-    series = series_from_signals(
-        list(dists) + [0.0], list(centroids) + [(0.0, 0.0)], list(contacts) + [False]
-    )
-    block = F.window_feature_vector(series, range(n, n + 1), n)
+    series = series_from_signals(list(dists) + [0.0], list(centroids) + [(0.0, 0.0)])
+    block = F.window_feature_vector(series, range(n, n + 1), PipelineConfig(window_length=n))
     assert block.shape == (1, F.FEATURE_DIM)
     return block[0]
 
 
 def contact_metrics(flags):
-    count, duration = descriptor([50.0] * len(flags), contacts=flags)[6:]
+    count, duration = descriptor(contact_distances(flags))[6:]
     return count, duration
 
 
@@ -189,9 +190,9 @@ class TestContactMetrics:
     def test_matches_linear_scan_oracle(self, rng):
         # 50 windows of one block, each against a scan of its own flags
         flags = list(rng.random(59) < 0.5)
-        series = series_from_signals([50.0] * 59, [(0.0, 0.0)] * 59, flags)
+        series = series_from_signals(contact_distances(flags), [(0.0, 0.0)] * 59)
         targets = range(10, 59)
-        block = F.window_feature_vector(series, targets, 10)
+        block = F.window_feature_vector(series, targets, PipelineConfig())
         for t, (count, duration) in zip(targets, block[:, 6:]):
             window = flags[t - 10 : t]
             assert count == sum(window)
@@ -265,14 +266,13 @@ def independent_descriptor(dists, centroids, contacts):
 
 class TestWindowFeatureVector:
     def test_stationary_far_hand(self):
-        vec = descriptor([50.0] * 10, [(5.0, 5.0)] * 10, [False] * 10)
+        vec = descriptor([50.0] * 10, [(5.0, 5.0)] * 10)
         assert np.allclose(vec, [50, 0, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_linear_approach_closed_form(self):
         dists = [45.0 - 5 * i for i in range(10)]  # 45 .. 0
         centroids = [(float(i), 0.0) for i in range(10)]  # unit steps
-        contacts = [d <= 10.0 for d in dists]
-        vec = descriptor(dists, centroids, contacts)
+        vec = descriptor(dists, centroids)  # contact within the default epsilon of 10
         assert vec[0] == pytest.approx(np.mean(dists))
         assert vec[2] == pytest.approx(-5.0, abs=1e-12)  # trend per keyframe step
         assert vec[3] == pytest.approx(1.0, abs=1e-12)  # mean speed = step length
@@ -282,12 +282,12 @@ class TestWindowFeatureVector:
 
     def test_matches_independent_recomputation(self, rng):
         # every window of one block, strided, against its own recomputation
-        dists = list(rng.random(40) * 80)
+        dists = list(rng.random(40) * 25)  # 40% within the default epsilon of 10
         centroids = [tuple(p) for p in rng.random((40, 2)) * 30]
-        contacts = list(rng.random(40) < 0.4)
-        series = series_from_signals(dists, centroids, contacts)
+        contacts = [d <= 10.0 for d in dists]
+        series = series_from_signals(dists, centroids)
         targets = range(10, 40, 3)
-        block = F.window_feature_vector(series, targets, 10)
+        block = F.window_feature_vector(series, targets, PipelineConfig())
         assert block.shape == (len(targets), F.FEATURE_DIM)
         for t, vec in zip(targets, block):
             context = slice(t - 10, t)
@@ -379,12 +379,13 @@ class TestBuildDataset:
             cy = np.array([e.centroid.y for e in context])
             speed = np.hypot(np.diff(cx), np.diff(cy))
             run = best = 0
-            for e in context:
-                run = run + 1 if e.contact else 0
+            contact = dist <= cfg.contact_epsilon
+            for f in contact:
+                run = run + 1 if f else 0
                 best = max(best, run)
             rows.append([dist.mean(), dist.std(), trend(dist),
                          speed.mean(), speed.std(), trend(speed),
-                         sum(e.contact for e in context), best])
+                         contact.sum(), best])
             labels.append(ep.labels[entries[offset + 4].index])
             provenance.append((ep.episode_id, offset + 4))
             offset += 3
@@ -561,7 +562,7 @@ class TestInvariants:
         series = F.select_keyframes(ep, cfg)
         targets = F.slide_windows(len(series), cfg)
         assert targets
-        block = F.window_feature_vector(series, targets, n)
+        block = F.window_feature_vector(series, targets, cfg)
         for t, vec in zip(targets, block):
             count, duration = vec[6], vec[7]
             min_dist = min(e.distance for e in series.entries[t - n : t])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -97,22 +97,23 @@ class TestMaskCentroid:
         assert c.x == pytest.approx(xs.mean(), abs=1e-12)
         assert c.y == pytest.approx(ys.mean(), abs=1e-12)
 
-    def test_empty_mask_raises(self):
-        with pytest.raises(ValueError, match="empty mask"):
-            raster.mask_centroid(np.zeros((4, 4), bool))
+    def test_empty_mask_has_none(self):
+        assert raster.mask_centroid(np.zeros((4, 4), bool)) is None
 
 
 def all_pairs_distance(a, b):
-    """Minimum over every (a, b) pixel pair; the independent oracle."""
+    """Minimum over every (a, b) pixel pair, +inf if there is none; the
+    independent oracle."""
     ay, ax = np.nonzero(a)
     by, bx = np.nonzero(b)
-    return math.sqrt(((ay[:, None] - by) ** 2 + (ax[:, None] - bx) ** 2).min())
+    d2 = (ay[:, None] - by) ** 2 + (ax[:, None] - bx) ** 2
+    return math.sqrt(d2.min()) if d2.size else math.inf
 
 
 def edt_distance(a, b):
-    """The distance field of ``b`` sampled over ``a``: the path mask_distance
-    replaced in the feature pipeline."""
-    return float(raster.euclidean_distance_transform(b)[a].min())
+    """The distance field of ``b`` sampled over ``a``, +inf where either is
+    empty: the path mask_distance replaced in the feature pipeline."""
+    return float(raster.euclidean_distance_transform(b)[a].min(initial=math.inf))
 
 
 def ragged_pair(rng):
@@ -127,16 +128,16 @@ def ragged_pair(rng):
 
 @st.composite
 def mask_pairs(draw):
-    """Two non-empty masks on one canvas of up to 12x12 pixels."""
+    """Two masks, either of them possibly empty, on one canvas of up to
+    12x12 pixels."""
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
-    a = draw(arrays(np.bool_, shape))
-    b = draw(arrays(np.bool_, shape))
-    assume(a.any() and b.any())
-    return a, b
+    return draw(arrays(np.bool_, shape)), draw(arrays(np.bool_, shape))
 
 
 class TestMaskDistance:
     @given(mask_pairs())
+    @example((np.ones((3, 3), bool), np.zeros((3, 3), bool)))  # +inf from an empty mask
+    @example((np.zeros((3, 3), bool), np.ones((3, 3), bool)))
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_and_edt_bit_for_bit(self, pair):
         a, b = pair
@@ -199,12 +200,10 @@ class TestMaskDistance:
 
     def test_errors(self):
         full = np.ones((3, 3), bool)
-        with pytest.raises(ValueError, match="empty mask"):
-            raster.mask_distance(full, np.zeros((3, 3), bool))
-        with pytest.raises(ValueError, match="empty mask"):
-            raster.mask_distance(np.zeros((3, 3), bool), full)
         with pytest.raises(ValueError, match="mismatch"):
             raster.mask_distance(full, np.ones((2, 3), bool))
+        with pytest.raises(ValueError, match="2-D"):
+            raster.mask_distance(full, np.ones(9, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +226,13 @@ def reference_frame_diff_energy(a, b):
 
 def reference_centroid(mask):
     ys, xs = np.nonzero(mask)
-    return raster.Point2(float(xs.mean()), float(ys.mean()))
+    return raster.Point2(float(xs.mean()), float(ys.mean())) if xs.size else None
 
 
 def reference_distance(a, b):
     """Minimum over boundary pairs found on the whole canvas."""
+    if not (a.any() and b.any()):
+        return math.inf
     if (a & b).any():
         return 0.0
 
@@ -271,9 +272,7 @@ def shaped_mask(draw, shape):
 @st.composite
 def canvas_mask_pairs(draw):
     shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
-    a, b = draw(shaped_mask(shape)), draw(shaped_mask(shape))
-    assume(a.any() and b.any())
-    return a, b
+    return draw(shaped_mask(shape)), draw(shaped_mask(shape))
 
 
 def pixels(shape, *points):
