@@ -74,6 +74,7 @@ from .features import (
     LabeledDataset,
     PipelineConfig,
     build_dataset,
+    decode_utf8,
     keyframe_indices,
     load_dataset_csv,
     save_dataset_csv,
@@ -170,71 +171,45 @@ def sha256_file(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
-def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
-    """(path, ``prefix`` + path below ``directory``) of each file under
-    ``directory``, depth first with each directory's entries sorted by name:
-    the order of ``sorted(Path(directory).rglob("*"))``, without holding
-    every path at once. Symlinked directories are not entered."""
-    with os.scandir(directory) as it:
-        entries = sorted(it, key=lambda entry: entry.name)
-    for entry in entries:
-        if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(entry.path, f"{prefix}{entry.name}/")
-        elif entry.is_file():
-            yield entry.path, prefix + entry.name
-
-
 def read_corpus(root, digest) -> Iterator[Episode]:
     """The episodes of the corpus at ``root``, read one at a time as they
-    are consumed; a corpus without manifests, or with a symlinked episode
-    directory, raises at call time, and an episode that names a file outside
-    ``root`` when it is read.
+    are consumed; a corpus without manifests raises at call time, and an
+    episode that names a file outside ``root`` when it is read.
 
     When they run out, ``digest`` (a hashlib object) has taken in the
-    corpus's input digest: for each file under ``root`` in ``_walk_files``
-    order, bar run manifests (they hold a wall time and an output path), its
-    relative path and the hex sha256 of its bytes. The files an episode was
-    read from, its manifest and its image files (three streams for a
-    ``synth`` corpus, one file per image for others), keep the digests their
-    reader took, so only the files no episode names are read here. Digests
-    are taken in one episode at a time.
+    corpus's input digest: for each file in ``sorted(root.rglob("*"))``,
+    bar run manifests (they hold a wall time and an output path), its
+    relative path and the hex sha256 of its bytes. The files the episodes
+    were read from keep the digests their reader took, so only the files no
+    episode names are read here. The walk does not enter symlinked
+    directories, so a file an episode read through one raises a ValueError
+    naming it.
     """
     from . import manifest
 
     root = Path(root)
-    manifests = manifest.find_manifests(root)
-    for path in manifests:
-        # the walk does not enter symlinked directories, so their files
-        # would be read without reaching the digest
-        if path.parent != root and path.parent.is_symlink():
-            raise ValueError(f"{path.parent}: symlinked episode directories are not read; "
-                             "copy the episode into the corpus")
-    return _read_and_hash(root, manifests, digest)
+    return _read_and_hash(root, manifest.find_manifests(root), digest)
 
 
 def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
     from . import manifest
 
-    # An episode directory is the corpus root ("") or one of its
-    # directories. Each episode is read once the walk reaches its directory,
-    # so episodes come in manifest order and the walk finds the digests of
-    # the episode's files ready. An episode is dropped once it is consumed,
-    # before the next one is read.
-    pending = collections.deque(
-        ("" if path.parent == root else path.parent.name, path) for path in manifests
-    )
-    known, prefix = {}, ""
-    for path, rel in _walk_files(os.fspath(root)):
-        while pending and pending[0][0] <= rel.partition("/")[0]:
-            name, manifest_path = pending.popleft()
-            episode = manifest.read_episode(manifest_path, root)
-            known, prefix = episode.file_digests, f"{name}/" if name else ""
-            yield episode
-            del episode
-        if os.path.basename(rel) != RUN_MANIFEST:
-            below = rel[len(prefix):] if rel.startswith(prefix) else None
+    # digests of the files the episodes read, by path below the root; each
+    # episode is dropped once it is consumed, before the next one is read
+    read: dict[str, str] = {}
+    for path in manifests:
+        episode = manifest.read_episode(path, root)
+        read.update(episode.file_digests)
+        yield episode
+        del episode
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != RUN_MANIFEST:
+            rel = str(path.relative_to(root))
             digest.update(rel.encode())
-            digest.update((known.get(below) or sha256_file(path)).encode())
+            digest.update((read.pop(rel, None) or sha256_file(path)).encode())
+    if read:
+        raise ValueError(f"{root / next(iter(read))}: read through a symlinked directory, "
+                         "which the input digest does not enter; copy it into the corpus")
 
 
 SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
@@ -312,10 +287,11 @@ def config_flags(path: str) -> dict[str, str]:
     """The flags of a config file, each mapped to its key as written.
 
     ``key=value`` becomes ``--key=value`` and a bare ``key`` the switch
-    ``--key``; '#' starts a comment; keys may use '-' or '_'.
+    ``--key``; '#' starts a comment; keys may use '-' or '_'. A file that
+    is not UTF-8 raises a ValueError naming it and its line.
     """
     flags: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in decode_utf8(Path(path).read_bytes(), path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             key, sep, value = (part.strip() for part in line.partition("="))

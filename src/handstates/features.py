@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -80,10 +80,10 @@ class Episode:
 
     Frames are 2-D intensity arrays, uint8 as read from PGM or rendered by
     ``synth``. An episode read from disk keeps the sha256 hex digest of each
-    file it was read from in ``file_digests``: its manifest, keyed by the
-    manifest's name, and each image file, one entry however many images the
-    file holds, keyed by the path its manifest gives for it, relative to
-    the manifest's directory.
+    file it was read from in ``file_digests``, its manifest and each image
+    file, one entry however many images the file holds. Each is keyed by its
+    normalised path below the corpus root ``read_episode`` was given, or
+    below the manifest's directory without one.
     """
 
     episode_id: str
@@ -356,17 +356,31 @@ def decode_utf8(data: bytes, path) -> str:
                          f"({exc.reason})") from None
 
 
+def csv_rows(data: bytes, path) -> Iterator[list[str]]:
+    """The rows of the CSV file ``path``, whose bytes are ``data``, decoded
+    as ``open(path, newline="", encoding="utf-8")`` would, without reading
+    the file again. A byte that is not UTF-8, or text the csv module cannot
+    split, such as a field over its size limit, raises a ValueError naming
+    ``path`` and its line."""
+    reader = csv.reader(io.StringIO(decode_utf8(data, path), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV produced by :func:`save_dataset_csv`.
 
-    A row that does not parse, or is not UTF-8, or whose feature values are
-    not all finite, raises a ValueError naming ``path`` and its line.
+    A row that does not parse or split, or is not UTF-8, or whose feature
+    values are not all finite, raises a ValueError naming ``path`` and its
+    line.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
     with open(path, "rb") as fh:
-        reader = csv.reader(io.StringIO(decode_utf8(fh.read(), path), newline=""))
+        reader = csv_rows(fh.read(), path)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected feature CSV header {header}")

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import os
 from pathlib import Path
 
 from . import pgm
-from .features import CLASS_NAMES, Episode, decode_utf8, parse_label
+from .features import CLASS_NAMES, Episode, csv_rows, parse_label
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
@@ -55,11 +54,14 @@ def read_episode(manifest_path, root=None) -> Episode:
 
     Each file the manifest names is opened once, its bytes hashed into
     ``Episode.file_digests`` and split into its images. Frames stay the
-    uint8 arrays the split returns. A file that holds another number of
-    images than cells name it, or a frame or mask of another size than the
-    first frame, raises a ManifestError naming the line and the file. Given
-    ``root``, the corpus directory, so does a file that is absolute or lies
-    above ``root``, before any file is read.
+    uint8 arrays the split returns. A manifest that is not UTF-8 or does not
+    split as CSV raises a ValueError naming its line; a file that holds
+    another number of images than cells name it, or a frame or mask of
+    another size than the first frame, a ManifestError naming the line and
+    the file. Given ``root``, the corpus directory, so does a file that is
+    absolute or lies above ``root``, before any file is read, and each
+    digest is keyed by the file's normalised path below ``root``, the path
+    the corpus walk finds it by.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -69,15 +71,12 @@ def read_episode(manifest_path, root=None) -> Episode:
 
     with open(path, "rb") as fh:
         data = fh.read()
-    digests = {path.name: hashlib.sha256(data).hexdigest()}
 
     labels = []
-    # file -> (line, row, column) of each cell that names it, in order; a
-    # file is keyed by its normalised path, the one the corpus walk finds
+    # file -> (line, row, column) of each cell that names it, in order, by
+    # its normalised path, so that two spellings of one file are one file
     cells: dict[str, list[tuple[int, int, int]]] = {}
-    # decoded as open(path, newline="", encoding="utf-8") would, without
-    # reading the file again
-    reader = csv.reader(io.StringIO(decode_utf8(data, path), newline=""))
+    reader = csv_rows(data, path)
     header = next(reader, None)
     if header is None or tuple(header) != MANIFEST_HEADER:
         fail(1, f"bad manifest header {header}")
@@ -92,12 +91,13 @@ def read_episode(manifest_path, root=None) -> Episode:
             fail(lineno, str(exc))
     if not labels:
         raise ManifestError(f"{path}: manifest lists no frames")
+    inside = os.curdir if root is None else os.path.relpath(path.parent, root)
+    below = {rel: os.path.normpath(os.path.join(inside, rel)) for rel in (path.name, *cells)}
     if root is not None:
-        inside = os.path.relpath(path.parent, root)
         for rel, named in cells.items():
-            where = os.path.normpath(os.path.join(inside, rel))
-            if os.path.isabs(where) or where.split(os.sep, 1)[0] == os.pardir:
+            if os.path.isabs(below[rel]) or below[rel].split(os.sep, 1)[0] == os.pardir:
                 fail(named[0][0], f"{rel} is outside the corpus {os.fspath(root)}")
+    digests = {below[path.name]: hashlib.sha256(data).hexdigest()}
 
     # frames, hand masks and object masks, by column
     streams: list[list] = [[None] * len(labels) for _ in range(3)]
@@ -105,7 +105,7 @@ def read_episode(manifest_path, root=None) -> Episode:
     for rel, named in cells.items():
         try:
             raw = pgm.read_bytes(os.path.join(base, rel))
-            digests[rel] = hashlib.sha256(raw).hexdigest()
+            digests[below[rel]] = hashlib.sha256(raw).hexdigest()
             images = pgm.split_pgms(raw, rel)
         except (OSError, ValueError) as exc:
             fail(named[0][0], str(exc))

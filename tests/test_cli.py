@@ -302,6 +302,20 @@ class TestExtract:
         assert run_cli("extract", "--manifest-dir", corpus, "--out", tmp_path / "o") == 1
         assert f"error: {manifest_path}:5: byte 0xff is not UTF-8" in capsys.readouterr().err
 
+    def test_oversized_manifest_field_names_file_and_line(self, tmp_path, small_corpus,
+                                                          capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        lines = manifest_path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + "x" * 200_000
+        manifest_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {manifest_path}:3: field larger than field limit"
+                in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+
     def test_file_outside_the_corpus_is_refused(self, tmp_path, small_corpus, capsys):
         # the input digest covers the files under the corpus root only
         corpus = tmp_path / "corpus"
@@ -367,11 +381,29 @@ class TestExtract:
         corpus = tmp_path / "corpus"
         shutil.copytree(small_corpus, corpus)
         (corpus / "ep_zzz").symlink_to(small_corpus / "ep_000", target_is_directory=True)
-        with pytest.raises(ValueError, match="ep_zzz"):
-            cli.read_corpus(corpus, hashlib.sha256())
+        with pytest.raises(ValueError, match="ep_zzz/"):
+            list(cli.read_corpus(corpus, hashlib.sha256()))
         out = tmp_path / "out"
         assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
-        assert f"{corpus / 'ep_zzz'}: symlinked episode" in capsys.readouterr().err
+        assert (f"{corpus / 'ep_zzz' / 'manifest.csv'}: read through a symlinked directory"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_symlinked_subdirectory_is_refused(self, tmp_path, small_corpus, capsys):
+        # a file read through a symlinked directory inside an episode would
+        # change the features but not the input digest
+        corpus, outside = tmp_path / "corpus", tmp_path / "outside"
+        shutil.copytree(small_corpus, corpus)
+        outside.mkdir()
+        (corpus / "ep_000" / "object.pgm").rename(outside / "object.pgm")
+        (corpus / "ep_000" / "imgs").symlink_to(outside, target_is_directory=True)
+        manifest_path = corpus / "ep_000" / "manifest.csv"
+        manifest_path.write_text(
+            manifest_path.read_text().replace("object.pgm", "imgs/object.pgm"))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {corpus / 'ep_000' / 'imgs' / 'object.pgm'}: read through a "
+                "symlinked directory" in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     def test_symlinked_corpus_root_is_read(self, tmp_path):
@@ -481,15 +513,10 @@ class TestInputDigest:
             manifest.write_episode(tiny_episode(), root / name)
         return root
 
-    def test_walk_order_is_sorted_rglob_order(self, tree):
+    def test_digest_matches_sorted_rglob_formula(self, tree):
         files = sorted(p for p in tree.rglob("*") if p.is_file())
         # the tree tells path order from plain string order
         assert sorted(files, key=str) != files
-        walked = list(cli._walk_files(str(tree)))
-        assert [Path(path) for path, _ in walked] == files
-        assert [rel for _, rel in walked] == [str(p.relative_to(tree)) for p in files]
-
-    def test_digest_matches_sorted_rglob_formula(self, tree):
         digest = hashlib.sha256()
         episodes = [episode.episode_id for episode in cli.read_corpus(tree, digest)]
         assert episodes == ["a", "a-b"]
@@ -524,6 +551,11 @@ class TestInputDigest:
         rows = listing.read_text().splitlines()
         rows[2] = rows[2].replace("frames.pgm", "./frames.pgm")
         listing.write_text("\n".join(rows) + "\n")
+        # an episode's object stream sits in a shared directory
+        (corpus / "shared").mkdir()
+        (corpus / "ep_000" / "object.pgm").rename(corpus / "shared" / "object.pgm")
+        listing = corpus / "ep_000" / "manifest.csv"
+        listing.write_text(listing.read_text().replace("object.pgm", "../shared/object.pgm"))
 
         opened = collections.Counter()
         real_open = open
@@ -707,6 +739,16 @@ class TestTrainEval:
             )
         assert exc.value.code == 2
         assert "invalid choice: 'maybe'" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, small_features, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs=1\nunits=\xff4\n")
+        code = run_cli(
+            "train", "--features", small_features, "--out", tmp_path / "o",
+            "--config", config,
+        )
+        assert code == 1
+        assert f"error: {config}:2: byte 0xff is not UTF-8" in capsys.readouterr().err
 
     def test_unknown_config_key_fails(self, tmp_path, small_features, capsys):
         config = tmp_path / "bad.cfg"
@@ -993,8 +1035,10 @@ class TestMalformedFeatures:
             (1, "inf", "std_dist is inf, not finite"),
             (0, "nan", "mean_dist is nan, not finite"),
             (8, "flying", "unknown class label 'flying'"),
+            # an episode_id over the csv module's field size limit
+            (9, "e" * 200_000, "field larger than field limit"),
         ],
-        ids=["inf", "nan", "label"],
+        ids=["inf", "nan", "label", "oversized"],
     )
     def test_train_names_file_and_line(self, tmp_path, small_features, capsys, column, value,
                                        message):
