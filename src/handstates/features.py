@@ -356,17 +356,21 @@ def decode_utf8(data: bytes, path) -> str:
                          f"({exc.reason})") from None
 
 
-def csv_rows(data: bytes, path) -> Iterator[list[str]]:
+def csv_rows(data: bytes, path) -> Iterator[tuple[int, list[str]]]:
     """The rows of the CSV file ``path``, whose bytes are ``data``, decoded
     as ``open(path, newline="", encoding="utf-8")`` would, without reading
-    the file again. A byte that is not UTF-8, or text the csv module cannot
-    split, such as a field over its size limit, raises a ValueError naming
-    ``path`` and its line."""
+    the file again, each with the line it begins on (a quoted field may
+    span lines). A byte that is not UTF-8, or a row the csv module cannot
+    split, such as one with a field over its size limit, raises a
+    ValueError naming ``path`` and the byte's line or the row's first."""
     reader = csv.reader(io.StringIO(decode_utf8(data, path), newline=""))
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def load_dataset_csv(path) -> LabeledDataset:
@@ -379,12 +383,14 @@ def load_dataset_csv(path) -> LabeledDataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
+    lines: list[int] = []  # the line each row begins on
     with open(path, "rb") as fh:
         reader = csv_rows(fh.read(), path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected feature CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
+            lines.append(lineno)
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
             try:
@@ -401,7 +407,7 @@ def load_dataset_csv(path) -> LabeledDataset:
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"{path}:{i + 2}: {FEATURE_NAMES[j]} is {rows[i][j]}, not finite")
+        raise ValueError(f"{path}:{lines[i]}: {FEATURE_NAMES[j]} is {rows[i][j]}, not finite")
     return LabeledDataset(
         features=features,
         labels=np.asarray(labels, dtype=np.int64),

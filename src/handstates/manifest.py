@@ -77,10 +77,10 @@ def read_episode(manifest_path, root=None) -> Episode:
     # its normalised path, so that two spellings of one file are one file
     cells: dict[str, list[tuple[int, int, int]]] = {}
     reader = csv_rows(data, path)
-    header = next(reader, None)
+    _, header = next(reader, (1, None))
     if header is None or tuple(header) != MANIFEST_HEADER:
         fail(1, f"bad manifest header {header}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if len(row) != 4:
             fail(lineno, f"expected 4 columns, got {len(row)}")
         for column, rel in enumerate(row[:3]):

@@ -44,11 +44,16 @@ class ClassReport:
     zero_division: list[tuple[int, str]] = field(default_factory=list)
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0, in float64."""
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+
+
 def classification_report(cm: np.ndarray) -> ClassReport:
     """Per-class and aggregate metrics from a confusion matrix.
 
-    Empty precision/recall denominators yield 0 and are flagged; macro
-    averages run over classes with support > 0; weighted averages are
+    An empty precision, recall or F1 denominator yields 0 and is flagged;
+    macro averages run over classes with support > 0; weighted averages are
     support-weighted.
     """
     cm = np.asarray(cm, dtype=np.int64)
@@ -57,28 +62,15 @@ def classification_report(cm: np.ndarray) -> ClassReport:
     total = int(cm.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
-    k = cm.shape[0]
     diag = np.diag(cm).astype(np.float64)
     support = cm.sum(axis=1)
     col_sum = cm.sum(axis=0)
-
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    flags: list[tuple[int, str]] = []
-    for c in range(k):
-        if col_sum[c] > 0:
-            precision[c] = diag[c] / col_sum[c]
-        else:
-            flags.append((c, "precision"))
-        if support[c] > 0:
-            recall[c] = diag[c] / support[c]
-        else:
-            flags.append((c, "recall"))
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-        else:
-            flags.append((c, "f1"))
+    precision = _ratio(diag, col_sum)
+    recall = _ratio(diag, support)
+    f1 = _ratio(2 * precision * recall, precision + recall)
+    # each empty denominator, class by class, in the order precision, recall, f1
+    empty = np.column_stack([col_sum <= 0, support <= 0, precision + recall <= 0])
+    flags = [(int(c), ("precision", "recall", "f1")[m]) for c, m in np.argwhere(empty)]
 
     present = support > 0
     n_present = int(present.sum())
@@ -87,7 +79,7 @@ def classification_report(cm: np.ndarray) -> ClassReport:
         precision=precision,
         recall=recall,
         f1=f1,
-        support=support.astype(np.int64),
+        support=support,
         accuracy=float(diag.sum() / total),
         macro_precision=float(precision[present].sum() / n_present),
         macro_recall=float(recall[present].sum() / n_present),
@@ -112,46 +104,26 @@ def render_report(report: ClassReport, class_names: list[str]) -> str:
     name_width = max(12, max(len(n) for n in class_names))
     col = 9
 
-    def fmt(x: float) -> str:
-        return f"{round_half_away(x):.2f}".rjust(col)
+    def row(label: str, cells, support: int) -> str:
+        """``label``, three two-decimal cells (``None`` is blank) and ``support``."""
+        shown = ["" if x is None else f"{round_half_away(x):.2f}" for x in cells]
+        return label.rjust(name_width) + "".join(s.rjust(col) for s in [*shown, str(support)])
 
-    lines = [
-        " " * name_width
-        + "precision".rjust(col)
-        + "recall".rjust(col)
-        + "f1-score".rjust(col)
-        + "support".rjust(col)
+    header = " " * name_width + "".join(
+        s.rjust(col) for s in ("precision", "recall", "f1-score", "support"))
+    lines = [header, ""]
+    for name, *cells, support in zip(class_names, report.precision, report.recall,
+                                     report.f1, report.support):
+        lines.append(row(name, cells, int(support)))
+    lines += [
+        "",
+        row("accuracy", (None, None, report.accuracy), report.total),
+        row("macro avg", (report.macro_precision, report.macro_recall, report.macro_f1),
+            report.total),
+        row("weighted avg",
+            (report.weighted_precision, report.weighted_recall, report.weighted_f1),
+            report.total),
     ]
-    lines.append("")
-    for c, name in enumerate(class_names):
-        lines.append(
-            name.rjust(name_width)
-            + fmt(report.precision[c])
-            + fmt(report.recall[c])
-            + fmt(report.f1[c])
-            + str(int(report.support[c])).rjust(col)
-        )
-    lines.append("")
-    lines.append(
-        "accuracy".rjust(name_width)
-        + " " * (2 * col)
-        + fmt(report.accuracy)
-        + str(report.total).rjust(col)
-    )
-    lines.append(
-        "macro avg".rjust(name_width)
-        + fmt(report.macro_precision)
-        + fmt(report.macro_recall)
-        + fmt(report.macro_f1)
-        + str(report.total).rjust(col)
-    )
-    lines.append(
-        "weighted avg".rjust(name_width)
-        + fmt(report.weighted_precision)
-        + fmt(report.weighted_recall)
-        + fmt(report.weighted_f1)
-        + str(report.total).rjust(col)
-    )
     return "\n".join(lines) + "\n"
 
 

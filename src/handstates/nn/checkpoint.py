@@ -21,7 +21,7 @@ batch-norm variance is negative, or whose standardization std is not > 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def save(ckpt: Checkpoint, path) -> None:
         raise ValueError(f"a checkpoint stores a {np.dtype(PARAM_DTYPE)} model, not {clf.dtype}")
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "spec": clf.spec.to_dict(),
+        "spec": asdict(clf.spec),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in clf.params().items()
@@ -108,7 +108,7 @@ def load(path) -> Checkpoint:
         label_order = list(doc["label_order"])
         if label_order != list(CLASS_NAMES):
             raise ValueError(f"label_order {label_order} is not {list(CLASS_NAMES)}")
-        spec = ModelSpec.from_dict(doc["spec"])
+        spec = ModelSpec(**doc["spec"])
         mean = std = None
         if (stored := doc.get("standardization")) is not None:
             mean = _finite("standardization mean", stored["mean"])

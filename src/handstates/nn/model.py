@@ -23,7 +23,7 @@ and batch-norm running statistics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,17 +73,6 @@ class ModelSpec:
         if self.use_batchnorm is None:
             object.__setattr__(self, "use_batchnorm", self.kind == "mlp")
         object.__setattr__(self, "hidden", tuple(self.hidden))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", ()))
-        return cls(**d)
 
 
 class Classifier(Layer):

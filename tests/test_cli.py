@@ -316,6 +316,19 @@ class TestExtract:
                 in capsys.readouterr().err)
         assert not (out / "features.csv").exists()
 
+    def test_unterminated_quote_names_the_line_it_opens_on(self, tmp_path, small_corpus,
+                                                           capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        manifest_path = corpus / "ep_001" / "manifest.csv"
+        lines = manifest_path.read_text().splitlines()
+        # the quoted field opened on line 3 runs on past the csv field size limit
+        lines[2] = '"' + lines[2]
+        manifest_path.write_text("\n".join(lines + ["x" * 59] * 3000) + "\n")
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", tmp_path / "out") == 1
+        assert (f"error: {manifest_path}:3: field larger than field limit"
+                in capsys.readouterr().err)
+
     def test_file_outside_the_corpus_is_refused(self, tmp_path, small_corpus, capsys):
         # the input digest covers the files under the corpus root only
         corpus = tmp_path / "corpus"

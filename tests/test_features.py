@@ -524,6 +524,31 @@ class TestCsvRoundTrip:
         assert str(err.value).startswith(f"{path}:4: ")
         assert message in str(err.value)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (F.FEATURE_DIM, "flying", "unknown class label 'flying'"),
+            (2, "inf", "trend_dist is inf, not finite"),
+        ],
+        ids=["label", "inf"],
+    )
+    def test_row_after_a_two_line_field_is_named_by_its_first_line(self, tmp_path, rng,
+                                                                   column, value, message):
+        path = tmp_path / "features.csv"
+        F.save_dataset_csv(dataset_with_counts([3, 2], rng), path)
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[F.FEATURE_DIM + 1] = '"ep\nx"'  # the first row spans lines 2 and 3
+        lines[1] = ",".join(cells)
+        cells = lines[2].split(",")  # the second row, on line 4
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            F.load_dataset_csv(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+        assert message in str(err.value)
+
 
 class TestInvariants:
     def test_class_label_enumeration_frozen(self):

@@ -205,3 +205,192 @@ def test_write_confusion_csv(tmp_path, rng):
     assert lines[0] == ",".join(CLASS_NAMES)
     parsed = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed, cm)
+
+
+# A matrix whose class 1 is empty, class 2 never predicted and class 3 never
+# true, so that every kind of zero-division flag shows; one name is wider
+# than the 12-character label column.
+EMPTY_CLASS_CM = np.array([[5, 0, 0, 1], [0, 0, 0, 0], [2, 0, 0, 1], [0, 0, 0, 0]])
+EMPTY_CLASS_NAMES = ["approaching", "an-empty-class-name", "never-predicted", "never-true"]
+
+# The whole files write_report_files and write_confusion_csv write for them.
+IMBALANCED_FILES = {
+    "report.txt": """\
+            precision   recall f1-score  support
+
+ approaching     0.96     0.97     0.96      377
+    grabbing     0.90     0.90     0.90      260
+     holding     0.99     0.99     0.99     2774
+   releasing     0.96     0.96     0.96      405
+     unknown     0.97     0.95     0.96      306
+
+    accuracy                       0.98     4122
+   macro avg     0.95     0.95     0.95     4122
+weighted avg     0.98     0.98     0.98     4122
+""",
+    "report.json": """\
+{
+  "accuracy": 0.9759825327510917,
+  "classes": {
+    "approaching": {
+      "f1": 0.9631578947368421,
+      "precision": 0.9556135770234987,
+      "recall": 0.9708222811671088,
+      "support": 377
+    },
+    "grabbing": {
+      "f1": 0.900383141762452,
+      "precision": 0.8969465648854962,
+      "recall": 0.9038461538461539,
+      "support": 260
+    },
+    "holding": {
+      "f1": 0.9888207717273712,
+      "precision": 0.9891774891774892,
+      "recall": 0.9884643114635905,
+      "support": 2774
+    },
+    "releasing": {
+      "f1": 0.9593094944512947,
+      "precision": 0.958128078817734,
+      "recall": 0.9604938271604938,
+      "support": 405
+    },
+    "unknown": {
+      "f1": 0.9619834710743802,
+      "precision": 0.9732441471571907,
+      "recall": 0.9509803921568627,
+      "support": 306
+    }
+  },
+  "macro_avg": {
+    "f1": 0.954730954750468,
+    "precision": 0.9546219714122817,
+    "recall": 0.9549213931588418
+  },
+  "total_support": 4122,
+  "weighted_avg": {
+    "f1": 0.976003457386533,
+    "precision": 0.9760566136190504,
+    "recall": 0.9759825327510918
+  },
+  "zero_division": []
+}
+""",
+    "confusion.csv": (
+        "approaching,grabbing,holding,releasing,unknown\r\n"
+        "366,0,3,0,8\r\n"
+        "17,235,8,0,0\r\n"
+        "0,15,2742,17,0\r\n"
+        "0,0,16,389,0\r\n"
+        "0,12,3,0,291\r\n"
+    ),
+}
+EMPTY_CLASS_FILES = {
+    "report.txt": """\
+                   precision   recall f1-score  support
+
+        approaching     0.71     0.83     0.77        6
+an-empty-class-name     0.00     0.00     0.00        0
+    never-predicted     0.00     0.00     0.00        3
+         never-true     0.00     0.00     0.00        0
+
+           accuracy                       0.56        9
+          macro avg     0.36     0.42     0.38        9
+       weighted avg     0.48     0.56     0.51        9
+""",
+    "report.json": """\
+{
+  "accuracy": 0.5555555555555556,
+  "classes": {
+    "an-empty-class-name": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 0
+    },
+    "approaching": {
+      "f1": 0.7692307692307692,
+      "precision": 0.7142857142857143,
+      "recall": 0.8333333333333334,
+      "support": 6
+    },
+    "never-predicted": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 3
+    },
+    "never-true": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 0
+    }
+  },
+  "macro_avg": {
+    "f1": 0.3846153846153846,
+    "precision": 0.35714285714285715,
+    "recall": 0.4166666666666667
+  },
+  "total_support": 9,
+  "weighted_avg": {
+    "f1": 0.5128205128205128,
+    "precision": 0.47619047619047616,
+    "recall": 0.5555555555555556
+  },
+  "zero_division": [
+    {
+      "class": "an-empty-class-name",
+      "metric": "precision"
+    },
+    {
+      "class": "an-empty-class-name",
+      "metric": "recall"
+    },
+    {
+      "class": "an-empty-class-name",
+      "metric": "f1"
+    },
+    {
+      "class": "never-predicted",
+      "metric": "precision"
+    },
+    {
+      "class": "never-predicted",
+      "metric": "f1"
+    },
+    {
+      "class": "never-true",
+      "metric": "recall"
+    },
+    {
+      "class": "never-true",
+      "metric": "f1"
+    }
+  ]
+}
+""",
+    "confusion.csv": (
+        "approaching,an-empty-class-name,never-predicted,never-true\r\n"
+        "5,0,0,1\r\n"
+        "0,0,0,0\r\n"
+        "2,0,0,1\r\n"
+        "0,0,0,0\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cm, names, files",
+    [
+        (IMBALANCED_CM, list(CLASS_NAMES), IMBALANCED_FILES),
+        (EMPTY_CLASS_CM, EMPTY_CLASS_NAMES, EMPTY_CLASS_FILES),
+    ],
+    ids=["imbalanced", "empty-class"],
+)
+def test_report_files_are_pinned_bytes(tmp_path, cm, names, files):
+    metrics.write_report_files(metrics.classification_report(cm), names, tmp_path)
+    metrics.write_confusion_csv(cm, names, tmp_path / "confusion.csv")
+    for name, text in files.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
