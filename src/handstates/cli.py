@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import ctypes
 import dataclasses
 import gc
@@ -83,6 +82,7 @@ from .features import (
     stratified_folds,
     stratified_split_indices,
     windows,
+    write_csv,
 )
 
 if TYPE_CHECKING:
@@ -182,8 +182,8 @@ def read_corpus(root, digest) -> Iterator[Episode]:
     relative path and the hex sha256 of its bytes. The files the episodes
     were read from keep the digests their reader took, so only the files no
     episode names are read here. The walk does not enter symlinked
-    directories, so a file an episode read through one raises a ValueError
-    naming it.
+    directories, so an episode that names a file through one raises a
+    ValueError naming the file when it is read, before the file is.
     """
     from . import manifest
 
@@ -207,9 +207,8 @@ def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episod
             rel = str(path.relative_to(root))
             digest.update(rel.encode())
             digest.update((read.pop(rel, None) or sha256_file(path)).encode())
-    if read:
-        raise ValueError(f"{root / next(iter(read))}: read through a symlinked directory, "
-                         "which the input digest does not enter; copy it into the corpus")
+    if read:  # read_episode refuses symlinked directories; this is the backstop
+        raise ValueError(f"{root / next(iter(read))}: {manifest.THROUGH_SYMLINK}")
 
 
 SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
@@ -219,13 +218,10 @@ TRIAL_COLUMNS = ["trial", "status", "rnn_units", "rnn_layers", "dropout_p",
 
 
 def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
-    """Write ``rows`` as a CSV table with a ``columns`` header. Each value is
+    """Write ``rows``, dicts, as a CSV table of the ``columns``. Each value is
     written as its ``str``, which for a Python float is its ``repr``: the
     shortest text that reads back as the same float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, columns, ([row[column] for column in columns] for row in rows))
 
 
 def _mean_std(score_rows) -> tuple[list[float], list[float]]:
@@ -532,16 +528,11 @@ def _search(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: Lab
     return scores, [out / "trials.csv", out / "checkpoint.json"] + files
 
 
-def _static_encoder() -> ModelSpec:
-    """The paper's model: a bidirectional LSTM over one feature vector."""
+def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     from .nn.model import ModelSpec
 
-    return ModelSpec(kind="birnn", seq_length=1)
-
-
-def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
     ds = _load_features(args.features)
-    (accuracy, _, _), outputs = _search(args, _static_encoder(), _train_cfg(args), ds, out)
+    (accuracy, _, _), outputs = _search(args, ModelSpec(), _train_cfg(args), ds, out)
     print(f"test accuracy {accuracy:.4f}")
     return outputs, []
 
@@ -575,7 +566,7 @@ def _ladder_plan() -> tuple:
     class weighting, step)."""
     from .nn.model import ModelSpec
 
-    static_encoder = _static_encoder()
+    static_encoder = ModelSpec()  # the paper's model
     return (
         (1, "plain MLP", ModelSpec(kind="mlp", dropout_p=0.0, l2_lambda=0.0, use_batchnorm=False),
          "none", _fit),

@@ -333,16 +333,10 @@ CSV_HEADER = FEATURE_NAMES + ("label", "episode_id", "target_index")
 
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
     """Write the dataset as CSV with floats at 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row, label, (episode_id, target_index) in zip(
-            ds.features, ds.labels, ds.provenance
-        ):
-            writer.writerow(
-                [format(x, ".9g") for x in row]
-                + [CLASS_NAMES[label], episode_id, target_index]
-            )
+    write_csv(path, CSV_HEADER, (
+        [format(x, ".9g") for x in row] + [CLASS_NAMES[label], episode_id, target_index]
+        for row, label, (episode_id, target_index) in zip(ds.features, ds.labels, ds.provenance)
+    ))
 
 
 def decode_utf8(data: bytes, path) -> str:
@@ -356,17 +350,33 @@ def decode_utf8(data: bytes, path) -> str:
                          f"({exc.reason})") from None
 
 
-def csv_rows(data: bytes, path) -> Iterator[tuple[int, list[str]]]:
-    """The rows of the CSV file ``path``, whose bytes are ``data``, decoded
-    as ``open(path, newline="", encoding="utf-8")`` would, without reading
-    the file again, each with the line it begins on (a quoted field may
-    span lines). A byte that is not UTF-8, or a row the csv module cannot
-    split, such as one with a field over its size limit, raises a
-    ValueError naming ``path`` and the byte's line or the row's first."""
+def write_csv(path, header, rows: Iterable) -> None:
+    """Write the CSV table ``path``: its ``header`` row, then ``rows``, in
+    the csv module's default dialect (CRLF row ends, a cell quoted only when
+    it must be); each value is written as its ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def csv_table(data: bytes, path, header) -> Iterator[tuple[int, list[str]]]:
+    """The rows below the ``header`` row of the CSV table ``path``, whose
+    bytes are ``data``, decoded as ``open(path, newline="", encoding="utf-8")``
+    would, each with the line it begins on (a quoted field may span lines).
+    An empty file, another first row, a row of another width, a byte that is
+    not UTF-8 or a row the csv module cannot split, such as one with a field
+    over its size limit, raises a ValueError naming ``path`` and the line."""
     reader = csv.reader(io.StringIO(decode_utf8(data, path), newline=""))
     line = 1
     try:
+        if (first := next(reader, None)) != list(header):
+            raise ValueError(f"{path}:1: expected the header {list(header)}, got "
+                             f"{'an empty file' if first is None else first}")
+        line = reader.line_num + 1
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
             yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
@@ -376,23 +386,17 @@ def csv_rows(data: bytes, path) -> Iterator[tuple[int, list[str]]]:
 def load_dataset_csv(path) -> LabeledDataset:
     """Read a dataset CSV produced by :func:`save_dataset_csv`.
 
-    A row that does not parse or split, or is not UTF-8, or whose feature
-    values are not all finite, raises a ValueError naming ``path`` and its
-    line.
+    The table is read by :func:`csv_table`; a row that does not parse, or
+    whose feature values are not all finite, also raises a ValueError naming
+    ``path`` and its line.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     provenance: list[tuple[str, int]] = []
     lines: list[int] = []  # the line each row begins on
     with open(path, "rb") as fh:
-        reader = csv_rows(fh.read(), path)
-        _, header = next(reader, (1, None))
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected feature CSV header {header}")
-        for lineno, row in reader:
+        for lineno, row in csv_table(fh.read(), path, CSV_HEADER):
             lines.append(lineno)
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
             try:
                 rows.append([float(x) for x in row[:FEATURE_DIM]])
                 labels.append(int(parse_label(row[FEATURE_DIM])))

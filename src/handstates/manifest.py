@@ -14,22 +14,19 @@ episode, each with its own ``manifest.csv``; ``cli.read_corpus`` reads one.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from pathlib import Path
 
 from . import pgm
-from .features import CLASS_NAMES, Episode, csv_rows, parse_label
+from .features import CLASS_NAMES, Episode, csv_table, parse_label, write_csv
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
 # the files write_episode writes, one per manifest column
 STREAMS = ("frames.pgm", "hand.pgm", "object.pgm")
-
-
-class ManifestError(ValueError):
-    """Malformed manifest row; message carries file and line number."""
+THROUGH_SYMLINK = ("read through a symlinked directory, which the input digest does not enter; "
+                   "copy it into the corpus")
 
 
 def write_episode(episode: Episode, out_dir) -> Path:
@@ -42,11 +39,17 @@ def write_episode(episode: Episode, out_dir) -> Path:
     pgm.write_pgms(out / hands, map(pgm.mask_to_gray, episode.hand_masks))
     pgm.write_pgms(out / objects, map(pgm.mask_to_gray, episode.object_masks))
     manifest = out / MANIFEST_NAME
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(STREAMS + (CLASS_NAMES[label],) for label in episode.labels)
+    write_csv(manifest, MANIFEST_HEADER,
+              (STREAMS + (CLASS_NAMES[label],) for label in episode.labels))
     return manifest
+
+
+def _refuse_symlinked(root, rel: str) -> None:
+    """Refuse ``rel``, a normalised path below the corpus ``root``, that
+    passes through a symlinked directory, which the corpus walk does not enter."""
+    parts = rel.split(os.sep)[:-1]
+    if any(os.path.islink(os.path.join(root, *parts[:k])) for k in range(1, len(parts) + 1)):
+        raise ValueError(f"{Path(root, rel)}: {THROUGH_SYMLINK}")
 
 
 def read_episode(manifest_path, root=None) -> Episode:
@@ -54,21 +57,25 @@ def read_episode(manifest_path, root=None) -> Episode:
 
     Each file the manifest names is opened once, its bytes hashed into
     ``Episode.file_digests`` and split into its images. Frames stay the
-    uint8 arrays the split returns. A manifest that is not UTF-8 or does not
-    split as CSV raises a ValueError naming its line; a file that holds
-    another number of images than cells name it, or a frame or mask of
-    another size than the first frame, a ManifestError naming the line and
-    the file. Given ``root``, the corpus directory, so does a file that is
-    absolute or lies above ``root``, before any file is read, and each
-    digest is keyed by the file's normalised path below ``root``, the path
-    the corpus walk finds it by.
+    uint8 arrays the split returns. The manifest is read by ``csv_table``;
+    a file that holds another number of images than cells name it, or a
+    frame or mask of another size than the first frame, raises a ValueError
+    naming the line and the file. Given ``root``, the corpus directory, so
+    does a file that is absolute or lies above ``root``, and a manifest or
+    file named through a symlinked directory below ``root`` one naming it,
+    each before it is read; each digest is keyed by the file's normalised
+    path below ``root``, the path the corpus walk finds it by.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
+    inside = os.curdir if root is None else os.path.relpath(path.parent, root)
+    key = os.path.normpath(os.path.join(inside, path.name))
 
     def fail(lineno: int, message: str):
-        raise ManifestError(f"{path}:{lineno}: {message}")
+        raise ValueError(f"{path}:{lineno}: {message}")
 
+    if root is not None:
+        _refuse_symlinked(root, key)
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -76,13 +83,7 @@ def read_episode(manifest_path, root=None) -> Episode:
     # file -> (line, row, column) of each cell that names it, in order, by
     # its normalised path, so that two spellings of one file are one file
     cells: dict[str, list[tuple[int, int, int]]] = {}
-    reader = csv_rows(data, path)
-    _, header = next(reader, (1, None))
-    if header is None or tuple(header) != MANIFEST_HEADER:
-        fail(1, f"bad manifest header {header}")
-    for lineno, row in reader:
-        if len(row) != 4:
-            fail(lineno, f"expected 4 columns, got {len(row)}")
+    for lineno, row in csv_table(data, path, MANIFEST_HEADER):
         for column, rel in enumerate(row[:3]):
             cells.setdefault(os.path.normpath(rel), []).append((lineno, len(labels), column))
         try:
@@ -90,14 +91,14 @@ def read_episode(manifest_path, root=None) -> Episode:
         except ValueError as exc:
             fail(lineno, str(exc))
     if not labels:
-        raise ManifestError(f"{path}: manifest lists no frames")
-    inside = os.curdir if root is None else os.path.relpath(path.parent, root)
-    below = {rel: os.path.normpath(os.path.join(inside, rel)) for rel in (path.name, *cells)}
+        raise ValueError(f"{path}: manifest lists no frames")
+    below = {rel: os.path.normpath(os.path.join(inside, rel)) for rel in cells}
     if root is not None:
         for rel, named in cells.items():
             if os.path.isabs(below[rel]) or below[rel].split(os.sep, 1)[0] == os.pardir:
                 fail(named[0][0], f"{rel} is outside the corpus {os.fspath(root)}")
-    digests = {below[path.name]: hashlib.sha256(data).hexdigest()}
+            _refuse_symlinked(root, below[rel])
+    digests = {key: hashlib.sha256(data).hexdigest()}
 
     # frames, hand masks and object masks, by column
     streams: list[list] = [[None] * len(labels) for _ in range(3)]

@@ -7,11 +7,12 @@ denominator was empty (the zero-division policy maps those to 0).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .features import write_csv
 
 
 def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
@@ -172,8 +173,4 @@ def write_report_files(report: ClassReport, class_names: list[str], out_dir) -> 
 
 
 def write_confusion_csv(cm: np.ndarray, class_names: list[str], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(class_names)
-        for row in np.asarray(cm):
-            writer.writerow([int(v) for v in row])
+    write_csv(path, class_names, np.asarray(cm).tolist())

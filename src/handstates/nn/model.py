@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..features import FEATURE_DIM, NUM_CLASSES
 from .layers import BatchNorm, Dense, Dropout, Layer, ReLU
 from .losses import softmax, softmax_cross_entropy
 from .recurrent import BidirectionalLSTM, LSTMLayer, ZeroStateGate
@@ -38,10 +39,11 @@ LOGIT_BLOCK = 512  # rows per inference forward pass, so its caches stay small
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative architecture description (stored in checkpoints)."""
+    """Declarative architecture description (stored in checkpoints); the
+    defaults are the paper's static encoder, a BiLSTM over one feature row."""
 
     kind: str = "birnn"
-    input_dim: int = 8
+    input_dim: int = FEATURE_DIM
     hidden: tuple[int, ...] = (128, 64, 32)
     rnn_units: int = 128
     rnn_layers: int = 1
@@ -49,7 +51,7 @@ class ModelSpec:
     dropout_p: float = 0.3
     l2_lambda: float = 1e-4
     use_batchnorm: Optional[bool] = None  # resolved by kind when None
-    num_classes: int = 5
+    num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -402,9 +402,10 @@ class TestExtract:
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
-    def test_symlinked_subdirectory_is_refused(self, tmp_path, small_corpus, capsys):
-        # a file read through a symlinked directory inside an episode would
-        # change the features but not the input digest
+    @pytest.fixture
+    def sublinked_corpus(self, tmp_path, small_corpus):
+        """The small corpus with ep_000's object.pgm read through ep_000/imgs,
+        a symlink to a directory outside the corpus."""
         corpus, outside = tmp_path / "corpus", tmp_path / "outside"
         shutil.copytree(small_corpus, corpus)
         outside.mkdir()
@@ -413,11 +414,27 @@ class TestExtract:
         manifest_path = corpus / "ep_000" / "manifest.csv"
         manifest_path.write_text(
             manifest_path.read_text().replace("object.pgm", "imgs/object.pgm"))
+        return corpus
+
+    def test_symlinked_subdirectory_is_refused(self, tmp_path, sublinked_corpus, capsys):
+        # a file read through a symlinked directory inside an episode would
+        # change the features but not the input digest
+        corpus = sublinked_corpus
         out = tmp_path / "out"
         assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
         assert (f"error: {corpus / 'ep_000' / 'imgs' / 'object.pgm'}: read through a "
                 "symlinked directory" in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+
+    def test_symlinked_subdirectory_is_refused_before_any_episode_is_featurised(
+            self, tmp_path, sublinked_corpus, monkeypatch):
+        select = features.select_keyframes
+        calls = []
+        monkeypatch.setattr(features, "select_keyframes",
+                            lambda *args: calls.append(args) or select(*args))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", sublinked_corpus, "--out", out) == 1
+        assert calls == []
 
     def test_symlinked_corpus_root_is_read(self, tmp_path):
         root = tmp_path / "one"

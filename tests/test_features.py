@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from handstates import features as F
+from handstates import manifest
 from handstates.features import (
     ClassLabel,
     Episode,
@@ -548,6 +549,41 @@ class TestCsvRoundTrip:
             F.load_dataset_csv(path)
         assert str(err.value).startswith(f"{path}:4: ")
         assert message in str(err.value)
+
+
+def feature_table(tmp_path, rng):
+    path = tmp_path / "features.csv"
+    F.save_dataset_csv(dataset_with_counts([3, 2], rng), path)
+    return path, F.load_dataset_csv
+
+
+def manifest_table(tmp_path, rng):
+    frames = [rng.integers(0, 256, (4, 5), dtype=np.uint8) for _ in range(4)]
+    return manifest.write_episode(make_episode(frames), tmp_path / "ep"), manifest.read_episode
+
+
+# name: (the table's lines -> the broken table's lines, line named, message)
+TABLE_DEFECTS = {
+    "header": (lambda lines: ["x" + lines[0]] + lines[1:], 1, "header"),
+    "empty": (lambda lines: [], 1, "header"),
+    "short-row": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], 3,
+                  "columns"),
+    "long-row": (lambda lines: lines[:2] + [lines[2] + ",x"] + lines[3:], 3, "columns"),
+}
+
+
+@pytest.mark.parametrize("defect", TABLE_DEFECTS)
+@pytest.mark.parametrize("table", [feature_table, manifest_table], ids=["features", "manifest"])
+def test_csv_table_refusals_name_file_and_line(tmp_path, rng, table, defect):
+    """Both tables are read by ``csv_table``, which checks the header and
+    each row's width."""
+    path, read = table(tmp_path, rng)
+    edit, line, message = TABLE_DEFECTS[defect]
+    path.write_text("".join(f"{row}\n" for row in edit(path.read_text().splitlines())))
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert message in str(err.value)
 
 
 class TestInvariants:

@@ -83,6 +83,23 @@ class TestTrainLoop:
         ckpt_mod.save(ckpt_b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_static_birnn_trains_as_an_lstm_of_twice_the_units(self, rng, layers):
+        """At seq_length 1 a ``birnn`` of u units is an ``lstm`` of 2u units:
+        the same trained state and history, bit for bit."""
+        x = rng.normal(size=(40, 8))
+        y = np.arange(40) % 5
+        cfg = TrainConfig(batch_size=8, epochs=3, early_stop_patience=0)
+        (bi, bi_history), (uni, uni_history) = (
+            fit_all(ModelSpec(kind=kind, rnn_units=units, rnn_layers=layers), x, y, cfg)
+            for kind, units in (("birnn", 4), ("lstm", 8))
+        )
+        assert bi_history == uni_history
+        bi_state, uni_state = bi.model.state(), uni.model.state()
+        assert bi_state.keys() == uni_state.keys()
+        for name, value in bi_state.items():
+            assert np.array_equal(bits(value), bits(uni_state[name])), name
+
     def test_non_finite_input_aborts_with_epoch(self, rng):
         x, y = two_blob_data(rng, n=20)
         x[3, 2] = np.inf
