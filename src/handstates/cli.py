@@ -90,6 +90,8 @@ if TYPE_CHECKING:
     from .nn.train import TrainConfig
 
 RUN_MANIFEST = "run_manifest.json"
+THROUGH_SYMLINK = ("read through a symlinked directory, which the input digest does not enter; "
+                   "copy it into the corpus")
 SEED = 7  # the --seed default, and eval's split seed for a checkpoint that records none
 TEST_FRACTION = 0.2  # the --test-fraction default, and eval's likewise
 FOLDS = 5  # xval's default --k and the ladder's k-fold rows
@@ -173,17 +175,18 @@ def sha256_file(path: str | os.PathLike) -> str:
 
 def read_corpus(root, digest) -> Iterator[Episode]:
     """The episodes of the corpus at ``root``, read one at a time as they
-    are consumed; a corpus without manifests raises at call time, and an
-    episode that names a file outside ``root`` when it is read.
+    are consumed; a corpus ``manifest.find_manifests`` refuses raises at
+    call time, and an episode that names a file outside ``root`` when it is
+    read.
 
-    When they run out, ``digest`` (a hashlib object) has taken in the
-    corpus's input digest: for each file in ``sorted(root.rglob("*"))``,
-    bar run manifests (they hold a wall time and an output path), its
-    relative path and the hex sha256 of its bytes. The files the episodes
-    were read from keep the digests their reader took, so only the files no
-    episode names are read here. The walk does not enter symlinked
-    directories, so an episode that names a file through one raises a
-    ValueError naming the file when it is read, before the file is.
+    The corpus is walked once, before the first episode is read, in
+    ``sorted(root.rglob("*"))`` order, bar run manifests (they hold a wall
+    time and an output path); the walk does not enter symlinked directories.
+    An episode that read a file the walk did not find raises a ValueError
+    naming the file before it is yielded. When the episodes run out,
+    ``digest`` (a hashlib object) has taken in the corpus's input digest:
+    each walked file's relative path and the hex sha256 of its bytes, taken
+    by the episode reader for the files it read, here for the rest.
     """
     from . import manifest
 
@@ -194,21 +197,21 @@ def read_corpus(root, digest) -> Iterator[Episode]:
 def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
     from . import manifest
 
+    walked = {str(path.relative_to(root)): path for path in sorted(root.rglob("*"))
+              if path.is_file() and path.name != RUN_MANIFEST}
     # digests of the files the episodes read, by path below the root; each
     # episode is dropped once it is consumed, before the next one is read
     read: dict[str, str] = {}
     for path in manifests:
         episode = manifest.read_episode(path, root)
+        if unwalked := [rel for rel in episode.file_digests if rel not in walked]:
+            raise ValueError(f"{root / unwalked[0]}: {THROUGH_SYMLINK}")
         read.update(episode.file_digests)
         yield episode
         del episode
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != RUN_MANIFEST:
-            rel = str(path.relative_to(root))
-            digest.update(rel.encode())
-            digest.update((read.pop(rel, None) or sha256_file(path)).encode())
-    if read:  # read_episode refuses symlinked directories; this is the backstop
-        raise ValueError(f"{root / next(iter(read))}: {manifest.THROUGH_SYMLINK}")
+    for rel, path in walked.items():
+        digest.update(rel.encode())
+        digest.update((read.pop(rel, None) or sha256_file(path)).encode())
 
 
 SCORES = ("accuracy", "weighted_f1", "grabbing_f1")

@@ -9,7 +9,8 @@ within a row, and the file must hold exactly as many images as cells name
 it. ``write_episode`` writes each stream, frames and the two masks, as one
 file, ``STREAMS``; a corpus of one image per file, named by one cell each,
 reads the same way. A corpus directory holds one episode subdirectory per
-episode, each with its own ``manifest.csv``; ``cli.read_corpus`` reads one.
+episode, each with its own ``manifest.csv``, or a single episode at its
+root, never both; ``cli.read_corpus`` reads one.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
 # the files write_episode writes, one per manifest column
 STREAMS = ("frames.pgm", "hand.pgm", "object.pgm")
-THROUGH_SYMLINK = ("read through a symlinked directory, which the input digest does not enter; "
-                   "copy it into the corpus")
 
 
 def write_episode(episode: Episode, out_dir) -> Path:
@@ -44,14 +43,6 @@ def write_episode(episode: Episode, out_dir) -> Path:
     return manifest
 
 
-def _refuse_symlinked(root, rel: str) -> None:
-    """Refuse ``rel``, a normalised path below the corpus ``root``, that
-    passes through a symlinked directory, which the corpus walk does not enter."""
-    parts = rel.split(os.sep)[:-1]
-    if any(os.path.islink(os.path.join(root, *parts[:k])) for k in range(1, len(parts) + 1)):
-        raise ValueError(f"{Path(root, rel)}: {THROUGH_SYMLINK}")
-
-
 def read_episode(manifest_path, root=None) -> Episode:
     """Load an episode from its manifest; the directory name is its id.
 
@@ -61,10 +52,11 @@ def read_episode(manifest_path, root=None) -> Episode:
     a file that holds another number of images than cells name it, or a
     frame or mask of another size than the first frame, raises a ValueError
     naming the line and the file. Given ``root``, the corpus directory, so
-    does a file that is absolute or lies above ``root``, and a manifest or
-    file named through a symlinked directory below ``root`` one naming it,
-    each before it is read; each digest is keyed by the file's normalised
-    path below ``root``, the path the corpus walk finds it by.
+    does a file that is absolute or lies above ``root``, before any file the
+    manifest names is read, and each digest is keyed by the file's normalised path below
+    ``root``, the path the corpus walk finds it by. Which files an episode
+    may read is the walk's to say: ``cli.read_corpus`` refuses one read
+    through a symlinked directory once its episode has been read.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -74,8 +66,6 @@ def read_episode(manifest_path, root=None) -> Episode:
     def fail(lineno: int, message: str):
         raise ValueError(f"{path}:{lineno}: {message}")
 
-    if root is not None:
-        _refuse_symlinked(root, key)
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -97,7 +87,6 @@ def read_episode(manifest_path, root=None) -> Episode:
         for rel, named in cells.items():
             if os.path.isabs(below[rel]) or below[rel].split(os.sep, 1)[0] == os.pardir:
                 fail(named[0][0], f"{rel} is outside the corpus {os.fspath(root)}")
-            _refuse_symlinked(root, below[rel])
     digests = {key: hashlib.sha256(data).hexdigest()}
 
     # frames, hand masks and object masks, by column
@@ -131,16 +120,19 @@ def read_episode(manifest_path, root=None) -> Episode:
 
 
 def find_manifests(root) -> list[Path]:
-    """Locate episode manifests under a corpus directory (sorted by path)."""
+    """Locate episode manifests under a corpus directory (sorted by path):
+    the root's own, for a corpus of one episode, or one per episode
+    subdirectory. A root with both raises a ValueError naming two of them,
+    since reading either kind alone would drop the other's episodes."""
     root = Path(root)
     single = root / MANIFEST_NAME
+    found = sorted(p / MANIFEST_NAME for p in root.iterdir()
+                   if p.is_dir() and (p / MANIFEST_NAME).is_file())
     if single.is_file():
+        if found:
+            raise ValueError(f"{single} and {found[0]}: a corpus holds one episode at its root "
+                             "or one per subdirectory, not both")
         return [single]
-    found = sorted(
-        p / MANIFEST_NAME
-        for p in root.iterdir()
-        if p.is_dir() and (p / MANIFEST_NAME).is_file()
-    )
     if not found:
         raise FileNotFoundError(f"no {MANIFEST_NAME} found under {os.fspath(root)}")
     return found

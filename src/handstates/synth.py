@@ -202,12 +202,12 @@ def _boundary_band(mask: np.ndarray) -> np.ndarray:
     return grown & ~shrunk
 
 
-def _flip_boundary(mask: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
+def _flip_boundary(mask: np.ndarray, band: np.ndarray, prob: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Flip each pixel of ``band``, the mask's boundary, with probability ``prob``."""
     if prob <= 0.0:
         return mask
-    band = _boundary_band(mask)
-    flips = band & (rng.random(mask.shape) < prob)
-    return mask ^ flips
+    return mask ^ (band & (rng.random(mask.shape) < prob))
 
 
 def generate_episode(cfg: ScenarioConfig, episode_id: str = "episode") -> Episode:
@@ -222,6 +222,7 @@ def generate_episode(cfg: ScenarioConfig, episode_id: str = "episode") -> Episod
         size=shape,
     ).astype(np.uint8)
     object_mask_clean = _rect_mask(shape, cfg.object_rect)
+    object_band = _boundary_band(object_mask_clean)  # the same every frame
     radius = cfg.hand_radius
 
     frames: list[np.ndarray] = []
@@ -232,8 +233,8 @@ def generate_episode(cfg: ScenarioConfig, episode_id: str = "episode") -> Episod
             center = center + rng.normal(0.0, cfg.jitter_sigma, size=2)
         center = np.clip(center, radius, [w - 1 - radius, h - 1 - radius])
         hand = _disc_mask(shape, center, radius)
-        hand = _flip_boundary(hand, cfg.noise_flip_prob, rng)
-        obj = _flip_boundary(object_mask_clean, cfg.noise_flip_prob, rng)
+        hand = _flip_boundary(hand, _boundary_band(hand), cfg.noise_flip_prob, rng)
+        obj = _flip_boundary(object_mask_clean, object_band, cfg.noise_flip_prob, rng)
         frame = texture.copy()
         frame[obj] = OBJECT_LEVEL
         frame[hand] = HAND_LEVEL

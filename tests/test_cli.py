@@ -402,19 +402,23 @@ class TestExtract:
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
-    @pytest.fixture
-    def sublinked_corpus(self, tmp_path, small_corpus):
-        """The small corpus with ep_000's object.pgm read through ep_000/imgs,
-        a symlink to a directory outside the corpus."""
+    @staticmethod
+    def sublink(tmp_path, small_corpus, episode):
+        """The small corpus with ``episode``'s object.pgm read through
+        ``episode/imgs``, a symlink to a directory outside the corpus."""
         corpus, outside = tmp_path / "corpus", tmp_path / "outside"
         shutil.copytree(small_corpus, corpus)
         outside.mkdir()
-        (corpus / "ep_000" / "object.pgm").rename(outside / "object.pgm")
-        (corpus / "ep_000" / "imgs").symlink_to(outside, target_is_directory=True)
-        manifest_path = corpus / "ep_000" / "manifest.csv"
+        (corpus / episode / "object.pgm").rename(outside / "object.pgm")
+        (corpus / episode / "imgs").symlink_to(outside, target_is_directory=True)
+        manifest_path = corpus / episode / "manifest.csv"
         manifest_path.write_text(
             manifest_path.read_text().replace("object.pgm", "imgs/object.pgm"))
         return corpus
+
+    @pytest.fixture
+    def sublinked_corpus(self, tmp_path, small_corpus):
+        return self.sublink(tmp_path, small_corpus, "ep_000")
 
     def test_symlinked_subdirectory_is_refused(self, tmp_path, sublinked_corpus, capsys):
         # a file read through a symlinked directory inside an episode would
@@ -435,6 +439,52 @@ class TestExtract:
         out = tmp_path / "out"
         assert run_cli("extract", "--manifest-dir", sublinked_corpus, "--out", out) == 1
         assert calls == []
+
+    def test_symlinked_subdirectory_in_the_second_episode_is_refused_after_the_first(
+            self, tmp_path, small_corpus, monkeypatch, capsys):
+        corpus = self.sublink(tmp_path, small_corpus, "ep_001")
+        select = features.select_keyframes
+        calls = []
+        monkeypatch.setattr(features, "select_keyframes",
+                            lambda *args: calls.append(args) or select(*args))
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert [episode.episode_id for episode, _ in calls] == ["ep_000"]
+        assert (f"error: {corpus / 'ep_001' / 'imgs' / 'object.pgm'}: read through a "
+                "symlinked directory" in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_stray_symlinked_directory_is_not_refused(self, tmp_path, small_corpus,
+                                                      small_features):
+        # no manifest names a file through either link, so no episode reads
+        # a file the walk left out, and the input digest is the walk's
+        corpus, outside = tmp_path / "corpus", tmp_path / "outside"
+        shutil.copytree(small_corpus, corpus)
+        outside.mkdir()
+        (outside / "notes.txt").write_text("a file behind a symlinked directory")
+        (corpus / "linked").symlink_to(outside, target_is_directory=True)
+        (corpus / "ep_000" / "imgs").symlink_to(outside, target_is_directory=True)
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        assert (out / "features.csv").read_bytes() == small_features.read_bytes()
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
+
+    def test_corpus_root_manifest_beside_episode_directories_is_refused(
+            self, tmp_path, small_corpus, capsys):
+        # reading the root's episode alone would leave the other episodes
+        # unread, though their files enter the input digest
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        for path in (corpus / "ep_000").iterdir():
+            shutil.copy(path, corpus)
+        with pytest.raises(ValueError, match="not both"):
+            manifest.find_manifests(corpus)
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {corpus / 'manifest.csv'} and {corpus / 'ep_000' / 'manifest.csv'}: "
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     def test_symlinked_corpus_root_is_read(self, tmp_path):
         root = tmp_path / "one"
