@@ -10,8 +10,8 @@ flags and seed.
 import-time heap, pins BLAS to one thread, creates ``--out``, runs the
 subcommand, which returns the files it wrote, hashes the input files the
 subcommand names (``--features``, ``--checkpoint``) and writes one atomic
-``run_manifest.json``. ``extract`` hashes its ``--manifest-dir`` corpus
-itself, as it reads it.
+``run_manifest.json``. ``extract``'s ``--manifest-dir`` corpus is hashed
+as it is read, by ``manifest.read_corpus``, whose walk defines the corpus.
 
 A process pays for what it imports and builds before its own work, so the
 parser gets the flags of the named subcommand only, and each module is
@@ -57,7 +57,6 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterator
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -68,8 +67,8 @@ from . import __version__
 from .features import (
     CLASS_NAMES,
     NUM_CLASSES,
+    RUN_MANIFEST,
     ClassLabel,
-    Episode,
     LabeledDataset,
     PipelineConfig,
     build_dataset,
@@ -78,6 +77,7 @@ from .features import (
     load_dataset_csv,
     save_dataset_csv,
     sequence_dataset,
+    sha256_file,
     slide_windows,
     stratified_folds,
     stratified_split_indices,
@@ -89,9 +89,6 @@ if TYPE_CHECKING:
     from .nn.model import ModelSpec
     from .nn.train import TrainConfig
 
-RUN_MANIFEST = "run_manifest.json"
-THROUGH_SYMLINK = ("read through a symlinked directory, which the input digest does not enter; "
-                   "copy it into the corpus")
 SEED = 7  # the --seed default, and eval's split seed for a checkpoint that records none
 TEST_FRACTION = 0.2  # the --test-fraction default, and eval's likewise
 FOLDS = 5  # xval's default --k and the ladder's k-fold rows
@@ -163,55 +160,6 @@ def _canvas(text: str) -> tuple[int, int]:
     if min(w, h) < 1:
         raise argparse.ArgumentTypeError(f"canvas must have width and height >= 1, got {text!r}")
     return w, h
-
-
-def sha256_file(path: str | os.PathLike) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def read_corpus(root, digest) -> Iterator[Episode]:
-    """The episodes of the corpus at ``root``, read one at a time as they
-    are consumed; a corpus ``manifest.find_manifests`` refuses raises at
-    call time, and an episode that names a file outside ``root`` when it is
-    read.
-
-    The corpus is walked once, before the first episode is read, in
-    ``sorted(root.rglob("*"))`` order, bar run manifests (they hold a wall
-    time and an output path); the walk does not enter symlinked directories.
-    An episode that read a file the walk did not find raises a ValueError
-    naming the file before it is yielded. When the episodes run out,
-    ``digest`` (a hashlib object) has taken in the corpus's input digest:
-    each walked file's relative path and the hex sha256 of its bytes, taken
-    by the episode reader for the files it read, here for the rest.
-    """
-    from . import manifest
-
-    root = Path(root)
-    return _read_and_hash(root, manifest.find_manifests(root), digest)
-
-
-def _read_and_hash(root: Path, manifests: list[Path], digest) -> Iterator[Episode]:
-    from . import manifest
-
-    walked = {str(path.relative_to(root)): path for path in sorted(root.rglob("*"))
-              if path.is_file() and path.name != RUN_MANIFEST}
-    # digests of the files the episodes read, by path below the root; each
-    # episode is dropped once it is consumed, before the next one is read
-    read: dict[str, str] = {}
-    for path in manifests:
-        episode = manifest.read_episode(path, root)
-        if unwalked := [rel for rel in episode.file_digests if rel not in walked]:
-            raise ValueError(f"{root / unwalked[0]}: {THROUGH_SYMLINK}")
-        read.update(episode.file_digests)
-        yield episode
-        del episode
-    for rel, path in walked.items():
-        digest.update(rel.encode())
-        digest.update((read.pop(rel, None) or sha256_file(path)).encode())
 
 
 SCORES = ("accuracy", "weighted_f1", "grabbing_f1")
@@ -444,6 +392,8 @@ def cmd_synth(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
 
 def cmd_extract(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
+    from . import manifest
+
     cfg = PipelineConfig(
         sharpness_threshold=args.tau_sharp,
         diff_threshold=args.tau_diff,
@@ -452,7 +402,7 @@ def cmd_extract(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
         contact_epsilon=args.epsilon,
     )
     corpus = hashlib.sha256()
-    dataset = build_dataset(read_corpus(args.manifest_dir, corpus), cfg)
+    dataset = build_dataset(manifest.read_corpus(args.manifest_dir, corpus), cfg)
     inputs[args.manifest_dir] = "sha256:" + corpus.hexdigest()
     features_path = out / "features.csv"
     save_dataset_csv(dataset, features_path)

@@ -24,6 +24,7 @@ seeded shuffle of each class.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -329,6 +330,7 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.nda
 
 
 CSV_HEADER = FEATURE_NAMES + ("label", "episode_id", "target_index")
+RUN_MANIFEST = "run_manifest.json"  # what a run wrote and read, beside its outputs
 
 
 def save_dataset_csv(ds: LabeledDataset, path) -> None:
@@ -358,6 +360,14 @@ def write_csv(path, header, rows: Iterable) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def csv_table(data: bytes, path, header) -> Iterator[tuple[int, list[str]]]:

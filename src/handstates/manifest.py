@@ -8,24 +8,28 @@ that name one file take its images in order, row by row and left to right
 within a row, and the file must hold exactly as many images as cells name
 it. ``write_episode`` writes each stream, frames and the two masks, as one
 file, ``STREAMS``; a corpus of one image per file, named by one cell each,
-reads the same way. A corpus directory holds one episode subdirectory per
-episode, each with its own ``manifest.csv``, or a single episode at its
-root, never both; ``cli.read_corpus`` reads one.
+reads the same way. The episodes of a corpus are the ``manifest.csv`` files
+that the walk of ``read_corpus`` finds, one per episode directory, the root
+or any below it, none inside another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from pathlib import Path
+from collections.abc import Iterator
+from pathlib import Path, PurePath
 
 from . import pgm
-from .features import CLASS_NAMES, Episode, csv_table, parse_label, write_csv
+from .features import (CLASS_NAMES, RUN_MANIFEST, Episode, csv_table, parse_label, sha256_file,
+                       write_csv)
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_HEADER = ("frame", "hand_mask", "object_mask", "label")
 # the files write_episode writes, one per manifest column
 STREAMS = ("frames.pgm", "hand.pgm", "object.pgm")
+THROUGH_SYMLINK = ("read through a symlinked directory, which the input digest does not enter; "
+                   "copy it into the corpus")
 
 
 def write_episode(episode: Episode, out_dir) -> Path:
@@ -44,19 +48,18 @@ def write_episode(episode: Episode, out_dir) -> Path:
 
 
 def read_episode(manifest_path, root=None) -> Episode:
-    """Load an episode from its manifest; the directory name is its id.
+    """Load an episode from its manifest. Its id is its directory's POSIX
+    path below ``root``, the corpus directory, such as ``group/ep_002``; for
+    the root's own episode, or without ``root``, the directory's name.
 
     Each file the manifest names is opened once, its bytes hashed into
-    ``Episode.file_digests`` and split into its images. Frames stay the
-    uint8 arrays the split returns. The manifest is read by ``csv_table``;
-    a file that holds another number of images than cells name it, or a
-    frame or mask of another size than the first frame, raises a ValueError
-    naming the line and the file. Given ``root``, the corpus directory, so
-    does a file that is absolute or lies above ``root``, before any file the
-    manifest names is read, and each digest is keyed by the file's normalised path below
-    ``root``, the path the corpus walk finds it by. Which files an episode
-    may read is the walk's to say: ``cli.read_corpus`` refuses one read
-    through a symlinked directory once its episode has been read.
+    ``Episode.file_digests`` and split into its images; frames stay uint8.
+    The manifest is read by ``csv_table``; a file that holds another number
+    of images than cells name it, or a frame or mask of another size than
+    the first frame, raises a ValueError naming the line and the file. Given
+    ``root``, so does a file that is absolute or lies above ``root``, before
+    any file is read, and each digest is keyed by the file's normalised path
+    below ``root``, the path the corpus walk finds it by.
     """
     path = Path(manifest_path)
     base = os.path.dirname(path)
@@ -110,7 +113,7 @@ def read_episode(manifest_path, root=None) -> Episode:
             # a mask is decoded in place, in the bytes its file was read into
             streams[column][i] = img if column == 0 else pgm.gray_to_mask(img)
     return Episode(
-        episode_id=path.parent.name,
+        episode_id=path.parent.name if inside == os.curdir else Path(inside).as_posix(),
         frames=streams[0],
         hand_masks=streams[1],
         object_masks=streams[2],
@@ -119,20 +122,57 @@ def read_episode(manifest_path, root=None) -> Episode:
     )
 
 
-def find_manifests(root) -> list[Path]:
-    """Locate episode manifests under a corpus directory (sorted by path):
-    the root's own, for a corpus of one episode, or one per episode
-    subdirectory. A root with both raises a ValueError naming two of them,
-    since reading either kind alone would drop the other's episodes."""
-    root = Path(root)
-    single = root / MANIFEST_NAME
-    found = sorted(p / MANIFEST_NAME for p in root.iterdir()
-                   if p.is_dir() and (p / MANIFEST_NAME).is_file())
-    if single.is_file():
-        if found:
-            raise ValueError(f"{single} and {found[0]}: a corpus holds one episode at its root "
-                             "or one per subdirectory, not both")
-        return [single]
-    if not found:
+def _walk(root: Path) -> tuple[dict[str, Path], list[Path]]:
+    """The corpus at ``root``: its files in ``sorted(root.rglob("*"))`` order
+    by path below it, bar run manifests (they hold a wall time and an output
+    path), and the manifests among them. The walk leaves out symlinked
+    directories, refusing one that holds a manifest at any depth, and
+    refuses a manifest below another's directory, naming both."""
+    walked = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_symlink() and (hidden := next(path.rglob(MANIFEST_NAME), None)):
+            raise ValueError(f"{hidden}: {THROUGH_SYMLINK}")
+        if path.is_file() and path.name != RUN_MANIFEST:
+            walked[str(path.relative_to(root))] = path
+    manifests = [rel for rel in walked if PurePath(rel).name == MANIFEST_NAME]
+    for rel in manifests:
+        # every ancestor: a/b/manifest.csv sorts before a/manifest.csv
+        for above in PurePath(rel).parent.parents:
+            if (outer := str(above / MANIFEST_NAME)) in walked:
+                raise ValueError(f"{walked[outer]} and {walked[rel]}: a corpus holds one episode "
+                                 "at its root or one per subdirectory, not both")
+    if not manifests:
         raise FileNotFoundError(f"no {MANIFEST_NAME} found under {os.fspath(root)}")
-    return found
+    return walked, [walked[rel] for rel in manifests]
+
+
+def find_manifests(root) -> list[Path]:
+    """The episode manifests of the corpus at ``root``, in walk order."""
+    return _walk(Path(root))[1]
+
+
+def read_corpus(root, digest) -> Iterator[Episode]:
+    """The episodes of the corpus at ``root``, read one at a time as they
+    are consumed, after ``_walk`` at call time. An episode that names a file
+    outside ``root``, or reads one the walk did not find, raises a ValueError
+    naming the file before it is yielded. When they run out, ``digest`` (a
+    hashlib object) has taken in the input digest: each walked file's path
+    below ``root`` and the hex sha256 of its bytes."""
+    root = Path(root)
+    return _read_and_hash(root, *_walk(root), digest)
+
+
+def _read_and_hash(root: Path, walked: dict, manifests: list[Path], digest) -> Iterator[Episode]:
+    # digests of the files the episodes read, by path below the root; each
+    # episode is dropped once it is consumed, before the next one is read
+    read: dict[str, str] = {}
+    for path in manifests:
+        episode = read_episode(path, root)
+        if unwalked := [rel for rel in episode.file_digests if rel not in walked]:
+            raise ValueError(f"{root / unwalked[0]}: {THROUGH_SYMLINK}")
+        read.update(episode.file_digests)
+        yield episode
+        del episode
+    for rel, path in walked.items():
+        digest.update(rel.encode())
+        digest.update((read.pop(rel, None) or sha256_file(path)).encode())

@@ -210,7 +210,7 @@ class TestEpisodeStreaming:
     def test_build_dataset_over_read_corpus(self, tmp_path, monkeypatch):
         assert run_cli("synth", "--out", tmp_path, *FOUR_EPISODES) == 0
         live = LiveEpisodes(monkeypatch)
-        ds = build_dataset(cli.read_corpus(tmp_path, hashlib.sha256()), PipelineConfig())
+        ds = build_dataset(manifest.read_corpus(tmp_path, hashlib.sha256()), PipelineConfig())
         assert len(ds) > 0
         assert live.made == 4
         assert live.peak == 1
@@ -379,27 +379,41 @@ class TestExtract:
         read_episode = manifest.read_episode
         monkeypatch.setattr(manifest, "read_episode",
                             lambda path, root: read.append(path) or read_episode(path, root))
-        episodes = cli.read_corpus(small_corpus, hashlib.sha256())
+        episodes = manifest.read_corpus(small_corpus, hashlib.sha256())
         assert read == []
         next(episodes)
         assert read == [small_corpus / "ep_000" / "manifest.csv"]
 
     def test_missing_corpus_raises_at_call_time(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no manifest.csv"):
-            cli.read_corpus(tmp_path, hashlib.sha256())
+            manifest.read_corpus(tmp_path, hashlib.sha256())
 
     def test_symlinked_episode_directory_is_refused(self, tmp_path, small_corpus, capsys):
         # the walk that hashes the corpus does not enter symlinked
-        # directories, so such an episode would be read but not hashed
+        # directories, so such an episode would be neither read nor hashed
         corpus = tmp_path / "corpus"
         shutil.copytree(small_corpus, corpus)
         (corpus / "ep_zzz").symlink_to(small_corpus / "ep_000", target_is_directory=True)
         with pytest.raises(ValueError, match="ep_zzz/"):
-            list(cli.read_corpus(corpus, hashlib.sha256()))
+            list(manifest.read_corpus(corpus, hashlib.sha256()))
         out = tmp_path / "out"
         assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
         assert (f"{corpus / 'ep_zzz' / 'manifest.csv'}: read through a symlinked directory"
                 in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_symlinked_directory_holding_an_episode_below_it_is_refused(
+            self, tmp_path, small_corpus, capsys):
+        # the walk does not enter the link, so its episode would be skipped
+        corpus, shelf = tmp_path / "corpus", tmp_path / "shelf"
+        shutil.copytree(small_corpus, corpus)
+        shelf.mkdir()
+        (corpus / "ep_001").rename(shelf / "ep_001")
+        (corpus / "group").symlink_to(shelf, target_is_directory=True)
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {corpus / 'group' / 'ep_001' / 'manifest.csv'}: read through a "
+                "symlinked directory" in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
     @staticmethod
@@ -492,8 +506,58 @@ class TestExtract:
         link = tmp_path / "link"
         link.symlink_to(root, target_is_directory=True)
         digest = hashlib.sha256()
-        assert [len(e) for e in cli.read_corpus(link, digest)] == [2]
+        assert [len(e) for e in manifest.read_corpus(link, digest)] == [2]
         assert digest.hexdigest() == rglob_tree_digest(root)
+
+    @pytest.fixture(scope="class")
+    def three_episodes(self, tmp_path_factory):
+        corpus = tmp_path_factory.mktemp("three") / "corpus"
+        assert run_cli("synth", "--out", corpus, "--episodes", 3, "--seed", 7) == 0
+        return corpus
+
+    @staticmethod
+    def episode_rows(features_csv):
+        with open(features_csv, newline="") as fh:
+            return collections.Counter(row["episode_id"] for row in csv.DictReader(fh))
+
+    def test_nested_episode_is_read(self, tmp_path, three_episodes):
+        # the walk reaches any depth, so the episodes are the ones it hashes
+        corpus = tmp_path / "corpus"
+        shutil.copytree(three_episodes, corpus)
+        (corpus / "group").mkdir()
+        (corpus / "ep_002").rename(corpus / "group" / "ep_002")
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        rows = self.episode_rows(out / "features.csv")
+        assert sum(rows.values()) == 276
+        assert rows["group/ep_002"] == 89
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert doc["inputs"][str(corpus)] == "sha256:" + rglob_tree_digest(corpus)
+
+    def test_one_directory_name_at_two_depths_gives_two_episodes(self, tmp_path,
+                                                                 three_episodes):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(three_episodes / "ep_000", corpus / "a" / "ep_000")
+        shutil.copytree(three_episodes / "ep_001", corpus / "b" / "ep_000")
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 0
+        assert self.episode_rows(out / "features.csv") == {"a/ep_000": 103, "b/ep_000": 84}
+        ds = features.load_dataset_csv(out / "features.csv")
+        targets, _ = features.sequence_dataset(ds, 5)
+        for t in targets:
+            assert len({ds.provenance[row][0] for row in range(t - 4, t + 1)}) == 1
+
+    def test_episode_inside_an_episode_is_refused(self, tmp_path, small_corpus, capsys):
+        # a/b/manifest.csv sorts before a/manifest.csv, with a's streams
+        # between them: each manifest's ancestors are checked, not neighbours
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus / "ep_000", corpus / "a")
+        shutil.copytree(small_corpus / "ep_001", corpus / "a" / "b")
+        out = tmp_path / "out"
+        assert run_cli("extract", "--manifest-dir", corpus, "--out", out) == 1
+        assert (f"error: {corpus / 'a' / 'manifest.csv'} and {corpus / 'a' / 'b' / 'manifest.csv'}: "
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("column, name", enumerate(manifest.STREAMS))
     def test_mis_sized_pgm_names_its_file(self, tmp_path, small_corpus, capsys, column, name):
@@ -598,7 +662,7 @@ class TestInputDigest:
         # the tree tells path order from plain string order
         assert sorted(files, key=str) != files
         digest = hashlib.sha256()
-        episodes = [episode.episode_id for episode in cli.read_corpus(tree, digest)]
+        episodes = [episode.episode_id for episode in manifest.read_corpus(tree, digest)]
         assert episodes == ["a", "a-b"]
         assert digest.hexdigest() == rglob_tree_digest(tree)
 
@@ -608,13 +672,13 @@ class TestInputDigest:
         (root / "sub").mkdir()
         (root / "sub" / "notes").write_text("not a frame")
         digest = hashlib.sha256()
-        assert [len(e) for e in cli.read_corpus(root, digest)] == [2]
+        assert [len(e) for e in manifest.read_corpus(root, digest)] == [2]
         assert digest.hexdigest() == rglob_tree_digest(root)
 
     def test_corpus_root_given_as_the_working_directory(self, tmp_path, monkeypatch):
         manifest.write_episode(tiny_episode(), tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert [len(e) for e in cli.read_corpus(".", hashlib.sha256())] == [2]
+        assert [len(e) for e in manifest.read_corpus(".", hashlib.sha256())] == [2]
 
     def test_extract_opens_each_file_once(self, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus"
