@@ -282,10 +282,21 @@ def _split_meta(args: argparse.Namespace) -> dict:
             "seed": args.seed}
 
 
+def _sequences(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sequence_dataset(ds, seq_length)``; refuses a ``seq_length`` that
+    is longer than every episode, which would leave no samples."""
+    targets, labels = sequence_dataset(ds, seq_length)
+    if not targets.size:
+        longest = max(collections.Counter(episode_id for episode_id, _ in ds.provenance).values())
+        raise ValueError(f"seq_length {seq_length}: no episode has {seq_length} rows; "
+                         f"the longest has {longest}")
+    return targets, labels
+
+
 def _split_for_training(ds: LabeledDataset, seq_length: int, args: argparse.Namespace):
     """(train, val, test) target rows of the samples of ``ds`` via nested
     stratified splits; refuses any class that the train samples lack."""
-    targets, y = sequence_dataset(ds, seq_length)
+    targets, y = _sequences(ds, seq_length)
     train_idx, test_idx = stratified_split_indices(y, args.test_fraction, args.seed)
     inner_train, inner_val = stratified_split_indices(y[train_idx], args.val_fraction, args.seed + 1)
     tr, va = train_idx[inner_train], train_idx[inner_val]
@@ -442,7 +453,7 @@ def cmd_eval(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 
     ckpt = ckpt_mod.load(args.checkpoint)
     ds = _load_features(args.features)
-    targets, labels = sequence_dataset(ds, ckpt.spec.seq_length)
+    targets, labels = _sequences(ds, ckpt.spec.seq_length)
 
     split = ckpt.meta.get("split", {})
     test_fraction = args.test_fraction or split.get("test_fraction", TEST_FRACTION)
@@ -493,7 +504,7 @@ def cmd_search(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
 def _xval(args: argparse.Namespace, spec: ModelSpec, cfg: TrainConfig, ds: LabeledDataset,
           out: Path, k: int):
     """Stratified k-fold validation, scored by the means over the folds."""
-    targets, labels = sequence_dataset(ds, spec.seq_length)
+    targets, labels = _sequences(ds, spec.seq_length)
     folds = [(targets[tr], targets[va]) for tr, va in stratified_folds(labels, k, args.seed)]
     rows = kfold_validate(spec, cfg, ds.features, ds.labels, folds)
     mean, std = (dict(zip(SCORES, stat))

@@ -4,8 +4,9 @@ The pipeline turns an episode (frames + hand/object masks + per-frame state
 labels) into fixed 8-dimensional descriptors in four steps:
 
 1. ``keyframe_indices`` keeps the frames that are sharp and moving;
-2. ``select_keyframes`` caches each keyframe's hand centroid and
-   hand-object distance, one straight pass over the keyframes;
+2. ``select_keyframes`` tabulates each keyframe's frame index, hand
+   centroid and hand-object distance, one record array row per keyframe
+   (dtype ``KEYFRAME``), in one straight pass over the keyframes;
 3. ``slide_windows`` gives the target positions of the windows of N
    consecutive keyframes, each labelled by the state at the keyframe that
    follows it; it is the only definition of window geometry;
@@ -33,7 +34,6 @@ from enum import IntEnum
 import numpy as np
 
 from .raster import (
-    Point2,
     frame_diff_energy,
     image_diagonal,
     laplacian_variance,
@@ -135,19 +135,19 @@ class PipelineConfig:
             raise ValueError("thresholds must be >= 0")
 
 
-@dataclass
-class KeyframeEntry:
-    """Cached per-keyframe signals used by the window descriptors."""
-
-    index: int
-    centroid: Point2
-    distance: float
+KEYFRAME = np.dtype([("index", np.int64), ("centroid", np.float64, (2,)),
+                     ("distance", np.float64)])
 
 
 @dataclass
 class KeyframeSeries:
+    """The keyframes of one episode: ``entries`` is a ``np.recarray`` of
+    dtype ``KEYFRAME``, one row per keyframe in frame order holding its frame
+    ``index``, hand ``centroid`` (x, y) and hand-object ``distance``, read by
+    column (``entries.distance``) or by row (``entries[k].index``)."""
+
     episode_id: str
-    entries: list[KeyframeEntry]
+    entries: np.recarray
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -185,8 +185,9 @@ def keyframe_indices(episode: Episode, cfg: PipelineConfig) -> list[int]:
 
 
 def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
-    """The keyframes of an episode with their hand centroid and hand-object
-    distance.
+    """The keyframe table of an episode: one ``KEYFRAME`` row per index of
+    ``keyframe_indices``, holding that frame index, the hand centroid and
+    the hand-object distance.
 
     Empty masks never crash the pipeline: an empty hand mask carries the
     previous keyframe's centroid forward (canvas center at the start of an
@@ -194,14 +195,14 @@ def select_keyframes(episode: Episode, cfg: PipelineConfig) -> KeyframeSeries:
     diagonal.
     """
     h, w = episode.shape
-    centroid = Point2(w / 2.0, h / 2.0)
+    centroid = (w / 2.0, h / 2.0)
     diagonal = image_diagonal(episode.shape)
-    entries: list[KeyframeEntry] = []
-    for i in keyframe_indices(episode, cfg):
+    indices = keyframe_indices(episode, cfg)
+    entries = np.recarray(len(indices), dtype=KEYFRAME)
+    for k, i in enumerate(indices):
         hand = episode.hand_masks[i]
         centroid = mask_centroid(hand) or centroid
-        distance = min(mask_distance(hand, episode.object_masks[i]), diagonal)
-        entries.append(KeyframeEntry(i, centroid, distance))
+        entries[k] = i, centroid, min(mask_distance(hand, episode.object_masks[i]), diagonal)
     return KeyframeSeries(episode.episode_id, entries)
 
 
@@ -225,12 +226,9 @@ def window_feature_vector(series: KeyframeSeries, targets: range, cfg: PipelineC
     population standard deviation; a trend is the least-squares slope
     against the keyframe step.
     """
-    entries = series.entries
     context = np.asarray(targets)[:, None] + np.arange(-cfg.window_length, 0)
-    dist = np.array([e.distance for e in entries], dtype=np.float64)[context]
-    xy = np.array([e.centroid for e in entries], dtype=np.float64)
-    step = np.diff(xy, axis=0)
-    speed = np.hypot(step[:, 0], step[:, 1])  # speed[j]: keyframe j -> j+1
+    dist = series.entries.distance[context]
+    speed = np.hypot(*np.diff(series.entries.centroid, axis=0).T)  # speed[j]: keyframe j -> j+1
 
     columns = []
     for values in (dist, speed[context[:, :-1]]):
@@ -267,23 +265,13 @@ def build_dataset(episodes: Iterable[Episode], cfg: PipelineConfig) -> LabeledDa
 
             logging.getLogger(__name__).warning(
                 "episode %s yields no windows (%d keyframes, window %d); skipped",
-                series.episode_id,
-                len(series),
-                cfg.window_length,
-            )
+                series.episode_id, len(series), cfg.window_length)
             continue
         blocks.append(window_feature_vector(series, targets, cfg))
-        labels.extend(int(frame_labels[series.entries[t].index]) for t in targets)
+        labels.extend(np.take(frame_labels, series.entries.index[targets]))
         provenance.extend((series.episode_id, t) for t in targets)
-    if blocks:
-        features = np.concatenate(blocks)
-    else:
-        features = np.empty((0, FEATURE_DIM), dtype=np.float64)
-    return LabeledDataset(
-        features=features,
-        labels=np.asarray(labels, dtype=np.int64),
-        provenance=provenance,
-    )
+    features = np.concatenate(blocks) if blocks else np.empty((0, FEATURE_DIM))
+    return LabeledDataset(features, np.asarray(labels, dtype=np.int64), provenance)
 
 
 def _class_ranks(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -413,20 +401,12 @@ def load_dataset_csv(path) -> LabeledDataset:
                 provenance.append((row[FEATURE_DIM + 1], int(row[FEATURE_DIM + 2])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    features = (
-        np.asarray(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, FEATURE_DIM), dtype=np.float64)
-    )
+    features = np.asarray(rows, dtype=np.float64).reshape(-1, FEATURE_DIM)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"{path}:{lines[i]}: {FEATURE_NAMES[j]} is {rows[i][j]}, not finite")
-    return LabeledDataset(
-        features=features,
-        labels=np.asarray(labels, dtype=np.int64),
-        provenance=provenance,
-    )
+    return LabeledDataset(features, np.asarray(labels, dtype=np.int64), provenance)
 
 
 def sequence_dataset(ds: LabeledDataset, seq_length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ the classifier once, from the stored spec, restores its ``state`` and keeps
 it. Files of any other schema are refused, not migrated, and so are files
 whose parameters, batch-norm layers or standardization vectors do not fit
 their spec or are not finite (parameters and statistics as float32), whose
-batch-norm variance is negative, or whose standardization std is not > 0.
+batch-norm variance is negative, whose standardization std is not > 0, or
+whose recorded split holds a seed below 0 or a test fraction outside (0, 1).
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ def _finite(what: str, values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {type(value).__name__}")
+    return value
+
+
 def load(path) -> Checkpoint:
     """Read a checkpoint; a malformed one raises a ValueError naming ``path``."""
     try:
@@ -98,9 +105,9 @@ def load(path) -> Checkpoint:
             )
         state = {
             name: _finite(name, entry["data"], PARAM_DTYPE).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
+            for name, entry in _object("params", doc["params"]).items()
         }
-        for name, stats in doc.get("batchnorm", {}).items():
+        for name, stats in _object("batchnorm", doc.get("batchnorm", {})).items():
             for key in ("mean", "var"):
                 state[f"{name}.{key}"] = _finite(f"{name}.{key}", stats[key], PARAM_DTYPE)
             if (state[f"{name}.var"] < 0).any():
@@ -120,10 +127,16 @@ def load(path) -> Checkpoint:
                 )
             if not (std > 0).all():
                 raise ValueError("standardization std must be > 0")
+        meta = _object("meta", doc.get("meta", {}))
+        split = _object("meta.split", meta.get("split", {}))
+        if type(seed := split.get("seed", 0)) is not int or seed < 0:
+            raise ValueError(f"meta.split.seed {seed!r} is not an integer >= 0")
+        if type(fraction := split.get("test_fraction", 0.5)) is not float or not 0 < fraction < 1:
+            raise ValueError(f"meta.split.test_fraction {fraction!r} is not a number in (0, 1)")
         # the build checks that the parameters and batch-norm layers fit the spec
         clf = to_classifier(spec, state)
         clf.feature_mean, clf.feature_std = mean, std
-        return Checkpoint(clf, dict(doc.get("meta", {})))
+        return Checkpoint(clf, meta)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     except KeyError as exc:

@@ -16,7 +16,6 @@ All functions here are pure and safe to call from any number of workers.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +26,6 @@ PAIR_BLOCK = 1 << 20
 
 # (y0, y1, x0, x1): rows y0..y1-1 and columns x0..x1-1 of a canvas.
 Box = tuple[int, int, int, int]
-
-
-class Point2(NamedTuple):
-    """Sub-pixel image coordinate (x = column, y = row)."""
-
-    x: float
-    y: float
 
 
 def _score_dtype(*frames: np.ndarray) -> type:
@@ -121,8 +113,9 @@ def _bounding_box(fg: np.ndarray) -> Box | None:
     return y0, y1, int(cols[0]), int(cols[-1]) + 1
 
 
-def mask_centroid(mask: np.ndarray) -> Point2 | None:
-    """Arithmetic mean of foreground pixel coordinates; None if there are none.
+def mask_centroid(mask: np.ndarray) -> tuple[float, float] | None:
+    """(x, y), the arithmetic mean of the foreground pixels' column and row
+    coordinates; None if there are none.
 
     Each mean is (integer coordinate sum in the box + n * box offset) / n,
     one correctly rounded division, so it is the float of the mean over
@@ -135,7 +128,7 @@ def mask_centroid(mask: np.ndarray) -> Point2 | None:
     y0, y1, x0, x1 = box
     ys, xs = np.nonzero(fg[y0:y1, x0:x1])
     n = xs.size
-    return Point2((int(xs.sum()) + n * x0) / n, (int(ys.sum()) + n * y0) / n)
+    return (int(xs.sum()) + n * x0) / n, (int(ys.sum()) + n * y0) / n
 
 
 def _boundary_pixels(fg: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:

@@ -842,6 +842,17 @@ class TestTrainEval:
         assert code == 1
         assert "class absent from training split: grabbing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    def test_seq_length_past_every_episode_names_the_longest(self, tmp_path, small_features,
+                                                             capsys, command):
+        with open(small_features, newline="") as fh:
+            longest = max(collections.Counter(row["episode_id"] for row in csv.DictReader(fh)).values())
+        code = run_cli(command, "--features", small_features, "--out", tmp_path / "o",
+                       "--arch", "lstm", "--seq-length", 500, *TRAIN_FAST)
+        assert code == 1
+        assert (f"error: seq_length 500: no episode has 500 rows; the longest has {longest}"
+                in capsys.readouterr().err)
+
     def test_config_file_precedence(self, tmp_path, small_features):
         config = tmp_path / "run.cfg"
         config.write_text("epochs=3\nunits=4\n# comment\n")

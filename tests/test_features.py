@@ -12,11 +12,9 @@ from handstates import manifest
 from handstates.features import (
     ClassLabel,
     Episode,
-    KeyframeEntry,
     KeyframeSeries,
     PipelineConfig,
 )
-from handstates.raster import Point2
 
 
 def textured(rng, shape=(12, 16), amplitude=30.0):
@@ -46,7 +44,7 @@ def make_episode(frames, hand_masks=None, object_masks=None, labels=None, eid="e
 def kept(ep, cfg):
     """The keyframe indices, which select_keyframes's entries carry in order."""
     indices = F.keyframe_indices(ep, cfg)
-    assert [e.index for e in F.select_keyframes(ep, cfg).entries] == indices
+    assert F.select_keyframes(ep, cfg).entries.index.tolist() == indices
     return indices
 
 
@@ -96,8 +94,9 @@ class TestSelectKeyframes:
         widened = Episode(ep.episode_id, [f.astype(np.float64) for f in ep.frames],
                           ep.hand_masks, ep.object_masks, ep.labels)
         cfg = PipelineConfig()
-        # repr spells every float exactly, so equal reprs are equal bits
-        assert repr(F.select_keyframes(ep, cfg)) == repr(F.select_keyframes(widened, cfg))
+        a, b = F.select_keyframes(ep, cfg), F.select_keyframes(widened, cfg)
+        assert a.episode_id == b.episode_id
+        assert a.entries.tobytes() == b.entries.tobytes()
 
     def test_empty_masks_never_crash(self, rng):
         shape = (12, 16)
@@ -114,11 +113,21 @@ class TestSelectKeyframes:
         )
         series = F.select_keyframes(ep, PipelineConfig(0.0, 0.0))
         diag = float(np.hypot(16, 12))
-        assert [e.distance for e in series.entries] == [diag] * 3
+        assert series.entries.distance.tolist() == [diag] * 3
         # frame 0: no previous centroid -> canvas center; frame 2 carries frame 1's
-        assert series.entries[0].centroid == Point2(8.0, 6.0)
-        assert series.entries[1].centroid == Point2(3.0, 2.0)
-        assert series.entries[2].centroid == Point2(3.0, 2.0)
+        assert series.entries.centroid.tolist() == [[8.0, 6.0], [3.0, 2.0], [3.0, 2.0]]
+
+    def test_keyframe_table_answers_column_and_row_reads(self):
+        # perfbench's distance oracle and tracer read the table row by row
+        from handstates.synth import ScenarioConfig, generate_episode
+
+        series = F.select_keyframes(generate_episode(ScenarioConfig(seed=13)), PipelineConfig())
+        entries = series.entries
+        assert len(series) == len(entries) > 10
+        assert entries.index.dtype == np.int64 and entries.distance.dtype == np.float64
+        for k in range(len(series)):
+            assert entries[k].index == entries.index[k] == int(entries.index[k])
+            assert entries[k].distance == entries.distance[k] == float(entries.distance[k])
 
 
 def episode_with_labels(n, shape=(6, 8)):
@@ -150,10 +159,8 @@ class TestSlideWindows:
 
 
 def series_from_signals(dists, centroids):
-    return KeyframeSeries("ep", [
-        KeyframeEntry(index=i, centroid=Point2(*c), distance=d)
-        for i, (d, c) in enumerate(zip(dists, centroids))
-    ])
+    return KeyframeSeries("ep", np.rec.array(
+        [(i, c, d) for i, (d, c) in enumerate(zip(dists, centroids))], dtype=F.KEYFRAME))
 
 
 def contact_distances(flags):
@@ -376,8 +383,8 @@ class TestBuildDataset:
         while offset + 4 < len(entries):  # one window at a time
             context = entries[offset : offset + 4]
             dist = np.array([e.distance for e in context])
-            cx = np.array([e.centroid.x for e in context])
-            cy = np.array([e.centroid.y for e in context])
+            cx = np.array([e.centroid[0] for e in context])
+            cy = np.array([e.centroid[1] for e in context])
             speed = np.hypot(np.diff(cx), np.diff(cy))
             run = best = 0
             contact = dist <= cfg.contact_epsilon

@@ -497,12 +497,20 @@ class TestPredictAndCheckpoint:
              "standardization std has non-finite values"),
             (lambda doc: doc["standardization"]["std"].__setitem__(4, 0.0),
              r"standardization std must be > 0"),
+            (lambda doc: doc.update(params=[1, 2]), "params must be an object, not list"),
+            (lambda doc: doc.update(batchnorm=[1, 2]), "batchnorm must be an object, not list"),
+            (lambda doc: doc["meta"].update(split={"seed": "seven"}),
+             "meta.split.seed 'seven' is not an integer"),
+            (lambda doc: doc["meta"].update(split={"test_fraction": "0.5"}),
+             r"meta.split.test_fraction '0.5' is not a number in \(0, 1\)"),
+            (lambda doc: doc["meta"].update(split=[1]), "meta.split must be an object, not list"),
         ],
         ids=["invalid-json", "missing-key", "old-schema", "schema-2", "schema-3", "label-order",
              "spec-mismatch", "zero-width-spec", "mlp-over-sequences", "short-standardization",
              "nan-param", "float32-overflow-param", "inf-bn-mean", "nan-bn-var",
              "negative-bn-var", "inf-standardization-mean", "nan-standardization-std",
-             "zero-standardization-std"],
+             "zero-standardization-std", "params-list", "batchnorm-list", "split-seed-text",
+             "split-fraction-text", "split-list"],
     )
     def test_malformed_checkpoint_names_the_file(self, trained, tmp_path, edit, message):
         path = tmp_path / "ckpt.json"
