@@ -32,7 +32,9 @@ ladder row is one call of its protocol's step into ``model_N/``, so a row
 writes what its subcommand writes and the ladder's manifest lists the
 files of every row. ``ladder --seeds N`` runs the whole plan at N seeds,
 each into ``seed_S/``, and sums them up as the mean and std of each row's
-scores in ``ladder_seeds.csv``.
+scores in ``ladder_seeds.csv``. The rows of every seed are the tasks of one
+worker pool (``nn.search.map_tasks``), and a row's folds or trials run
+inline in its worker.
 
 Scores are the triple ``SCORES``. Every table the CLI writes,
 ``history.csv``, ``trials.csv``, ``xval.csv`` and the two ladder
@@ -49,10 +51,12 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import ctypes
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import sys
@@ -549,78 +553,66 @@ def _ladder_plan() -> tuple:
 LADDER_COLUMNS = ["model", "description", "architecture", "seq_len"]
 
 
-def _ladder_row(number: int, description: str, spec: ModelSpec) -> dict:
-    return {
-        "model": number,
-        "description": description,
-        "architecture": spec.kind,
-        "seq_len": spec.seq_length if spec.kind != "mlp" else "n/a",
-    }
-
-
-def _run_ladder(args: argparse.Namespace, ds: LabeledDataset, out: Path):
-    """Every ``_ladder_plan`` row at ``args.seed`` into ``out/model_N/``, then
-    ``out/ladder_summary.csv``; returns each row's scores (None where the row
-    failed), the files written and the failures."""
-    scores: list[tuple[float, float, float] | None] = []
-    rows: list[dict] = []
-    outputs: list[Path] = []
-    failures: list[str] = []
-    for number, description, spec, class_weighting, step in _ladder_plan():
-        model_out = out / f"model_{number}"
-        model_out.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        row = _ladder_row(number, description, spec)
+def _ladder_task(args: argparse.Namespace, number: int, description: str, spec: ModelSpec,
+                 class_weighting: str, step, ds: LabeledDataset, out: Path):
+    """Ladder row ``number`` at ``args.seed`` into ``out``; returns its summary
+    row, its scores (None where it failed), files, failure (None where it did
+    not) and what it printed, which the parent prints in plan order."""
+    t0 = time.time()
+    row = {"model": number, "description": description, "architecture": spec.kind,
+           "seq_len": spec.seq_length if spec.kind != "mlp" else "n/a"}
+    out.mkdir(parents=True, exist_ok=True)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
         try:
             cfg = _train_cfg(args, seed=args.seed + 10 * number, class_weighting=class_weighting)
-            row_scores, files = step(args, spec, cfg, ds, model_out)
-            outputs += files
-            scores.append(row_scores)
-            row.update((key, f"{value:.6f}") for key, value in zip(SCORES, row_scores))
-            accuracy, weighted_f1, grabbing_f1 = row_scores
-            print(
-                f"model {number} ({description}): acc={accuracy:.4f} "
-                f"wF1={weighted_f1:.4f} grabF1={grabbing_f1:.4f} "
-                f"[{time.time() - t0:.1f}s]"
-            )
+            scores, files = step(args, spec, cfg, ds, out)
         except Exception as exc:  # summary still written, with markers
-            scores.append(None)
             row.update((key, "failed") for key in SCORES)
-            failures.append(f"model {number}: {exc}")
-            print(f"model {number} ({description}): FAILED ({exc})", file=sys.stderr)
-        rows.append(row)
-
-    summary_path = out / "ladder_summary.csv"
-    _write_rows(summary_path, LADDER_COLUMNS + list(SCORES), rows)
-    print(f"ladder summary -> {summary_path}")
-    return scores, [summary_path] + outputs, failures
+            return row, None, [], str(exc), printed.getvalue()
+        row.update((key, f"{value:.6f}") for key, value in zip(SCORES, scores))
+        print(f"model {number} ({description}): acc={scores[0]:.4f} wF1={scores[1]:.4f} "
+              f"grabF1={scores[2]:.4f} [{time.time() - t0:.1f}s]")
+    return row, scores, files, None, printed.getvalue()
 
 
 def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
-    """One ladder into ``out``; with ``--seeds N`` > 1, one into
-    ``out/seed_S/`` for each seed S from ``--seed`` on, and the mean and std
-    of each row's scores over the seeds it did not fail at in
-    ``ladder_seeds.csv``."""
-    ds = _load_features(args.features)
-    if args.seeds == 1:
-        _, outputs, failures = _run_ladder(args, ds, out)
-        return outputs, failures
+    """Every ``_ladder_plan`` row at every seed as a task of one ``map_tasks``
+    call, sent out in plan order; then each seed's ``ladder_summary.csv`` and,
+    with ``--seeds N`` > 1, ``ladder_seeds.csv``."""
+    from .nn.search import map_tasks
 
-    runs, outputs, failures = [], [], []
-    for seed in range(args.seed, args.seed + args.seeds):
-        scores, files, failed = _run_ladder(
-            argparse.Namespace(**{**vars(args), "seed": seed}), ds, out / f"seed_{seed}"
-        )
-        runs.append(scores)
-        outputs += files
-        failures += [f"seed {seed} {failure}" for failure in failed]
+    ds = _load_features(args.features)
+    plan = _ladder_plan()
+    seed_dirs = {seed: out / f"seed_{seed}" if args.seeds > 1 else out
+                 for seed in range(args.seed, args.seed + args.seeds)}
+    results = map_tasks(_ladder_task, [
+        (argparse.Namespace(**{**vars(args), "seed": seed}), *plan_row, ds,
+         seed_out / f"model_{plan_row[0]}")
+        for seed, seed_out in seed_dirs.items() for plan_row in plan
+    ])
+    outputs, failures = [], []
+    for k, (seed, seed_out) in enumerate(seed_dirs.items()):
+        run = results[k * len(plan):(k + 1) * len(plan)]
+        prefix = f"seed {seed} " if args.seeds > 1 else ""
+        for row, _, files, failure, printed in run:
+            print(printed, end="")
+            outputs += files
+            if failure is not None:
+                failures.append(f"{prefix}model {row['model']}: {failure}")
+                print(f"model {row['model']} ({row['description']}): FAILED ({failure})",
+                      file=sys.stderr)
+        outputs.append(seed_out / "ladder_summary.csv")
+        _write_rows(outputs[-1], LADDER_COLUMNS + list(SCORES), [row for row, *_ in run])
+        print(f"ladder summary -> {outputs[-1]}")
+    if args.seeds == 1:
+        return outputs, failures
 
     columns = [f"{key}_{stat}" for key in SCORES for stat in ("mean", "std")]
     rows = []
-    for k, (number, description, spec, _, _) in enumerate(_ladder_plan()):
-        done = [run[k] for run in runs if run[k] is not None]
-        row = _ladder_row(number, description, spec)
-        row["seeds"] = len(done)
+    for k, (first, *_) in enumerate(results[:len(plan)]):
+        done = [scores for _, scores, *_ in results[k::len(plan)] if scores is not None]
+        row = {key: first[key] for key in LADDER_COLUMNS} | {"seeds": len(done)}
         if done:
             for key, mean, std in zip(SCORES, *_mean_std(done)):
                 row[f"{key}_mean"], row[f"{key}_std"] = f"{mean:.6f}", f"{std:.6f}"
@@ -628,7 +620,7 @@ def cmd_ladder(args: argparse.Namespace, out: Path, inputs: dict[str, str]):
             row.update((column, "failed") for column in columns)
         rows.append(row)
         print(
-            f"model {number} ({description}) over {len(done)} of {args.seeds} seeds: "
+            f"model {row['model']} ({row['description']}) over {len(done)} of {args.seeds} seeds: "
             + " ".join(f"{short}={row[key + '_mean']}+/-{row[key + '_std']}"
                        for short, key in zip(("acc", "wF1", "grabF1"), SCORES))
         )
@@ -673,6 +665,10 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=cfg.epochs)
     parser.add_argument("--patience", type=_non_negative_int, default=cfg.early_stop_patience,
                         help="early-stop patience on validation loss; 0 disables")
+
+
+def _add_split_flags(parser: argparse.ArgumentParser) -> None:
+    _add_fit_flags(parser)
     parser.add_argument("--test-fraction", type=_fraction, default=TEST_FRACTION)
     parser.add_argument("--val-fraction", type=_fraction, default=0.15)
 
@@ -686,7 +682,6 @@ def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--class-weight", choices=CLASS_WEIGHTINGS, default=cfg.class_weighting)
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip z-score feature standardization")
-    _add_fit_flags(parser)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -722,6 +717,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     _add_model_flags(p)
     _add_train_config_flags(p)
+    _add_split_flags(p)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -734,7 +730,7 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--budget", type=_positive_int, default=8)
-    _add_fit_flags(p)
+    _add_split_flags(p)
 
 
 def _add_xval_flags(p: argparse.ArgumentParser) -> None:
@@ -742,6 +738,7 @@ def _add_xval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_fold_count, default=FOLDS)
     _add_model_flags(p)
     _add_train_config_flags(p)
+    _add_fit_flags(p)
 
 
 def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
@@ -751,7 +748,7 @@ def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=_positive_int, default=1,
                    help="run the ladder at this many seeds from --seed on, "
                         "each into seed_S/, and write ladder_seeds.csv")
-    _add_fit_flags(p)
+    _add_split_flags(p)
 
 
 COMMANDS = {

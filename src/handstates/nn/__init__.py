@@ -12,11 +12,11 @@ Nothing is re-exported; import each name from the module that defines it:
 - ``train``: CLASS_WEIGHTINGS, TrainConfig, TrainingDivergedError,
   fit_standardizer, train
 - ``checkpoint``: Checkpoint, save, load, to_classifier, predict
-- ``search``: SearchSpace, random_search, kfold_validate, pool_size
+- ``search``: SearchSpace, random_search, kfold_validate, pool_size, map_tasks
 - ``gradcheck``: gradient_check
 
 No module here splits data or builds samples; ``handstates.features`` does
 both, and ``train``, ``random_search`` and ``kfold_validate`` take its feature
 table, row labels and target rows (the last row of each sample, see ``windows``).
-Folds and trials run on one forked worker per usable core (``search.pool_size``).
+Tasks fork one worker per usable core, and run inline in a worker (``search.pool_size``).
 """

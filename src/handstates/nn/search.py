@@ -14,11 +14,12 @@ which it takes from ``features.stratified_folds``.
 
 Folds and trials are seeded one by one (``cfg.seed + fold``, ``seed + 1000 *
 (trial + 1)``), so ``map_tasks`` may train them in forked worker processes,
-one per usable core, without changing a bit of any result.
+one per usable core, or inline, without changing a bit of any result.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -54,8 +55,11 @@ class TrialResult:
 
 def pool_size(tasks: int) -> int:
     """Worker processes for ``tasks`` independent tasks: the cores this
-    process may run on, and no more than the tasks. The CLI runs BLAS on one
-    thread, which forked workers inherit, so each worker has a core."""
+    process may run on, and no more than the tasks; 1 in a pool worker, so a
+    task that maps tasks of its own runs them inline. The CLI runs BLAS on
+    one thread, which forked workers inherit, so each worker has a core."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return max(1, min(tasks, cores))
 
@@ -73,7 +77,6 @@ def map_tasks(fn, tasks: list[tuple]) -> list:
     # Imported here, so a run that never forks does not pay for the import.
     # Forked workers need no re-import, and keep the parent's BLAS thread
     # count. The executor forks them all before it starts its own thread.
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import concurrent.futures
 import csv
 import ctypes
 import hashlib
@@ -915,6 +916,20 @@ class TestTrainEval:
         assert code == 1
         assert "warp_speed" in capsys.readouterr().err
 
+    def test_xval_has_no_split_fractions(self, tmp_path, small_features, capsys):
+        # xval's folds take every sample; it splits off no test or validation set
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("xval", "--features", small_features, "--out", out, "--test-fraction", 0.3)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --test-fraction 0.3" in capsys.readouterr().err
+        config = tmp_path / "split.cfg"
+        config.write_text("test_fraction=0.3\n")
+        assert run_cli("xval", "--features", small_features, "--out", out,
+                       "--config", config) == 1
+        assert "config key 'test_fraction' is not a flag of 'xval'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("config,field", [
     (PipelineConfig, "sharpness_threshold"),
@@ -1332,18 +1347,31 @@ class TestLadderCli:
         assert (out / "run_manifest.json").exists()
 
 
+LADDER_FAST = ("--epochs", 1, "--budget", 1, "--patience", 0)
+
+
+def pooled_ladder(features, out, *flags):
+    """A ladder whose tasks run on two workers, however many cores there are."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run_cli("ladder", "--features", features, "--out", out, *flags) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def ladder_run(tmp_path_factory):
     """A one-epoch ladder on a 2-episode corpus with the default phases."""
     root = tmp_path_factory.mktemp("ladder")
     assert run_cli("synth", "--out", root / "corpus", "--episodes", 2, "--seed", 3) == 0
     assert run_cli("extract", "--manifest-dir", root / "corpus", "--out", root / "data") == 0
-    out = root / "ladder"
-    assert run_cli(
-        "ladder", "--features", root / "data" / "features.csv", "--out", out,
-        "--epochs", 1, "--budget", 1, "--patience", 0,
-    ) == 0
-    return out
+    return pooled_ladder(root / "data" / "features.csv", root / "ladder", *LADDER_FAST)
+
+
+@pytest.fixture(scope="module")
+def ladder_seeds_run(ladder_run):
+    """The same ladder at ``--seeds 2``."""
+    return pooled_ladder(ladder_run.parent / "data" / "features.csv",
+                         ladder_run.parent / "seeds", *LADDER_FAST, "--seeds", 2)
 
 
 class TestLadderOutputs:
@@ -1366,12 +1394,9 @@ class TestLadderOutputs:
         assert names == ["ladder_summary.csv"] + [f"model_{k}" for k in range(1, 9)] + [
             "run_manifest.json"]
 
-    def test_seeds_run_the_ladder_at_each_seed_and_average_it(self, ladder_run):
-        out = ladder_run.parent / "seeds"
-        assert run_cli(
-            "ladder", "--features", ladder_run.parent / "data" / "features.csv", "--out", out,
-            "--epochs", 1, "--budget", 1, "--patience", 0, "--seeds", 2,
-        ) == 0
+    def test_seeds_run_the_ladder_at_each_seed_and_average_it(self, ladder_run,
+                                                              ladder_seeds_run):
+        out = ladder_seeds_run
         # the first seed is the default --seed 7, so its tree is the one-seed run's
         assert tree_digest(out / "seed_7") == tree_digest(ladder_run)
         runs = []
@@ -1389,3 +1414,27 @@ class TestLadderOutputs:
                 assert abs(float(row[f"{score}_mean"]) - statistics.fmean(values)) <= 1e-6
                 assert abs(float(row[f"{score}_std"]) - statistics.pstdev(values)) <= 1e-6
         assert_manifest_lists_every_file(out)
+
+    @pytest.mark.parametrize("seeds", [1, 2])
+    def test_inline_rows_write_the_pooled_tree(self, ladder_run, ladder_seeds_run, tmp_path,
+                                               monkeypatch, seeds):
+        monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
+        out = tmp_path / "inline"
+        assert run_cli("ladder", "--features", ladder_run.parent / "data" / "features.csv",
+                       "--out", out, *LADDER_FAST, "--seeds", seeds) == 0
+        assert tree_digest(out) == tree_digest(ladder_run if seeds == 1 else ladder_seeds_run)
+
+    def test_one_pool_runs_every_row_of_every_seed(self, ladder_run, tmp_path, monkeypatch):
+        # a k-fold or search row trains its folds or trials inline in its worker
+        opened = tmp_path / "pools.txt"
+
+        class LoggedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                with open(opened, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LoggedPool)
+        pooled_ladder(ladder_run.parent / "data" / "features.csv", tmp_path / "ladder",
+                      "--epochs", 1, "--budget", 2, "--patience", 0, "--seeds", 2)
+        assert opened.read_text().split() == [str(os.getpid())]

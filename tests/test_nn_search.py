@@ -176,6 +176,11 @@ class TestPoolSize:
 
 
 class TestWorkerPool:
+    def test_a_worker_maps_its_own_tasks_inline(self, monkeypatch):
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert pool_size(5) == 2
+        assert search.map_tasks(pool_size, [(5,), (5,)]) == [1, 1]
+
     def test_inline_fold_model_is_dropped_before_the_next_fold_trains(self, rng, monkeypatch):
         x, y = blob_data(rng, n_per=15)
         monkeypatch.setattr(search, "pool_size", lambda tasks: 1)
